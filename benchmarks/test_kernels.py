@@ -11,8 +11,11 @@ bytes-touched.
 ``benchmarks/results/`` with its own ``perf_counter`` timings (independent
 of pytest-benchmark, so it still records under ``--benchmark-disable``, as
 the CI smoke job runs it).  ``scripts/check_bench.py`` schema-checks the
-file and gates batch-1 lookup speedup >= 1.0x; the first recorded baseline
-is committed at ``benchmarks/BENCH_kernels.json``.
+file and gates the lookup speedup over decode-per-call at >= 1.0x at both
+batch 1 and batch 8: the tiled kernel decodes one cache-sized band of the
+weights at a time and multiplies it by BLAS, so batching does not hand the
+win back to the baseline.  The current record is committed at
+``benchmarks/BENCH_kernels.json``.
 
 In ``REPRO_BENCH_SMOKE`` mode the serving benchmarks shrink to a 256x256
 layer so the job finishes in seconds; the JSON records which size it
@@ -217,13 +220,14 @@ def test_record_bench_kernels_json(results_dir, quantized_kernel_layer, tmp_path
           f"batch-1 speedup {measurements['speedup_batch1']:.2f}x")
 
     # The CI gate proper is scripts/check_bench.py; assert the invariant
-    # here too so a local run fails loudly if the kernel regresses.  The
-    # batch-1 case is the paper's latency scenario: per-centroid
-    # accumulation must beat decode-then-BLAS when decode dominates.
-    assert measurements["speedup_batch1"] >= 1.0, (
-        f"lookup kernel slower than dequantize baseline at batch 1: "
-        f"{measurements['speedup_batch1']:.2f}x"
-    )
+    # here too so a local run fails loudly if the kernel regresses.  Batch
+    # 1 is the paper's latency scenario; at batch 8 the tiled decode must
+    # still beat decoding the whole matrix per call.
+    for batch in (1, 8):
+        assert measurements[f"speedup_batch{batch}"] >= 1.0, (
+            f"lookup kernel slower than dequantize baseline at batch {batch}: "
+            f"{measurements[f'speedup_batch{batch}']:.2f}x"
+        )
 
 
 def test_bench_kernels_json_is_fresh(results_dir):

@@ -10,10 +10,10 @@ The record's ``schema`` field selects the contract:
 
 * ``bench-kernels/v1`` — every measurement present, positive and finite;
   fails (exit 1) if the lookup kernel falls below 1.0x the
-  dequantize-then-matmul baseline at batch 1, the paper's latency scenario.
-  Batch-8 throughput is recorded but not gated: with a prepared decode
-  amortized over many rows, BLAS on the dequantized matrix wins, and the
-  record documents that crossover honestly.
+  dequantize-then-matmul baseline at batch 1 (the paper's latency
+  scenario) or at batch 8.  The kernel decodes a cache-sized tile of the
+  weights and multiplies it by BLAS, so it wins wherever decoding the
+  whole matrix per call would dominate, batched calls included.
 * ``bench-serve/v1`` — serving-layer numbers; fails if the micro-batcher
   never fused concurrent requests (max batch size 1) or fused beyond its
   configured bound.  Absolute request rates are recorded, not gated —
@@ -44,6 +44,7 @@ SERVE_SCHEMA = "bench-serve/v1"
 JOBS_SCHEMA = "bench-jobs/v1"
 METHODS_SCHEMA = "bench-methods/v1"
 GATE_SPEEDUP_BATCH1 = 1.0
+GATE_SPEEDUP_BATCH8 = 1.0
 GATE_SPEEDUP_FLEET = 1.0
 
 REQUIRED_MEASUREMENTS = (
@@ -156,16 +157,18 @@ def check(path: Path) -> int:
             f"({lazy['bytes_touched_at_load']} of {lazy['archive_bytes']} bytes)"
         )
 
-    speedup = measurements["speedup_batch1"]
-    if speedup < GATE_SPEEDUP_BATCH1:
-        fail(
-            f"lookup kernel below {GATE_SPEEDUP_BATCH1:.1f}x the dequantize "
-            f"baseline at batch 1: {speedup:.3f}x"
-        )
+    for batch, gate in ((1, GATE_SPEEDUP_BATCH1), (8, GATE_SPEEDUP_BATCH8)):
+        speedup = measurements[f"speedup_batch{batch}"]
+        if speedup < gate:
+            fail(
+                f"lookup kernel below {gate:.1f}x the dequantize "
+                f"baseline at batch {batch}: {speedup:.3f}x"
+            )
     shape = "x".join(str(d) for d in config["shape"])
     print(
         f"check_bench: OK: {path} ({shape}, smoke={record['smoke']}) — "
-        f"batch-1 speedup {speedup:.2f}x, batch-8 {measurements['speedup_batch8']:.2f}x, "
+        f"batch-1 speedup {measurements['speedup_batch1']:.2f}x, "
+        f"batch-8 {measurements['speedup_batch8']:.2f}x, "
         f"unpack {measurements['unpack_values_per_second'] / 1e6:.0f}M values/s, "
         f"lazy load touched {lazy['bytes_touched_at_load']} of "
         f"{lazy['archive_bytes']} archive bytes"

@@ -1,40 +1,35 @@
 """Matmul kernels that compute directly on GOBO's compressed representation.
 
-The paper's latency/energy argument (Sections V-VI) is that inference never
-needs the FP32 weight matrix: a G-group weight is a ``bits``-wide centroid
-index, so a matrix-vector product can accumulate, for every output row, the
-partial sum of activations per centroid and finish with one ``2^bits``-wide
-dot against the reconstruction table — the few-unique-weights trick that
-cuts DRAM traffic ~10x in the accelerator.
+The paper's latency/energy argument (Sections V-VI) is that the FP32 weight
+matrix never crosses DRAM: the accelerator streams ``bits``-wide centroid
+indexes and decodes them next to the processing elements, so off-chip
+traffic is the compressed tensor and the decoded weights live only in
+on-chip buffers for as long as the PE array needs them.
 
-:class:`LookupKernel` is the software realization.  For ``y = x @ W.T``
-with ``W`` quantized:
+:class:`LookupKernel` is the CPU analogue.  Its resident state is one code
+per weight (``uint8``; ``uint16`` for the 9-16-bit codes some methods
+store) in row-major ``(out_features, in_features)`` order, plus the FP32
+outliers and the centroid table.  For ``y = x @ W.T`` each call walks the
+output rows in bands sized so that one decoded band is about
+``_TILE_BYTES`` (a cache-sized tile, the software stand-in for the PE
+buffer), or as many rows as ``x`` has when that is more:
 
-``y[b, j] = sum_c centroids[c] * S[b, j, c]  +  outlier corrections``
+1. gather the band's codes through the centroid table into a scratch tile
+   (``np.take`` — the decode),
+2. overwrite the band's outlier slots with their FP32 values, which makes
+   the tile exactly the dequantized rows,
+3. ``x @ tile.T`` into the band's output columns (BLAS).
 
-where ``S[b, j, c]`` sums the activations ``x[b, i]`` over the columns
-``i`` whose code in row ``j`` is ``c``.  The grouping of columns by
-centroid is a static property of the compressed tensor, so construction
-sorts each row's codes once (outlier slots get a sentinel code whose
-centroid value is 0) and the forward pass is three vectorized passes:
-
-1. gather the activation through the precomputed permutation,
-2. segment-sum it (one contiguous ``np.add.reduceat`` — this *is* the
-   per-centroid accumulation, all ``2^bits`` passes fused),
-3. scale by the per-segment centroid value and segment-sum again by row,
-   then scatter-add the sparse FP32 outlier corrections.
-
-No FP32 weight matrix is ever materialized: the kernel's resident state is
-the code permutation plus segment metadata, and the per-call temporaries
-are activation-sized, not weight-sized... per batch row.  (In silicon the
-permutation is free — the PE accumulates into one of ``2^bits`` registers
-selected by the streamed code.  In NumPy we pay index memory for the same
-effect; the archive stays the compressed source of truth.)
+So batched calls run at BLAS speed on a tile that is still in cache, a
+call's only weight-shaped scratch is that one tile, and the results match
+:func:`dequantize_matmul` up to BLAS summation order (bit-exact on exactly
+representable inputs).  The tile is allocated per call, never stored on
+the kernel, so threads can share one kernel.
 
 :func:`dequantize_matmul` is the comparison baseline the benchmarks and the
-CI perf gate measure against: decode the tensor (bit-unpack, outlier
+CI perf gate measure against: decode the whole tensor (bit-unpack, outlier
 scatter, centroid gather) on every call, then BLAS — what serving from a
-compressed archive costs *without* lookup kernels.
+compressed archive costs without a prepared kernel.
 """
 
 from __future__ import annotations
@@ -42,11 +37,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.quantizer import GoboQuantizedTensor
-from repro.errors import ShapeError
+from repro.errors import SerializationError, ShapeError
 from repro.obs import recorder as obs
 
-#: Per-call gather budget (elements) before the batch is processed in chunks.
-_CHUNK_ELEMENTS = 1 << 24
+#: Bytes of decoded weights per band of output rows: a cache-sized tile.
+_TILE_BYTES = 256 * 1024
 
 
 def _compute_dtype(x: np.ndarray) -> np.dtype:
@@ -58,7 +53,7 @@ def _compute_dtype(x: np.ndarray) -> np.dtype:
 
 
 class LookupKernel:
-    """Prepared per-centroid accumulation state for one 2-D quantized tensor.
+    """Prepared tiled decode-and-GEMM state for one 2-D quantized tensor.
 
     Parameters
     ----------
@@ -67,6 +62,11 @@ class LookupKernel:
         ``(out_features, in_features)`` — the HuggingFace FC convention, so
         :meth:`matmul` computes ``x @ W.T`` exactly like
         :class:`repro.nn.Linear`.
+
+    Raises :class:`~repro.errors.SerializationError` when a code indexes
+    past the centroid table or an outlier position is out of order or
+    outside the tensor — malformed tensors come from archives, and either
+    defect would otherwise decode silently wrong weights.
     """
 
     def __init__(self, tensor: GoboQuantizedTensor) -> None:
@@ -77,58 +77,41 @@ class LookupKernel:
         self.tensor = tensor
         self.out_features, self.in_features = tensor.shape
         self.bits = tensor.bits
-        n_centroids = int(tensor.centroids.size)
-        #: centroid table extended with a zero slot for outlier positions.
-        self.centroids_ext = np.append(
-            np.asarray(tensor.centroids, dtype=np.float64), 0.0
-        )
-        sentinel = n_centroids
+        #: The centroid table the tile gathers from, in float64; a tensor
+        #: without centroids gets one zero entry, so the code-0 outlier
+        #: slots still index it.
+        self.centroids_ext = np.asarray(tensor.centroids, dtype=np.float64).ravel()
+        if self.centroids_ext.size == 0:
+            self.centroids_ext = np.zeros(1)
 
         with obs.span(
             "kernels.prepare", rows=self.out_features, cols=self.in_features,
             bits=self.bits,
         ):
             total = tensor.total_count
-            flat_codes = np.full(total, sentinel, dtype=np.int64)
-            if tensor.gaussian_count:
-                mask = np.zeros(total, dtype=bool)
-                mask[tensor.outlier_positions] = True
-                flat_codes[~mask] = tensor.codes()
-            codes = flat_codes.reshape(tensor.shape)
-
-            if total == 0 or self.in_features == 0:
-                # Degenerate: no columns to accumulate over.
-                self._order = np.empty(tensor.shape, dtype=np.intp)
-                self._segment_starts = np.empty(0, dtype=np.intp)
-                self._segment_values = np.empty(0, dtype=np.float64)
-                self._row_starts = np.empty(0, dtype=np.intp)
-            else:
-                # Static grouping: per row, column order sorted by code.
-                self._order = np.argsort(codes, axis=1, kind="stable")
-                sorted_codes = np.take_along_axis(codes, self._order, axis=1)
-                # Offset codes per row so segment boundaries never span rows.
-                keys = (
-                    sorted_codes
-                    + np.arange(self.out_features, dtype=np.int64)[:, None]
-                    * (sentinel + 1)
-                ).ravel()
-                boundaries = np.flatnonzero(np.diff(keys)) + 1
-                self._segment_starts = np.concatenate(
-                    ([0], boundaries)
-                ).astype(np.intp)
-                segment_keys = keys[self._segment_starts]
-                segment_rows = segment_keys // (sentinel + 1)
-                self._segment_values = self.centroids_ext[
-                    segment_keys % (sentinel + 1)
-                ]
-                # First segment of each row (every row has >= 1 segment).
-                self._row_starts = np.searchsorted(
-                    segment_rows, np.arange(self.out_features)
-                ).astype(np.intp)
-
-            # Sparse FP32 outlier corrections: y[:, row] += x[:, col] * value.
-            self._outlier_rows = tensor.outlier_positions // max(self.in_features, 1)
-            self._outlier_cols = tensor.outlier_positions % max(self.in_features, 1)
+            positions = np.asarray(tensor.outlier_positions, dtype=np.int64)
+            if positions.size and (
+                positions[0] < 0
+                or positions[-1] >= total
+                or np.any(np.diff(positions) <= 0)
+            ):
+                raise SerializationError(
+                    f"quantized tensor of shape {tensor.shape} has outlier "
+                    f"positions that are not strictly ascending within [0, {total})"
+                )
+            codes = tensor.codes()
+            if codes.size and int(codes.max()) >= tensor.centroids.size:
+                raise SerializationError(
+                    f"quantized tensor of shape {tensor.shape} has code "
+                    f"{int(codes.max())} but only {tensor.centroids.size} centroids"
+                )
+            dense = np.zeros(total, dtype=np.uint8 if self.bits <= 8 else np.uint16)
+            gaussian = np.ones(total, dtype=bool)
+            gaussian[positions] = False
+            dense[gaussian] = codes
+            #: One code per weight, row-major; outlier slots hold code 0.
+            self._codes = dense.reshape(tensor.shape)
+            self._outlier_positions = positions
             self._outlier_values = np.asarray(tensor.outlier_values, dtype=np.float64)
 
         obs.counter("kernels.prepared")
@@ -137,15 +120,11 @@ class LookupKernel:
     # ------------------------------------------------------------------ sizes
     @property
     def prepared_nbytes(self) -> int:
-        """Resident bytes of the prepared index state (the software cost of
-        emulating the accelerator's free in-PE centroid select)."""
+        """Resident bytes of the prepared state: one code per weight plus the
+        outliers and the centroid table."""
         return int(
-            self._order.nbytes
-            + self._segment_starts.nbytes
-            + self._segment_values.nbytes
-            + self._row_starts.nbytes
-            + self._outlier_rows.nbytes
-            + self._outlier_cols.nbytes
+            self._codes.nbytes
+            + self._outlier_positions.nbytes
             + self._outlier_values.nbytes
             + self.centroids_ext.nbytes
         )
@@ -154,10 +133,10 @@ class LookupKernel:
     def matmul(self, x: np.ndarray) -> np.ndarray:
         """``x @ W.T`` for ``x`` of shape ``(..., in_features)``.
 
-        Accumulates per-centroid partial sums of the activation and applies
-        the FP32 outlier corrections; the FP32 weight matrix is never
-        built.  Float32 inputs are computed in float32 (the paper's decode
-        target), everything else in float64.
+        Decodes one cache-sized band of ``W`` at a time and multiplies it
+        by BLAS; the full weight matrix is never built.  Float32 inputs
+        are computed in float32 (the paper's decode target), everything
+        else in float64.
         """
         x = np.asarray(x)
         if x.ndim == 0 or x.shape[-1] != self.in_features:
@@ -169,29 +148,25 @@ class LookupKernel:
         lead = x.shape[:-1]
         rows = int(np.prod(lead)) if lead else 1
         x2 = np.ascontiguousarray(x.reshape(rows, self.in_features), dtype=dtype)
-        y = np.zeros((rows, self.out_features), dtype=dtype)
+        y = np.empty((rows, self.out_features), dtype=dtype)
 
-        if self.in_features and self.out_features and self.tensor.total_count:
-            segment_values = self._segment_values.astype(dtype, copy=False)
-            outlier_values = self._outlier_values.astype(dtype, copy=False)
-            chunk = max(1, _CHUNK_ELEMENTS // max(self.out_features * self.in_features, 1))
-            for start in range(0, rows, chunk):
-                stop = min(start + chunk, rows)
-                gathered = x2[start:stop, self._order]
-                sums = np.add.reduceat(
-                    gathered.reshape(stop - start, -1), self._segment_starts, axis=1
-                )
-                sums *= segment_values
-                y_chunk = y[start:stop]
-                y_chunk[:] = np.add.reduceat(sums, self._row_starts, axis=1)
-                # The outlier correction lives inside the chunk loop so its
-                # gather temporary is bounded by the same _CHUNK_ELEMENTS
-                # budget as the code gather — a batch-wide gather on an
-                # outlier-heavy layer would allocate rows x n_outliers
-                # floats regardless of chunking.
-                if outlier_values.size:
-                    corrections = x2[start:stop, self._outlier_cols] * outlier_values
-                    np.add.at(y_chunk, (slice(None), self._outlier_rows), corrections)
+        in_f = self.in_features
+        # BLAS repacks x on every call, so a band never has fewer rows than
+        # x: a narrower one would spend more time packing than multiplying.
+        band = max(1, _TILE_BYTES // max(1, in_f * dtype.itemsize), rows)
+        table = self.centroids_ext.astype(dtype, copy=False)
+        positions = self._outlier_positions
+        values = self._outlier_values.astype(dtype, copy=False)
+        tile = np.empty((min(band, self.out_features), in_f), dtype=dtype)
+        for start in range(0, self.out_features, band):
+            stop = min(start + band, self.out_features)
+            decoded = tile[: stop - start]
+            # Codes were range-checked at prepare, so "clip" never clips;
+            # it only skips the bounds-checking buffer of the default mode.
+            np.take(table, self._codes[start:stop], out=decoded, mode="clip")
+            lo, hi = np.searchsorted(positions, (start * in_f, stop * in_f))
+            decoded.reshape(-1)[positions[lo:hi] - start * in_f] = values[lo:hi]
+            np.matmul(x2, decoded.T, out=y[:, start:stop])
 
         obs.counter("kernels.lookup_matmul_calls")
         obs.counter("kernels.lookup_matmul_rows", rows)
@@ -214,8 +189,8 @@ def dequantize_matmul(x: np.ndarray, tensor: GoboQuantizedTensor) -> np.ndarray:
     """The decode-per-call baseline: reconstruct ``W`` in floating point,
     then ``x @ W.T`` via BLAS.
 
-    This is what serving from a compressed archive costs without lookup
-    kernels, and the denominator of the ``BENCH_kernels.json`` speedup the
+    This is what serving from a compressed archive costs without a prepared
+    kernel, and the denominator of the ``BENCH_kernels.json`` speedups the
     CI perf gate enforces.
     """
     x = np.asarray(x)

@@ -2,16 +2,20 @@
 network so inference runs on the compressed representation.
 
 :func:`attach_quantized_linears` swaps every quantized FC ``Linear`` for a
-:class:`~repro.nn.QuantizedLinear` routed through the lookup kernels of
-:mod:`repro.kernels`.  After the swap, a forward pass never calls
-``dequantize()`` — asserted in the tests via the
+:class:`~repro.nn.QuantizedLinear`, whose tiled decode-and-GEMM kernel
+(:mod:`repro.kernels`) keeps one code per weight resident instead of the
+FP32 matrix.  The FC weights are never decoded, neither at attach nor
+during a forward — asserted in the tests via the
 ``quantizer.dequantize_calls`` obs counter — while everything GOBO leaves
-FP32 (biases, LayerNorm, embeddings, heads) is loaded as usual.
+FP32 (biases, LayerNorm, heads) and the quantized embeddings are loaded as
+usual.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import QuantizationError
 from repro.nn.layers import Linear
@@ -36,22 +40,26 @@ def _resolve(model: Module, dotted: str) -> tuple[Module, str]:
 
 
 def attach_quantized_linears(model: Module, qmodel: QuantizedModel) -> Module:
-    """Load ``qmodel`` into ``model`` and swap its quantized FC layers for
-    :class:`~repro.nn.QuantizedLinear` modules.
+    """Swap ``model``'s quantized FC layers for
+    :class:`~repro.nn.QuantizedLinear` modules, then load the rest of
+    ``qmodel`` into it.
 
     Two phases:
 
-    1. ``qmodel.apply_to(model)`` loads the full reconstructed state dict —
-       the one-time setup decode (embeddings, biases, and any layer that
-       fell back to FP32).  This is the only point that dequantizes.
-    2. Every FC weight present in ``qmodel.quantized`` has its ``Linear``
+    1. Every FC weight present in ``qmodel.quantized`` has its ``Linear``
        replaced by a ``QuantizedLinear`` wrapping the compressed tensor, so
-       subsequent forwards compute via lookup kernels with no FP32 weight
-       matrix resident.
+       forwards compute on the codes with no FP32 weight matrix resident.
+    2. The FP32 passthrough parameters (biases included) and the quantized
+       tensors that were not swapped in (embeddings) are loaded with the
+       strict key check.  A swapped module owns no ``weight`` Parameter,
+       so the FC weights are neither expected nor decoded: the embeddings
+       are the only tensors this dequantizes.
 
-    Returns ``model`` in eval mode (``QuantizedLinear`` is inference-only).
+    A layer that fell back to FP32 has its weight in ``qmodel.fp32`` and
+    keeps its ``Linear``.  Returns ``model`` in eval mode
+    (``QuantizedLinear`` is inference-only).
     """
-    qmodel.apply_to(model)
+    swapped = set()
     for name in qmodel.fc_names:
         tensor = qmodel.quantized.get(name)
         if tensor is None:  # fp32-fallback or dropped layer: leave the Linear.
@@ -66,4 +74,10 @@ def attach_quantized_linears(model: Module, qmodel: QuantizedModel) -> Module:
                 f"{type(linear).__name__}"
             )
         setattr(parent, attr, QuantizedLinear.from_linear(linear, tensor))
+        swapped.add(name)
+    state = dict(qmodel.fp32)
+    for name in qmodel.quantized:
+        if name not in swapped:
+            state[name] = qmodel.quantized[name].dequantize(dtype=np.float64)
+    model.load_state_dict(state)
     return model.eval()

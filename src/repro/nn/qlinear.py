@@ -3,8 +3,9 @@
 :class:`QuantizedLinear` is the module-level face of :mod:`repro.kernels`:
 it wraps one :class:`~repro.core.quantizer.GoboQuantizedTensor` and routes
 the forward pass through a prepared :class:`~repro.kernels.LookupKernel`,
-so ``y = x W^T + b`` runs without ever materializing the FP32 weight
-matrix.  The bias (which GOBO leaves FP32) stays a plain
+so ``y = x W^T + b`` runs on one resident code per weight plus the FP32
+outliers, decoding a cache-sized band of ``W`` at a time and never the
+whole FP32 weight matrix.  The bias (which GOBO leaves FP32) stays a plain
 :class:`~repro.nn.module.Parameter`.
 
 It is deliberately inference-only: GOBO quantizes *trained* models, and the

@@ -1,8 +1,8 @@
 """Micro-batching queue: amortize lookup-kernel forwards across requests.
 
-The lookup kernels are batch-oriented — one ``np.add.reduceat`` sweep costs
-nearly the same for 1 row as for 16 (the gather dominates, and the prepared
-permutation is reused) — so a serving path that forwards each HTTP request
+The lookup kernels are batch-oriented — decoding a band of weights costs
+the same for 1 row as for 16, and BLAS then multiplies the decoded tile by
+every row at once — so a serving path that forwards each HTTP request
 alone leaves most of the kernel's throughput on the floor.
 :class:`MicroBatcher` collects concurrent requests for up to
 ``batch_window`` seconds (or ``max_batch`` items, whichever comes first),

@@ -58,6 +58,19 @@ class TestAttach:
         np.testing.assert_allclose(hidden.data, hidden_ref.data, rtol=1e-9, atol=1e-11)
         np.testing.assert_allclose(pooled.data, pooled_ref.data, rtol=1e-9, atol=1e-11)
 
+    def test_attach_decodes_only_the_embeddings(self, quantized_setup):
+        """Attach swaps the FC layers before loading, so the only tensors it
+        dequantizes are the quantized non-FC ones (the embeddings)."""
+        qmodel, reference, _ = quantized_setup
+        with obs.scope() as trace:
+            attached = attach_quantized_linears(BertModel(MICRO_CONFIG, rng=1), qmodel)
+        calls = [e for e in trace.events if e["name"] == "quantizer.dequantize_calls"]
+        non_fc = set(qmodel.quantized) - set(qmodel.fc_names)
+        assert non_fc and len(calls) == len(non_fc)
+        input_ids = micro_inputs()
+        for got, want in zip(attached(input_ids), reference(input_ids)):
+            np.testing.assert_array_equal(got.data, want.data)
+
     def test_forward_never_dequantizes(self, quantized_setup):
         """The tentpole assertion: the compressed forward path performs zero
         dequantize() calls and routes every FC matmul through the kernels."""

@@ -3,8 +3,9 @@
 Every spec in :func:`repro.quant.registry.available_specs` must honor the
 same engine-level contract — determinism across runs and worker counts,
 dtype/shape-faithful reconstruction, format-v3 archive round-trips,
-validation policies for degenerate and non-finite tensors, and the engine's
-``on_error`` fault policies.  The suite parametrizes over the registry, so a
+serving through the compressed-inference kernels, validation policies for
+degenerate and non-finite tensors, and the engine's ``on_error`` fault
+policies.  The suite parametrizes over the registry, so a
 method registered tomorrow is held to the contract automatically (and a
 method that silently breaks it cannot hide behind its own unit tests).
 """
@@ -21,6 +22,7 @@ from repro.core.serialization import (
     verify_archive,
 )
 from repro.errors import DegenerateTensorError, NonFiniteWeightError
+from repro.models import attach_quantized_linears
 from repro.models.zoo import build_model
 from repro.quant.registry import available_specs, build_quantizer
 from repro.testing.faults import InjectedFault, RaiseOnLayer
@@ -130,6 +132,19 @@ class TestSerialization:
             assert set(got) == set(want)
             for name in want:
                 np.testing.assert_array_equal(got[name], want[name], err_msg=f"{spec}:{name}")
+
+
+@pytest.mark.parametrize("spec", SPECS)
+class TestServing:
+    def test_attached_forward_matches_dequantize_path(self, spec, state, selection):
+        """Every method's tensors serve: the forward on the compressed FC
+        layers equals the dequantize-then-load forward."""
+        quantized = quantize_spec(spec, state, selection)
+        reference = quantized.apply_to(build_model(MICRO_CONFIG, rng=0)).eval()
+        served = attach_quantized_linears(build_model(MICRO_CONFIG, rng=0), quantized)
+        ids = np.random.default_rng(0).integers(0, MICRO_CONFIG.vocab_size, size=(2, 9))
+        for got, want in zip(served(ids), reference(ids)):
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-9, err_msg=spec)
 
 
 @pytest.mark.parametrize("spec", SPECS)

@@ -26,15 +26,25 @@ def equal_population_centroids(values: np.ndarray, num_bins: int) -> np.ndarray:
         raise QuantizationError(f"num_bins must be positive, got {num_bins}")
     if flat.size == 0:
         raise QuantizationError("cannot bin an empty value set")
-    ordered = np.sort(flat)
+    return equal_population_centroids_sorted(np.sort(flat), num_bins)
+
+
+def equal_population_centroids_sorted(ordered: np.ndarray, num_bins: int) -> np.ndarray:
+    """:func:`equal_population_centroids` of values that are already sorted.
+
+    The clustering loop sorts its values once and reads the init off that
+    same copy, so it calls this directly instead of sorting a second time.
+    """
     # Bin b covers ordered[edges[b]:edges[b+1]] with near-equal population.
-    edges = np.linspace(0, ordered.size, num_bins + 1).round().astype(np.int64)
+    edges = np.linspace(0, ordered.size, num_bins + 1).round().astype(np.int64).tolist()
     centroids = np.empty(num_bins, dtype=np.float64)
     previous = ordered[0]
     for b in range(num_bins):
         lo, hi = edges[b], edges[b + 1]
         if hi > lo:
-            previous = ordered[lo:hi].mean()
+            # Rounds exactly as ndarray.mean (the same sum, then one
+            # division), without its per-call overhead.
+            previous = ordered[lo:hi].sum() / (hi - lo)
         centroids[b] = previous
     return centroids
 

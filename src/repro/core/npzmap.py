@@ -20,8 +20,10 @@ so it can read any npz, just without the zero-copy property.
 
 from __future__ import annotations
 
+import math
 import mmap
 import struct
+import tokenize
 import zipfile
 import zlib
 from io import BytesIO
@@ -102,17 +104,16 @@ class MmapNpzReader:
             if self.verify and key not in self._verified:
                 self._verify_member(info, data)
                 self._verified.add(key)
-            array = self._parse_npy(info, data)
         else:
-            # Compressed member: no contiguous bytes to map; decode eagerly.
-            # zipfile checks the member CRC itself on this path.
+            # Compressed member: no contiguous bytes to map; decompress it
+            # eagerly.  zipfile checks the member CRC itself on this path.
             try:
-                raw = self._zip.read(info.filename)
+                data = memoryview(self._zip.read(info.filename))
             except zipfile.BadZipFile as exc:
                 raise ChecksumMismatchError(
                     f"archive {self.path} member {info.filename!r} is corrupt ({exc})"
                 ) from exc
-            array = np.load(BytesIO(raw))
+        array = self._parse_npy(info, data)
         obs.counter("npzmap.members_read")
         obs.counter("npzmap.bytes_mapped", int(array.nbytes))
         return array
@@ -159,42 +160,72 @@ class MmapNpzReader:
         field says where the array data begins, so headers longer than any
         fixed prefix (huge structured dtypes, deeply padded dicts) parse
         correctly instead of failing inside numpy on a truncated buffer.
+
+        Only typed errors leave this method: a malformed header or shape
+        raises :class:`SerializationError`, and a header or array that
+        extends past the stored bytes raises :class:`TruncatedArchiveError`.
+        The array's size is computed in Python integers, so a huge declared
+        shape cannot overflow into a small one.
         """
+        name = info.filename
         if len(data) < _NPY_MAGIC_LEN or bytes(data[: len(_NPY_MAGIC)]) != _NPY_MAGIC:
-            raise SerializationError(
-                f"archive member {info.filename!r} is not a .npy file"
-            )
+            raise SerializationError(f"archive member {name!r} is not a .npy file")
         major, minor = data[6], data[7]
         if (major, minor) == (1, 0):
-            (header_len,) = struct.unpack("<H", data[8:10])
-            header_end = 10 + header_len
+            length_field = struct.Struct("<H")
+            read_header = _npformat.read_array_header_1_0
         elif (major, minor) == (2, 0):
-            (header_len,) = struct.unpack("<I", data[8:12])
-            header_end = 12 + header_len
+            length_field = struct.Struct("<I")
+            read_header = _npformat.read_array_header_2_0
         else:
             raise SerializationError(
-                f"archive member {info.filename!r} uses npy format "
+                f"archive member {name!r} uses npy format "
                 f"{major}.{minor}; this mapper supports 1.0 and 2.0"
             )
+        header_start = _NPY_MAGIC_LEN + length_field.size
+        if header_start > len(data):
+            raise TruncatedArchiveError(
+                f"archive member {name!r} ends inside its npy header length"
+            )
+        (header_len,) = length_field.unpack(data[_NPY_MAGIC_LEN:header_start])
+        header_end = header_start + header_len
         if header_end > len(data):
             raise TruncatedArchiveError(
-                f"archive member {info.filename!r} declares a {header_len}-byte "
+                f"archive member {name!r} declares a {header_len}-byte "
                 f"header but only {len(data)} bytes are stored"
             )
-        prefix = BytesIO(bytes(data[:header_end]))
-        version = _npformat.read_magic(prefix)
-        if version == (1, 0):
-            shape, fortran_order, dtype = _npformat.read_array_header_1_0(prefix)
-        else:
-            shape, fortran_order, dtype = _npformat.read_array_header_2_0(prefix)
+        header = BytesIO(bytes(data[_NPY_MAGIC_LEN:header_end]))
+        try:
+            shape, fortran_order, dtype = read_header(header)
+        except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+            raise SerializationError(
+                f"archive member {name!r} has a malformed npy header ({exc})"
+            ) from exc
         if dtype.hasobject:
             raise SerializationError(
-                f"archive member {info.filename!r} stores objects; refusing to map"
+                f"archive member {name!r} stores objects; refusing to map"
             )
-        count = int(np.prod(shape, dtype=np.int64))
-        array = np.frombuffer(data, dtype=dtype, count=count, offset=prefix.tell())
-        array = array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
-        return array
+        if any(dim < 0 for dim in shape):
+            raise SerializationError(
+                f"archive member {name!r} declares a negative dimension: shape {shape}"
+            )
+        count = math.prod(shape)
+        stored = len(data) - header_end
+        if count * dtype.itemsize > stored:
+            raise TruncatedArchiveError(
+                f"archive member {name!r} declares shape {shape} of {dtype} "
+                f"({count * dtype.itemsize} bytes) but stores {stored} bytes"
+            )
+        try:
+            array = np.frombuffer(data, dtype=dtype, count=count, offset=header_end)
+            return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
+        except (ValueError, TypeError, OverflowError) as exc:
+            # What passes the size check but still cannot be viewed: a
+            # zero-size dtype, a subarray dtype, an empty shape whose other
+            # dimensions overflow, a bool dimension.
+            raise SerializationError(
+                f"archive member {name!r} declares an unmappable array ({exc})"
+            ) from exc
 
     # ------------------------------------------------------------------- close
     def close(self) -> None:

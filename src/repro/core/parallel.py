@@ -15,16 +15,17 @@ pool workers so traces nest identically at any worker count (DESIGN.md §5c).
 
 Two backends (``backend=`` / ``REPRO_BACKEND``):
 
-* ``"thread"`` (default): the hot kernels (``searchsorted``/``bincount``/
-  ``argmin`` inside the clustering loop) release the GIL, a thread pool
-  shares the weight arrays with zero copies, and ``workers=1`` runs the
-  plain serial loop with no executor at all, preserving the historical path
-  exactly.
+* ``"thread"`` (default): a layer's O(n) work (the sort of its G group,
+  the outlier split, one nearest-centroid assignment, bit packing) is numpy
+  calls that release the GIL, while each clustering iteration costs only
+  O(k log n) (:mod:`repro.core.clustering`).  A thread pool shares the
+  weight arrays with zero copies, and ``workers=1`` runs the plain serial
+  loop with no executor at all, preserving the historical path exactly.
 * ``"process"``: a supervised worker fleet (:mod:`repro.jobs.fleet`) —
   crash-isolated worker *processes* with heartbeats, layer leases and
   work reassignment, so a worker SIGKILLed mid-layer costs only that
-  layer's in-flight attempt, never the run.  The GIL-bound parts of the
-  clustering loop also genuinely parallelize.
+  layer's in-flight attempt, never the run.  The GIL-bound Python parts
+  of each layer also genuinely parallelize.
 
 Because :func:`quantize_tensor` is a pure function of its inputs, the result
 is **bit-for-bit identical** for any worker count *and* either backend —

@@ -91,17 +91,22 @@ def encode_line(record: dict) -> bytes:
 
 
 def decode_line(line: bytes) -> dict | None:
-    """Parse and verify one journal line; None when torn or corrupt."""
+    """Parse and verify one journal line; None when torn or corrupt.
+
+    Any bytes at all give a record or None: ``ValueError`` covers bad UTF-8,
+    bad JSON and integers past the interpreter's digit limit, and
+    ``RecursionError`` covers nesting deeper than the parser's stack.
+    """
     try:
         envelope = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(envelope, dict):
-        return None
-    record = envelope.get("r")
-    if not isinstance(record, dict) or record.get("type") not in RECORD_TYPES:
-        return None
-    if envelope.get("sha256") != record_checksum(record):
+        if not isinstance(envelope, dict):
+            return None
+        record = envelope.get("r")
+        if not isinstance(record, dict) or record.get("type") not in RECORD_TYPES:
+            return None
+        if envelope.get("sha256") != record_checksum(record):
+            return None
+    except (ValueError, RecursionError):
         return None
     return record
 

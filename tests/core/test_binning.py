@@ -58,6 +58,26 @@ class TestEqualPopulationCentroids:
         assert centroids.min() >= values.min() - 1e-12
         assert centroids.max() <= values.max() + 1e-12
 
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=5000),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bit_identical_to_per_bin_mean(self, seed, size, bits):
+        """The init divides each bin's sum by its count; that must round
+        exactly as ``ndarray.mean`` did, or archives would change."""
+        values = np.random.default_rng(seed).standard_t(3, size=size)
+        ordered = np.sort(values)
+        edges = np.linspace(0, size, (1 << bits) + 1).round().astype(np.int64)
+        expected, previous = [], ordered[0]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi > lo:
+                previous = ordered[lo:hi].mean()
+            expected.append(previous)
+        centroids = equal_population_centroids(values, 1 << bits)
+        assert centroids.tobytes() == np.array(expected).tobytes()
+
 
 class TestLinearCentroids:
     def test_uniform_spacing(self, rng):

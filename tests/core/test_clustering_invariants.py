@@ -5,7 +5,9 @@ GOBO stops at the first iteration where the total L1 norm fails to improve
 the stop, the returned state must be the trajectory minimum, and the final
 assignment must be nearest-centroid consistent.  The same facts are checked
 through the new observability convergence trace, which must mirror the
-in-memory :class:`ConvergenceTrace` exactly.
+in-memory :class:`ConvergenceTrace` exactly.  Tiny and heavily tied inputs,
+which the full-pass oracle in ``test_clustering_oracle.py`` leaves out, keep
+these invariants too.
 """
 
 import numpy as np
@@ -55,6 +57,47 @@ class TestGoboL1Monotonicity:
         result = gobo_cluster(values, bits)
         residual = np.abs(values - result.centroids[result.assignment]).sum()
         assert residual == pytest.approx(result.final_l1, rel=1e-12)
+
+
+#: Tiny and heavily tied inputs, where L1 can plateau at or near zero.
+DEGENERATE = {
+    "fewer-distinct-than-centroids": np.repeat([-0.5, 0.0, 0.25], 300),
+    "two-decimals": np.round(_values(5), 2),
+    "constant": np.full(50, 0.125),
+    "single": np.array([0.3]),
+    "pair": np.array([-1.0, 1.0]),
+    "integers": np.random.default_rng(9).integers(-3, 4, 1000).astype(np.float64),
+    "one-outlier": np.append(np.zeros(999), 1e3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+@pytest.mark.parametrize("bits", (1, *BITS, 8))
+class TestDegenerateInputs:
+    def test_gobo_stops_at_the_l1_minimum(self, name, bits):
+        values = DEGENERATE[name]
+        result = gobo_cluster(values, bits)
+        l1 = result.trace.l1_norms
+        assert all(later < earlier for earlier, later in zip(l1[:-2], l1[1:-1])), l1
+        assert result.converged
+        assert result.final_l1 == min(l1)
+        np.testing.assert_array_equal(
+            result.assignment, assign_to_centroids(values, result.centroids)
+        )
+
+    def test_kmeans_reaches_a_nearest_centroid_fixpoint(self, name, bits):
+        values = DEGENERATE[name]
+        result = kmeans_cluster(values, bits)
+        assert result.converged
+        assert np.all(np.diff(result.centroids) >= 0)
+        assignment = assign_to_centroids(values, result.centroids)
+        np.testing.assert_array_equal(result.assignment, assignment)
+        # At the fixpoint every populated centroid is its cluster's mean.
+        for code in np.unique(assignment):
+            members = values[assignment == code]
+            assert result.centroids[code] == pytest.approx(
+                members.mean(), rel=1e-12, abs=1e-15
+            )
 
 
 class TestConvergenceObsTrace:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.model_quantizer import quantize_model
@@ -26,11 +28,13 @@ from repro.core.serialization import (
 )
 from repro.errors import (
     ChecksumMismatchError,
+    ReproError,
     SerializationError,
     TruncatedArchiveError,
 )
 from repro.kernels import LookupKernel, dequantize_matmul
 from repro.models import BertModel, attach_quantized_linears
+from repro.serve.health import classify_failure
 from repro.testing.faults import corrupt_bytes
 from repro.testing.golden import GOLDEN_VERSIONS, golden_path, write_golden
 from tests.conftest import MICRO_CONFIG
@@ -65,6 +69,32 @@ def npy_v1_bytes(array: np.ndarray, pad: int = 0, version: bytes = b"\x01\x00") 
         b"\x93NUMPY" + version + struct.pack("<H", len(header))
         + header.encode("latin1") + array.tobytes()
     )
+
+
+def npy_v1_raw(header: str, data: bytes) -> bytes:
+    """An npy v1 member whose header dict text is ``header``, verbatim."""
+    header = header + " " * (63 - (10 + len(header)) % 64) + "\n"
+    encoded = header.encode("latin1")
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(encoded)) + encoded + data
+
+
+def rewrite_member(src: Path, dst: Path, member: str, transform) -> None:
+    """Copy a ZIP_STORED archive, passing ``member``'s bytes through
+    ``transform``; zipfile records a fresh, valid CRC for the new bytes."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w", zipfile.ZIP_STORED) as zout:
+        for info in zin.infolist():
+            raw = zin.read(info)
+            zout.writestr(info.filename, transform(raw) if info.filename == member else raw)
+
+
+def replace_in_header(npy: bytes, old: bytes, new: bytes) -> bytes:
+    """``npy`` (v1) with ``old`` replaced by ``new`` in its header dict; the
+    header keeps its length, so the array data stays where it was."""
+    (header_len,) = struct.unpack("<H", npy[8:10])
+    header = npy[10 : 10 + header_len]
+    assert old in header
+    text = header.replace(old, new).rstrip(b" \n")
+    return npy[:10] + text.ljust(header_len - 1) + b"\n" + npy[10 + header_len :]
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +296,88 @@ class TestNpyHeaderParsing:
         write_npy_member(path, "torn", truncated)
         with pytest.raises(TruncatedArchiveError, match="header"):
             MmapNpzReader(path).read("torn")
+
+
+    @pytest.mark.parametrize("header,error", [
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (-1,), }", SerializationError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (2, -3), }", SerializationError),
+        ("{'descr': '<q9', 'fortran_order': False, 'shape': (4,), }", SerializationError),
+        ("{'descr': " + "'" * 3, SerializationError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (5,), }", TruncatedArchiveError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (2**62, 2**62), }",
+         SerializationError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (4611686018427387904, "
+         "4611686018427387904), }", TruncatedArchiveError),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (0, 2**70), }", SerializationError),
+        ("{'descr': '|V0', 'fortran_order': False, 'shape': (3,), }", SerializationError),
+    ], ids=["negative", "negative-2d", "unknown-descr", "untokenizable", "short-data",
+            "expression-shape", "overflowing-shape", "empty-huge", "zero-itemsize"])
+    def test_malformed_header_raises_typed_error(self, tmp_path, header, error):
+        """Each of these once leaked ValueError or tokenize.TokenError, or
+        (negative dimension) returned whatever bytes followed the header."""
+        path = tmp_path / "bad.npz"
+        write_npy_member(path, "bad", npy_v1_raw(header, np.arange(4.0).tobytes()))
+        with pytest.raises(error):
+            MmapNpzReader(path).read("bad")
+
+    def test_golden_centroids_declaring_more_than_stored(self, tmp_path):
+        """A v3 golden whose centroids member declares 4096 floats but
+        stores 4 (its CRC rewritten to match): the lazy load raises
+        TruncatedArchiveError, which the serve health machine classes as
+        an integrity failure rather than a transient one."""
+        path = tmp_path / "short_centroids.npz"
+        rewrite_member(
+            golden_path(DATA_DIR, 3), path, "gobo::w::centroids.npy",
+            lambda npy: replace_in_header(npy, b"(4,)", b"(4096,)"),
+        )
+        model = load_quantized_model(path, lazy=True)
+        with pytest.raises(TruncatedArchiveError) as caught:
+            model.quantized["w"]
+        assert classify_failure(caught.value) == "integrity"
+        with pytest.raises(TruncatedArchiveError):
+            load_quantized_model(path, lazy=True, verify="full")
+
+    @given(
+        shape=st.lists(
+            st.integers(-2, 6) | st.integers(-(2**70), 2**70), max_size=3
+        ).map(tuple),
+        descr=st.sampled_from([
+            "'<f4'", "'<f8'", "'|u1'", "'<i8'", "'<U1'", "'|V0'", "'|S0'", "'|O'",
+            "'<q9'", "('<f4', (2,))", "[('a', '<f4'), ('b', '<i2')]", "[((), '<f4')]",
+            "3", "None",
+        ]),
+        fortran=st.sampled_from(["False", "True", "0"]),
+        stored=st.integers(0, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_declared_header_maps_or_raises_typed(
+        self, tmp_path_factory, shape, descr, fortran, stored
+    ):
+        header = f"{{'descr': {descr}, 'fortran_order': {fortran}, 'shape': {shape!r}, }}"
+        path = tmp_path_factory.mktemp("npy") / "m.npz"
+        write_npy_member(path, "m", npy_v1_raw(header, bytes(range(stored))))
+        try:
+            array = MmapNpzReader(path).read("m")
+        except ReproError:
+            return
+        assert array.shape == shape
+
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=6),
+        keep=st.integers(0, 256),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_member_bytes_map_or_raise_typed(self, tmp_path_factory, edits, keep):
+        raw = bytearray(npy_v1_bytes(np.arange(12, dtype=np.float32).reshape(3, 4)))
+        for position, value in edits:
+            raw[position % len(raw)] = value
+        path = tmp_path_factory.mktemp("npy") / "m.npz"
+        write_npy_member(path, "m", bytes(raw[:keep]))
+        try:
+            array = MmapNpzReader(path).read("m")
+        except ReproError:
+            return
+        assert isinstance(array, np.ndarray)
 
 
 class TestLazyEagerEquivalence:

@@ -1,6 +1,8 @@
 """The checksummed JSONL journal: prefix-safe reads, torn-tail recovery."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import JobStateError
 from repro.jobs.journal import (
@@ -29,12 +31,38 @@ class TestLineCodec:
         assert decode_line(line[:-5]) is None  # truncated json
         assert decode_line(b"not json at all") is None
         assert decode_line(b'{"r": 3, "sha256": "x"}') is None
+        # Nesting past the parser's stack once raised RecursionError.
+        assert decode_line(b"[" * 100000) is None
+        assert decode_line(b'{"r": ' * 100000) is None
+        assert decode_line(b"1" * 5000) is None  # past int()'s digit limit
 
     def test_tampered_payload_fails_checksum(self):
         line = encode_line(DONE)
         tampered = line.replace(b'"bits":3', b'"bits":4')
         assert tampered != line
         assert decode_line(tampered.rstrip(b"\n")) is None
+
+    @given(st.binary(max_size=512) | st.builds(
+        lambda prefix, tail: prefix + tail,
+        st.sampled_from([b"", b"[", b"{", b'{"r": {"type": "job-meta"}, "sha256": ']),
+        st.binary(max_size=256),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_give_a_record_or_none(self, line):
+        decoded = decode_line(line)
+        assert decoded is None or isinstance(decoded, dict)
+
+    @pytest.mark.parametrize(
+        "line", [b"[" * 100000, b"\xff\xfe", b"1" * 5000],
+        ids=["deep-nesting", "bad-utf8", "huge-integer"],
+    )
+    def test_corrupt_tail_line_marks_journal_not_intact(self, tmp_path, line):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(encode_line(META) + line + b"\n")
+        result = read_journal(path)
+        assert result.records == [META]
+        assert not result.intact
+        assert result.valid_bytes == len(encode_line(META))
 
     def test_checksum_is_canonical(self):
         # Key order must not matter: the checksum covers sorted-key JSON.

@@ -10,9 +10,12 @@ request.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -22,6 +25,7 @@ import pytest
 
 from repro import obs
 from repro.serve import ModelRegistry, QuantServer
+from repro.serve.server import MAX_BODY_BYTES
 from tests.conftest import MICRO_CONFIG
 from tests.serve.conftest import http_json
 
@@ -162,6 +166,48 @@ class TestRequestPath:
         assert http_json(f"{base}/models/micro/predict",
                          {"input_ids": "nope"})[0] == 400
         assert http_json(f"{base}/nope")[0] == 404
+
+
+class TestTransport:
+    def test_keep_alive_round_trips_skip_the_delayed_ack(self, server):
+        """A response goes out as two writes (headers, then body).  With
+        Nagle's algorithm on, the body of every keep-alive response waits
+        for the client's delayed ACK, about 40 ms on Linux."""
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        times = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                times.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(times) < 0.010, times
+
+    @pytest.mark.parametrize(
+        "length", ["-1", "ten", str(MAX_BODY_BYTES + 1), "9" * 5000],
+        ids=["negative", "word", "over-cap", "5000-digits"],
+    )
+    def test_invalid_content_length_answered_and_closed(self, server, length):
+        """A negative length once made the handler read until the client
+        hung up.  The server answers 400 without reading, then closes the
+        connection, since the body's end is unknown."""
+        request = (
+            "POST /models/micro/predict HTTP/1.1\r\n"
+            f"Host: test\r\nContent-Length: {length}\r\n\r\n"
+        ).encode("ascii")
+        deadline = time.monotonic() + 1.0
+        reply = b""
+        with socket.create_connection((server.host, server.port), timeout=1.0) as sock:
+            sock.sendall(request)
+            while chunk := sock.recv(4096):
+                reply += chunk
+                sock.settimeout(max(deadline - time.monotonic(), 0.001))
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+        assert b"\r\nConnection: close\r\n" in reply
 
 
 class TestAdmission:

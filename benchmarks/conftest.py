@@ -12,6 +12,11 @@ Environment switches (used by the CI observability job):
 * ``REPRO_TRACE=path.jsonl`` — record an observability trace of the whole
   benchmark session to ``path.jsonl``; ``repro profile --check`` then fails
   the job on any schema violation.
+
+BLAS is pinned to one thread unless the caller sets its thread variables:
+BLAS reads them once, when numpy loads, and on a 2-CPU host OpenBLAS's
+default of 2 threads took ~8 ms for an ``(8x768) @ (768x768)`` product
+that takes ~0.6 ms on one, so unpinned timings measure the scheduler.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-import pytest
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

@@ -13,7 +13,11 @@ The record's ``schema`` field selects the contract:
   dequantize-then-matmul baseline at batch 1 (the paper's latency
   scenario) or at batch 8.  The kernel decodes a cache-sized tile of the
   weights and multiplies it by BLAS, so it wins wherever decoding the
-  whole matrix per call would dominate, batched calls included.
+  whole matrix per call would dominate, batched calls included.  A
+  non-smoke record also fails if the kernel is more than 2.0x slower than
+  cached FP32 BLAS (``x @ W.T`` on weights decoded once) at batch 8; the
+  smoke record's 256x256 layer is dominated by per-call overhead, so its
+  ratio is recorded, not gated.
 * ``bench-serve/v1`` — serving-layer numbers; fails if the micro-batcher
   never fused concurrent requests (max batch size 1) or fused beyond its
   configured bound.  Absolute request rates are recorded, not gated —
@@ -45,6 +49,7 @@ JOBS_SCHEMA = "bench-jobs/v1"
 METHODS_SCHEMA = "bench-methods/v1"
 GATE_SPEEDUP_BATCH1 = 1.0
 GATE_SPEEDUP_BATCH8 = 1.0
+GATE_LOOKUP_OVER_BLAS_BATCH8 = 2.0
 GATE_SPEEDUP_FLEET = 1.0
 
 REQUIRED_MEASUREMENTS = (
@@ -52,8 +57,12 @@ REQUIRED_MEASUREMENTS = (
     "lookup_matmul_batch8_seconds",
     "dequantize_matmul_batch1_seconds",
     "dequantize_matmul_batch8_seconds",
+    "blas_cached_matmul_batch1_seconds",
+    "blas_cached_matmul_batch8_seconds",
     "speedup_batch1",
     "speedup_batch8",
+    "lookup_over_blas_batch1",
+    "lookup_over_blas_batch8",
     "unpack_seconds",
     "unpack_values_per_second",
 )
@@ -164,11 +173,19 @@ def check(path: Path) -> int:
                 f"lookup kernel below {gate:.1f}x the dequantize "
                 f"baseline at batch {batch}: {speedup:.3f}x"
             )
+    over_blas = measurements["lookup_over_blas_batch8"]
+    if not record["smoke"] and over_blas > GATE_LOOKUP_OVER_BLAS_BATCH8:
+        fail(
+            f"lookup kernel more than {GATE_LOOKUP_OVER_BLAS_BATCH8:.1f}x slower "
+            f"than cached FP32 BLAS at batch 8: {over_blas:.3f}x"
+        )
     shape = "x".join(str(d) for d in config["shape"])
+    note = "gated" if not record["smoke"] else "smoke record, not gated"
     print(
         f"check_bench: OK: {path} ({shape}, smoke={record['smoke']}) — "
         f"batch-1 speedup {measurements['speedup_batch1']:.2f}x, "
         f"batch-8 {measurements['speedup_batch8']:.2f}x, "
+        f"batch-8 {over_blas:.2f}x cached BLAS ({note}), "
         f"unpack {measurements['unpack_values_per_second'] / 1e6:.0f}M values/s, "
         f"lazy load touched {lazy['bytes_touched_at_load']} of "
         f"{lazy['archive_bytes']} archive bytes"

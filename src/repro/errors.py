@@ -11,6 +11,18 @@ class ConfigError(ReproError):
     """A model or quantizer configuration is invalid."""
 
 
+class FaultSpecError(ConfigError, ValueError):
+    """A ``REPRO_FAULTS`` fault-injection spec is malformed: an unknown
+    kind, a wrong argument count, or a value the fault could never act on
+    (negative or non-finite seconds, a call count below 1, a negative
+    worker index, an unknown poison mode).
+
+    Raised when the spec is parsed, not when the fault fires.  Subclasses
+    :class:`ValueError` as well, so callers that catch the generic
+    ``ValueError`` the parsers raised before keep working.
+    """
+
+
 class ShapeError(ReproError):
     """A tensor has an unexpected shape."""
 

@@ -4,9 +4,12 @@ GOBO's inference story (paper Sections V-VI) never moves FP32 weights
 through DRAM: the accelerator streams 3-bit centroid indexes and decodes
 them next to the processing elements.  This package is the CPU analogue:
 
-* :class:`LookupKernel` — keeps one code per weight (1 B at up to 8 bits)
-  plus the FP32 outliers resident, and per call decodes a cache-sized band
-  of ``W`` at a time into a scratch tile that BLAS multiplies
+* :class:`LookupKernel` — keeps one index per group of up to four
+  adjacent codes, a per-layer table of the centroid tuples those indexes
+  name (together no more than one code per weight would take: 1 B per
+  weight up to 8-bit codes) and the FP32 outliers resident,
+  and per call decodes a cache-sized band of ``W`` at a time, several
+  weights per gather, into a scratch tile that BLAS multiplies
   (``x @ W.T`` without materializing ``W``),
 * :func:`lookup_matmul` — one-shot convenience wrapper,
 * :func:`dequantize_matmul` — the decode-the-whole-matrix-then-BLAS

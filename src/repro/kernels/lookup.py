@@ -6,25 +6,36 @@ indexes and decodes them next to the processing elements, so off-chip
 traffic is the compressed tensor and the decoded weights live only in
 on-chip buffers for as long as the PE array needs them.
 
-:class:`LookupKernel` is the CPU analogue.  Its resident state is one code
-per weight (``uint8``; ``uint16`` for the 9-16-bit codes some methods
-store) in row-major ``(out_features, in_features)`` order, plus the FP32
-outliers and the centroid table.  For ``y = x @ W.T`` each call walks the
-output rows in bands sized so that one decoded band is about
-``_TILE_BYTES`` (a cache-sized tile, the software stand-in for the PE
-buffer), or as many rows as ``x`` has when that is more:
+:class:`LookupKernel` is the CPU analogue.  Its resident state is one
+index per group of ``g`` adjacent codes in a row, a per-layer **tuple
+table** that maps each index to the ``g`` float64 centroids it names, and
+the FP32 outliers.  ``g`` comes from ``(bits, shape)`` alone
+(:func:`group_size`): the largest of 4 and 2 whose index array plus table
+fit in the one byte per weight a plain code matrix would take, else 1, where
+the index is the code and the table is the centroid table.  So a 768x768
+3-bit layer holds a ``uint16`` per four weights and a 128 KiB table, and
+resident state never exceeds the one code per weight (``uint8``, or
+``uint16`` for 9-16-bit codes) it replaces, plus the outliers.
 
-1. gather the band's codes through the centroid table into a scratch tile
-   (``np.take`` — the decode),
+For ``y = x @ W.T`` each call walks the output rows in bands sized so that
+one decoded band is about ``_TILE_BYTES`` (a cache-sized tile, the
+software stand-in for the PE buffer), or as many rows as ``x`` has when
+that is more:
+
+1. gather the band's indexes through the tuple table into a scratch tile
+   (one ``np.take`` of ``8 * g``-byte items — the decode, ``g`` weights
+   per element),
 2. overwrite the band's outlier slots with their FP32 values, which makes
    the tile exactly the dequantized rows,
 3. ``x @ tile.T`` into the band's output columns (BLAS).
 
-So batched calls run at BLAS speed on a tile that is still in cache, a
-call's only weight-shaped scratch is that one tile, and the results match
-:func:`dequantize_matmul` up to BLAS summation order (bit-exact on exactly
-representable inputs).  The tile is allocated per call, never stored on
-the kernel, so threads can share one kernel.
+Rows whose width is not a multiple of ``g`` are padded with code 0; the
+tile keeps the padded row stride and BLAS reads only its first
+``in_features`` columns.  So batched calls run at BLAS speed on a tile that
+is still in cache, a call's only weight-shaped scratch is that one tile,
+and the results match :func:`dequantize_matmul` up to BLAS summation order
+(bit-exact on exactly representable inputs).  The tile is allocated per
+call, never stored on the kernel, so threads can share one kernel.
 
 :func:`dequantize_matmul` is the comparison baseline the benchmarks and the
 CI perf gate measure against: decode the whole tensor (bit-unpack, outlier
@@ -41,7 +52,9 @@ from repro.errors import SerializationError, ShapeError
 from repro.obs import recorder as obs
 
 #: Bytes of decoded weights per band of output rows: a cache-sized tile.
-_TILE_BYTES = 256 * 1024
+#: 512 KiB decoded ~10% faster than 256 KiB at 1-32 rows on BERT-base
+#: shapes (2 MiB of L2 per core); 768 KiB gained nothing more.
+_TILE_BYTES = 512 * 1024
 
 
 def _compute_dtype(x: np.ndarray) -> np.dtype:
@@ -50,6 +63,27 @@ def _compute_dtype(x: np.ndarray) -> np.dtype:
     if x.dtype == np.float32:
         return np.dtype(np.float32)
     return np.dtype(np.float64)
+
+
+def group_size(bits: int, shape: tuple[int, int]) -> int:
+    """Codes per gather element for a ``bits``-wide tensor of ``shape``.
+
+    The largest ``g`` of 4 and 2 with ``g * bits <= 16`` whose index array
+    (one ``uint8``/``uint16`` per ``g`` codes of a row, rows padded to a
+    multiple of ``g``) plus its ``2**(g * bits)``-entry table of ``g``
+    float64 centroids fit in one byte per weight; otherwise 1.  Numpy's
+    ``take`` copies 8-, 16- and 32-byte items with fixed-size copies, so a
+    gather of four centroids costs about twice a gather of one.
+    """
+    rows, cols = shape
+    for g in (4, 2):
+        if g * bits > 16:
+            continue
+        index_bytes = rows * -(-cols // g) * (1 if g * bits <= 8 else 2)
+        table_bytes = (1 << (g * bits)) * g * 8
+        if index_bytes + table_bytes <= rows * cols:
+            return g
+    return 1
 
 
 class LookupKernel:
@@ -63,10 +97,12 @@ class LookupKernel:
         :meth:`matmul` computes ``x @ W.T`` exactly like
         :class:`repro.nn.Linear`.
 
-    Raises :class:`~repro.errors.SerializationError` when a code indexes
-    past the centroid table or an outlier position is out of order or
-    outside the tensor — malformed tensors come from archives, and either
-    defect would otherwise decode silently wrong weights.
+    The resident state is one index per ``group`` adjacent codes of a row
+    and the tuple table those indexes name (see :func:`group_size`), plus
+    the outliers.  Raises :class:`~repro.errors.SerializationError` when a
+    code indexes past the centroid table or an outlier position is out of
+    order or outside the tensor — malformed tensors come from archives,
+    and either defect would otherwise decode silently wrong weights.
     """
 
     def __init__(self, tensor: GoboQuantizedTensor) -> None:
@@ -77,16 +113,17 @@ class LookupKernel:
         self.tensor = tensor
         self.out_features, self.in_features = tensor.shape
         self.bits = tensor.bits
-        #: The centroid table the tile gathers from, in float64; a tensor
-        #: without centroids gets one zero entry, so the code-0 outlier
-        #: slots still index it.
+        #: The centroid table in float64; a tensor without centroids gets
+        #: one zero entry, so the code-0 outlier slots still index it.
         self.centroids_ext = np.asarray(tensor.centroids, dtype=np.float64).ravel()
         if self.centroids_ext.size == 0:
             self.centroids_ext = np.zeros(1)
+        #: Codes per index (and centroids per tuple-table entry).
+        self.group = group_size(self.bits, tensor.shape)
 
         with obs.span(
             "kernels.prepare", rows=self.out_features, cols=self.in_features,
-            bits=self.bits,
+            bits=self.bits, group=self.group,
         ):
             total = tensor.total_count
             positions = np.asarray(tensor.outlier_positions, dtype=np.int64)
@@ -105,12 +142,41 @@ class LookupKernel:
                     f"quantized tensor of shape {tensor.shape} has code "
                     f"{int(codes.max())} but only {tensor.centroids.size} centroids"
                 )
-            dense = np.zeros(total, dtype=np.uint8 if self.bits <= 8 else np.uint16)
+            g = self.group
+            #: Row stride of the index grid and of the decoded tile.
+            self._stride = -(-self.in_features // g) * g
+            dense = np.zeros(
+                (self.out_features, self._stride),
+                dtype=np.uint8 if self.bits <= 8 else np.uint16,
+            )
             gaussian = np.ones(total, dtype=bool)
             gaussian[positions] = False
-            dense[gaussian] = codes
-            #: One code per weight, row-major; outlier slots hold code 0.
-            self._codes = dense.reshape(tensor.shape)
+            # Outlier slots and the padding columns hold code 0.
+            dense[:, : self.in_features][gaussian.reshape(tensor.shape)] = codes
+            if g == 1:
+                index, table = dense, self.centroids_ext[:, None]
+            else:
+                index = np.zeros(
+                    (self.out_features, self._stride // g),
+                    dtype=np.uint8 if g * self.bits <= 8 else np.uint16,
+                )
+                for j in range(g):
+                    index |= dense[:, j::g].astype(index.dtype) << (j * self.bits)
+                entries = np.arange(1 << (g * self.bits))
+                shifts = self.bits * np.arange(g)
+                # Codes past the centroid table never occur (checked above).
+                centroids = np.zeros(1 << self.bits)
+                centroids[: self.centroids_ext.size] = self.centroids_ext[: centroids.size]
+                table = centroids[(entries[:, None] >> shifts) & ((1 << self.bits) - 1)]
+            #: One index per ``group`` codes, row-major.
+            self._index = index
+            #: ``(2**(group * bits), group)`` float64: the centroids each
+            #: index names, in row order.
+            self._table = table
+            if self._stride != self.in_features:
+                rows, cols = np.divmod(positions, self.in_features)
+                positions = rows * self._stride + cols
+            #: Outlier positions in the padded ``(out_features, _stride)`` grid.
             self._outlier_positions = positions
             self._outlier_values = np.asarray(tensor.outlier_values, dtype=np.float64)
 
@@ -120,13 +186,16 @@ class LookupKernel:
     # ------------------------------------------------------------------ sizes
     @property
     def prepared_nbytes(self) -> int:
-        """Resident bytes of the prepared state: one code per weight plus the
-        outliers and the centroid table."""
+        """Resident bytes of the prepared state: the index grid, the tuple
+        table, the outliers and the centroid table (once when the tuple
+        table is the centroid table)."""
+        centroids = 0 if self.group == 1 else self.centroids_ext.nbytes
         return int(
-            self._codes.nbytes
+            self._index.nbytes
+            + self._table.nbytes
             + self._outlier_positions.nbytes
             + self._outlier_values.nbytes
-            + self.centroids_ext.nbytes
+            + centroids
         )
 
     # ----------------------------------------------------------------- compute
@@ -150,23 +219,26 @@ class LookupKernel:
         x2 = np.ascontiguousarray(x.reshape(rows, self.in_features), dtype=dtype)
         y = np.empty((rows, self.out_features), dtype=dtype)
 
-        in_f = self.in_features
+        in_f, stride, g = self.in_features, self._stride, self.group
         # BLAS repacks x on every call, so a band never has fewer rows than
         # x: a narrower one would spend more time packing than multiplying.
-        band = max(1, _TILE_BYTES // max(1, in_f * dtype.itemsize), rows)
-        table = self.centroids_ext.astype(dtype, copy=False)
+        band = max(1, _TILE_BYTES // max(1, stride * dtype.itemsize), rows)
+        table = self._table.astype(dtype, copy=False)
         positions = self._outlier_positions
         values = self._outlier_values.astype(dtype, copy=False)
-        tile = np.empty((min(band, self.out_features), in_f), dtype=dtype)
+        tile = np.empty((min(band, self.out_features), stride), dtype=dtype)
         for start in range(0, self.out_features, band):
             stop = min(start + band, self.out_features)
             decoded = tile[: stop - start]
-            # Codes were range-checked at prepare, so "clip" never clips;
+            # Indexes were range-checked at prepare, so "clip" never clips;
             # it only skips the bounds-checking buffer of the default mode.
-            np.take(table, self._codes[start:stop], out=decoded, mode="clip")
-            lo, hi = np.searchsorted(positions, (start * in_f, stop * in_f))
-            decoded.reshape(-1)[positions[lo:hi] - start * in_f] = values[lo:hi]
-            np.matmul(x2, decoded.T, out=y[:, start:stop])
+            np.take(
+                table, self._index[start:stop], axis=0, mode="clip",
+                out=decoded.reshape(stop - start, stride // g, g),
+            )
+            lo, hi = np.searchsorted(positions, (start * stride, stop * stride))
+            decoded.reshape(-1)[positions[lo:hi] - start * stride] = values[lo:hi]
+            np.matmul(x2, decoded[:, :in_f].T, out=y[:, start:stop])
 
         obs.counter("kernels.lookup_matmul_calls")
         obs.counter("kernels.lookup_matmul_rows", rows)

@@ -3,8 +3,9 @@ network so inference runs on the compressed representation.
 
 :func:`attach_quantized_linears` swaps every quantized FC ``Linear`` for a
 :class:`~repro.nn.QuantizedLinear`, whose tiled decode-and-GEMM kernel
-(:mod:`repro.kernels`) keeps one code per weight resident instead of the
-FP32 matrix.  The FC weights are never decoded, neither at attach nor
+(:mod:`repro.kernels`) keeps grouped centroid indexes and a small tuple
+table resident (no more than one code per weight would take) instead of
+the FP32 matrix.  The FC weights are never decoded, neither at attach nor
 during a forward — asserted in the tests via the
 ``quantizer.dequantize_calls`` obs counter — while everything GOBO leaves
 FP32 (biases, LayerNorm, heads) and the quantized embeddings are loaded as

@@ -3,9 +3,11 @@
 :class:`QuantizedLinear` is the module-level face of :mod:`repro.kernels`:
 it wraps one :class:`~repro.core.quantizer.GoboQuantizedTensor` and routes
 the forward pass through a prepared :class:`~repro.kernels.LookupKernel`,
-so ``y = x W^T + b`` runs on one resident code per weight plus the FP32
-outliers, decoding a cache-sized band of ``W`` at a time and never the
-whole FP32 weight matrix.  The bias (which GOBO leaves FP32) stays a plain
+so ``y = x W^T + b`` runs on resident centroid indexes (one per group of
+up to four codes, with a per-layer table of the centroid tuples they name:
+no more than one code per weight would take) plus the FP32 outliers,
+decoding a cache-sized band of ``W`` at a time and never the whole FP32
+weight matrix.  The bias (which GOBO leaves FP32) stays a plain
 :class:`~repro.nn.module.Parameter`.
 
 It is deliberately inference-only: GOBO quantizes *trained* models, and the

@@ -46,7 +46,10 @@ not pickle) — injectors can be described as text specs (``"crash:3"``,
 ``"kill-worker:1"``) parsed by :func:`injector_from_spec`; the CLI builds
 one from the ``REPRO_FAULTS`` environment variable via
 :func:`injector_from_env`, and each fleet worker rebuilds its own from the
-spec (stateful injectors count per worker, not globally).
+spec (stateful injectors count per worker, not globally).  Every value in
+a spec is checked when it is parsed (:func:`parse_fault_spec`), so a
+malformed spec fails with :class:`~repro.errors.FaultSpecError` before
+anything runs instead of misfiring, or never firing, mid-run.
 
 Serve-path injectors target the online request path (:mod:`repro.serve`,
 DESIGN.md §5i) rather than the offline engine.  They follow a different
@@ -54,8 +57,9 @@ protocol — ``injector(stage, model)`` called at named hook points
 (``"forward"`` in the micro-batcher, ``"load"`` in the registry) — and are
 parsed from the same ``REPRO_FAULTS`` variable by
 :func:`serve_injector_from_env`, so the serve CLI plants chaos exactly the
-way the quantize CLI does.  Engine kinds in the spec are ignored by the
-serve parser and vice versa (the two paths share one environment variable):
+way the quantize CLI does.  Engine kinds in the spec are checked but not
+built by the serve parser and vice versa (the two paths share one
+environment variable):
 
 * :class:`HangForward` — wedge the batch worker inside a forward
   (non-cooperatively: a real sleep, like a hung mmap read on failing
@@ -94,6 +98,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.parallel import LayerJob
+from repro.errors import FaultSpecError
 from repro.jobs.watchdog import checkpoint
 
 #: Environment variable the CLI reads fault specs from (kill/resume tests).
@@ -107,6 +112,10 @@ ENGINE_FAULT_KINDS = frozenset({
     "raise", "hang", "slow", "transient-io", "crash", "poison",
     "kill-worker", "mute-worker", "hang-worker",
 })
+
+
+#: What :class:`PoisonTensor` can do to a tensor.
+POISON_MODES = ("nan", "inf", "constant")
 
 
 class InjectedFault(RuntimeError):
@@ -192,6 +201,12 @@ class PoisonTensor:
     stride: int = 7
     value: float = 0.5
 
+    def __post_init__(self) -> None:
+        if self.mode not in POISON_MODES:
+            raise ValueError(
+                f"unknown poison mode {self.mode!r}; expected one of {POISON_MODES}"
+            )
+
     def __call__(self, index: int, job: LayerJob, weights: np.ndarray):
         if not self._matches(index, job):
             return None
@@ -201,10 +216,8 @@ class PoisonTensor:
             flat[:: self.stride] = np.nan
         elif self.mode == "inf":
             flat[:: self.stride] = np.inf
-        elif self.mode == "constant":
+        else:  # "constant"
             flat[:] = self.value
-        else:
-            raise ValueError(f"unknown poison mode {self.mode!r}")
         return poisoned
 
     def _matches(self, index: int, job: LayerJob) -> bool:
@@ -553,43 +566,16 @@ def serve_injector_from_spec(spec: str):
 
         hang-forward:MODEL[:SECONDS[:TIMES]]    HangForward
         fail-forward:MODEL[:TIMES]              FailForward (0 = persistent)
-        corrupt-member-at-serve:MODEL[:TIMES]   CorruptMemberAtServe
+        corrupt-member-at-serve:MODEL[:TIMES]   CorruptMemberAtServe (0 = persistent)
         slow-load:SECONDS[:MODEL]               SlowLoad
 
     Engine-side kinds (``crash:3``, ``kill-worker:1``, ...) in the same
-    spec are skipped, so one ``REPRO_FAULTS`` value can carry faults for
-    both paths; a kind *neither* parser knows raises ``ValueError``.
-    Returns None when the spec contains no serve faults.
+    spec are checked but not built, so one ``REPRO_FAULTS`` value can carry
+    faults for both paths.  Returns None when the spec contains no serve
+    faults; raises :class:`~repro.errors.FaultSpecError` on any malformed
+    fault of either family (see :func:`parse_fault_spec`).
     """
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
-    injectors = []
-    for part in parts:
-        kind, _, rest = part.partition(":")
-        args = rest.split(":") if rest else []
-        try:
-            if kind == "hang-forward":
-                model = args[0]
-                seconds = float(args[1]) if len(args) > 1 else 30.0
-                times = int(args[2]) if len(args) > 2 else 1
-                injectors.append(HangForward(model, seconds=seconds, times=times))
-            elif kind == "fail-forward":
-                model = args[0]
-                times = int(args[1]) if len(args) > 1 else 1
-                injectors.append(FailForward(model, times=times))
-            elif kind == "corrupt-member-at-serve":
-                model = args[0]
-                times = int(args[1]) if len(args) > 1 else 1
-                injectors.append(CorruptMemberAtServe(model, times=times))
-            elif kind == "slow-load":
-                seconds = float(args[0])
-                model = args[1] if len(args) > 1 else None
-                injectors.append(SlowLoad(seconds, model=model))
-            elif kind in ENGINE_FAULT_KINDS:
-                continue  # an engine fault riding in the same variable
-            else:
-                raise ValueError(f"unknown fault kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"bad fault spec {part!r}: {exc}") from exc
+    injectors = [inj for kind, inj in parse_fault_spec(spec) if kind in SERVE_FAULT_KINDS]
     if not injectors:
         return None
     return injectors[0] if len(injectors) == 1 else compose_serve_injectors(*injectors)
@@ -601,12 +587,122 @@ def serve_injector_from_env(env: str = FAULTS_ENV):
     return serve_injector_from_spec(spec) if spec.strip() else None
 
 
+#: Arguments each spec kind takes: (required, allowed).
+_ARITY = {
+    "raise": (1, 1), "hang": (1, 1), "slow": (1, 2), "transient-io": (1, 2),
+    "crash": (1, 1), "poison": (1, 2), "kill-worker": (1, 2),
+    "mute-worker": (1, 2), "hang-worker": (1, 2),
+    "hang-forward": (1, 3), "fail-forward": (1, 2),
+    "corrupt-member-at-serve": (1, 2), "slow-load": (1, 2),
+}
+
+
+def _seconds(token: str) -> float:
+    """A delay in seconds: finite, >= 0, and short enough for ``time.sleep``."""
+    value = float(token)
+    if not 0 <= value <= threading.TIMEOUT_MAX:
+        raise ValueError(
+            f"seconds must be finite, >= 0 and at most {threading.TIMEOUT_MAX:g}, "
+            f"got {token!r}"
+        )
+    return value
+
+
+def _count(token: str, minimum: int = 1) -> int:
+    """A call count or 1-based call number (``minimum=0``: a worker index,
+    or a TIMES where 0 means persistent)."""
+    value = int(token)
+    if value < minimum:
+        raise ValueError(f"expected an integer >= {minimum}, got {token!r}")
+    return value
+
+
+def _name(token: str) -> str:
+    """A model name."""
+    if not token:
+        raise ValueError("empty model name")
+    return token
+
+
 def _parse_layer(token: str) -> int | str:
-    """Layer selector from a spec token: an int job index or a layer name."""
+    """Layer selector from a spec token: a job index (>= 0) or a layer name."""
+    if not token:
+        raise ValueError("empty layer selector")
     try:
-        return int(token)
+        index = int(token)
     except ValueError:
         return token
+    if index < 0:
+        raise ValueError(f"layer index must be >= 0, got {token!r}")
+    return index
+
+
+def _optional(args: list[str], index: int, parse, default):
+    return parse(args[index]) if len(args) > index else default
+
+
+def _build(kind: str, args: list[str]):
+    """One injector of either family from its already arity-checked args."""
+    if kind == "raise":
+        return RaiseOnLayer(_parse_layer(args[0]))
+    if kind == "hang":
+        return HangOnLayer(_parse_layer(args[0]))
+    if kind == "slow":
+        return SlowLayer(_seconds(args[0]), layer=_optional(args, 1, _parse_layer, None))
+    if kind == "transient-io":
+        return TransientIOFault(_parse_layer(args[0]), times=_optional(args, 1, _count, 1))
+    if kind == "crash":
+        return CrashOnCall(_count(args[0]))
+    if kind == "poison":
+        return PoisonTensor(_parse_layer(args[0]), mode=_optional(args, 1, str, "nan"))
+    if kind == "kill-worker":
+        return KillWorker(_count(args[0], 0), nth=_optional(args, 1, _count, 1))
+    if kind in ("mute-worker", "hang-worker"):
+        cls = MuteWorker if kind == "mute-worker" else HangWorker
+        return cls(_count(args[0], 0), max_seconds=_optional(args, 1, _seconds, 30.0))
+    if kind == "hang-forward":
+        return HangForward(
+            _name(args[0]),
+            seconds=_optional(args, 1, _seconds, 30.0),
+            times=_optional(args, 2, _count, 1),
+        )
+    if kind in ("fail-forward", "corrupt-member-at-serve"):
+        cls = FailForward if kind == "fail-forward" else CorruptMemberAtServe
+        return cls(_name(args[0]), times=_optional(args, 1, lambda t: _count(t, 0), 1))
+    # "slow-load", the only kind left in _ARITY.
+    return SlowLoad(_seconds(args[0]), model=_optional(args, 1, _name, None))
+
+
+def parse_fault_spec(spec: str) -> list[tuple[str, object]]:
+    """``(kind, injector)`` for every fault in a comma-separated spec, of
+    both families, in spec order.
+
+    Every value is checked here, not when the fault fires: seconds must be
+    finite and >= 0, call counts >= 1 (except a serve TIMES, where 0 means
+    persistent), worker indexes and layer indexes >= 0, names non-empty
+    and the poison mode one of :data:`POISON_MODES`.  Anything else raises
+    :class:`~repro.errors.FaultSpecError` (a ``ValueError``) naming the
+    offending part — a silently ignored or never-firing fault would make a
+    chaos test pass vacuously.
+    """
+    faults = []
+    for part in (p.strip() for p in spec.split(",")):
+        if not part:
+            continue
+        kind, _, rest = part.partition(":")
+        args = rest.split(":") if rest else []
+        try:
+            if kind not in _ARITY:
+                raise ValueError(f"unknown fault kind {kind!r}")
+            low, high = _ARITY[kind]
+            if not low <= len(args) <= high:
+                raise ValueError(
+                    f"{kind} takes {low}-{high} arguments, got {len(args)}"
+                )
+            faults.append((kind, _build(kind, args)))
+        except ValueError as exc:
+            raise FaultSpecError(f"bad fault spec {part!r}: {exc}") from exc
+    return faults
 
 
 def injector_from_spec(spec: str):
@@ -619,60 +715,17 @@ def injector_from_spec(spec: str):
         slow:SECONDS[:LAYER]      SlowLayer
         transient-io:LAYER[:N]    TransientIOFault (default N=1)
         crash:NTH                 CrashOnCall
-        poison:LAYER[:MODE]       PoisonTensor
+        poison:LAYER[:MODE]       PoisonTensor (MODE nan, inf or constant)
         kill-worker:W[:NTH]       KillWorker (fleet worker W, default NTH=1)
         mute-worker:W[:MAXS]      MuteWorker (fleet worker W)
         hang-worker:W[:MAXS]      HangWorker (fleet worker W)
 
-    Returns None for an empty spec.  Raises ``ValueError`` on anything it
-    cannot parse — a silently ignored fault spec would make a kill test
-    pass vacuously.
+    Serve-path kinds in the same spec are checked but not built.  Returns
+    None when the spec contains no engine faults; raises
+    :class:`~repro.errors.FaultSpecError` on any malformed fault of either
+    family (see :func:`parse_fault_spec`).
     """
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
-    injectors = []
-    for part in parts:
-        kind, _, rest = part.partition(":")
-        args = rest.split(":") if rest else []
-        try:
-            if kind == "raise":
-                (layer,) = args
-                injectors.append(RaiseOnLayer(_parse_layer(layer)))
-            elif kind == "hang":
-                (layer,) = args
-                injectors.append(HangOnLayer(_parse_layer(layer)))
-            elif kind == "slow":
-                seconds = float(args[0])
-                layer = _parse_layer(args[1]) if len(args) > 1 else None
-                injectors.append(SlowLayer(seconds, layer=layer))
-            elif kind == "transient-io":
-                layer = _parse_layer(args[0])
-                times = int(args[1]) if len(args) > 1 else 1
-                injectors.append(TransientIOFault(layer, times=times))
-            elif kind == "crash":
-                (nth,) = args
-                injectors.append(CrashOnCall(int(nth)))
-            elif kind == "poison":
-                layer = _parse_layer(args[0])
-                mode = args[1] if len(args) > 1 else "nan"
-                injectors.append(PoisonTensor(layer, mode=mode))
-            elif kind == "kill-worker":
-                worker = int(args[0])
-                nth = int(args[1]) if len(args) > 1 else 1
-                injectors.append(KillWorker(worker, nth=nth))
-            elif kind == "mute-worker":
-                worker = int(args[0])
-                max_seconds = float(args[1]) if len(args) > 1 else 30.0
-                injectors.append(MuteWorker(worker, max_seconds=max_seconds))
-            elif kind == "hang-worker":
-                worker = int(args[0])
-                max_seconds = float(args[1]) if len(args) > 1 else 30.0
-                injectors.append(HangWorker(worker, max_seconds=max_seconds))
-            elif kind in SERVE_FAULT_KINDS:
-                continue  # a serve-path fault riding in the same variable
-            else:
-                raise ValueError(f"unknown fault kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"bad fault spec {part!r}: {exc}") from exc
+    injectors = [inj for kind, inj in parse_fault_spec(spec) if kind in ENGINE_FAULT_KINDS]
     if not injectors:
         return None
     return injectors[0] if len(injectors) == 1 else compose_injectors(*injectors)

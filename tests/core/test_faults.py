@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.model_quantizer import quantize_model, quantize_state_dict
 from repro.core.parallel import (
@@ -322,3 +324,110 @@ class TestFaultSpecs:
         monkeypatch.setenv(FAULTS_ENV, "bogus:x")
         with pytest.raises(ValueError):
             injector_from_env()
+
+
+class TestFaultSpecValidation:
+    """Every value in a spec is checked at parse time, by both parsers,
+    and fails with the typed FaultSpecError (a ConfigError and a
+    ValueError) — never later, when the fault fires, and never by building
+    an injector that cannot fire."""
+
+    #: Each of these used to parse: then raised inside the engine, slept a
+    #: negative or infinite time, silently did nothing, or never fired.
+    DEFECTS = (
+        "poison:0:xyz",
+        "slow:nan",
+        "slow:-1",
+        "hang-forward:m:-1",
+        "hang-forward:m:inf",
+        "slow-load:-1",
+        "crash:-3",
+        "kill-worker:-1",
+        "fail-forward:m:-2",
+        "hang-forward",
+    )
+
+    @pytest.mark.parametrize("spec", DEFECTS)
+    def test_defect_rejected_by_both_parsers(self, spec):
+        from repro.errors import ConfigError, FaultSpecError
+        from repro.testing.faults import injector_from_spec, serve_injector_from_spec
+
+        for parse in (injector_from_spec, serve_injector_from_spec):
+            with pytest.raises(FaultSpecError, match="bad fault spec") as info:
+                parse(spec)
+            assert isinstance(info.value, ConfigError)
+            assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("spec", [
+        "crash:1:2", "raise:", "raise:-1", "slow:0.1:", "hang-forward::1",
+        "fail-forward:m:1:2", "transient-io:a:0", "hang-forward:m:1:0",
+        "kill-worker:0:0", "mute-worker:0:1e999",
+    ])
+    def test_arity_and_ranges_rejected(self, spec):
+        from repro.errors import FaultSpecError
+        from repro.testing.faults import injector_from_spec
+
+        with pytest.raises(FaultSpecError):
+            injector_from_spec(spec)
+
+    def test_persistent_times_and_worker_zero_accepted(self):
+        from repro.testing.faults import injector_from_spec, serve_injector_from_spec
+
+        assert serve_injector_from_spec("fail-forward:m:0").times == 0
+        assert serve_injector_from_spec("corrupt-member-at-serve:m:0").times == 0
+        assert injector_from_spec("kill-worker:0").worker == 0
+        assert injector_from_spec("slow:0").seconds == 0.0
+
+    def test_poison_mode_checked_at_construction(self):
+        with pytest.raises(ValueError, match="unknown poison mode"):
+            PoisonTensor(0, mode="xyz")
+
+    TOKENS = (
+        "raise", "hang", "slow", "transient-io", "crash", "poison",
+        "kill-worker", "mute-worker", "hang-worker", "hang-forward",
+        "fail-forward", "corrupt-member-at-serve", "slow-load",
+        ":", ",", *"0123456789", "-", ".", "e", "nan", "inf",
+    )
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=14).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_property_grammar_alphabet(self, spec):
+        """Any string over the grammar's alphabet: each parser returns None
+        or a callable, or raises FaultSpecError; whatever parses holds only
+        values its fault can act on."""
+        import math
+
+        from repro.errors import FaultSpecError
+        from repro.testing.faults import (
+            CorruptMemberAtServe,
+            FailForward,
+            injector_from_spec,
+            parse_fault_spec,
+            serve_injector_from_spec,
+        )
+
+        for parse in (injector_from_spec, serve_injector_from_spec):
+            try:
+                injector = parse(spec)
+            except FaultSpecError:
+                continue
+            assert injector is None or callable(injector)
+        try:
+            faults = parse_fault_spec(spec)
+        except FaultSpecError:
+            return
+        for _, fault in faults:
+            for name in ("seconds", "max_seconds"):
+                if hasattr(fault, name):
+                    assert math.isfinite(getattr(fault, name)) and getattr(fault, name) >= 0
+            persistent_ok = isinstance(fault, (FailForward, CorruptMemberAtServe))
+            for name in ("nth", "times"):
+                if hasattr(fault, name):
+                    assert getattr(fault, name) >= (0 if persistent_ok else 1)
+            if hasattr(fault, "worker"):
+                assert fault.worker >= 0
+            layer = getattr(fault, "layer", None)
+            if isinstance(layer, str):
+                assert layer
+            elif layer is not None:
+                assert layer >= 0

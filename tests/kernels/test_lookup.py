@@ -2,9 +2,10 @@
 
 The correctness bar: bit-exact in float64 (checked on exactly-representable
 inputs, where any misrouted weight changes the exact sum), within 1e-6
-relative in float32, across bits 2-16 (``uint8`` and ``uint16`` codes),
-outlier fractions including 0 and 1, empty/degenerate tensors, any tile
-size, and concurrent callers; malformed tensors are rejected at prepare.
+relative in float32, across bits 1-16, every group size (1, 2 and 4 codes
+per index, padded and unpadded rows), outlier fractions including 0 and 1,
+empty/degenerate tensors, any tile size, and concurrent callers; malformed
+tensors are rejected at prepare.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import repro.kernels.lookup as lookup_module
 from repro.core.quantizer import GoboQuantizedTensor, quantize_tensor
 from repro.errors import SerializationError, ShapeError
 from repro.kernels import LookupKernel, dequantize_matmul, lookup_matmul
+from repro.kernels.lookup import group_size
 from repro.utils.bitpack import pack_bits
 from repro.utils.rng import derive_rng
 
@@ -93,10 +95,20 @@ class TestEquivalence:
         np.testing.assert_array_equal(lookup, reference)
 
     def test_float32_within_relative_tolerance(self):
-        rng = derive_rng(20260807, "kernel-f32")
-        tensor = make_tensor(rng, (48, 64), 3, 0.01)
-        x = rng.normal(size=(8, 64)).astype(np.float32)
-        lookup = LookupKernel(tensor).matmul(x)
+        self._check_float32("kernel-f32", (48, 64), 3)
+
+    def test_float32_within_relative_tolerance_grouped(self):
+        """The same bar when the tile decodes four codes per gather."""
+        self._check_float32("kernel-f32-g4", (128, 127), 2, group=4)
+
+    @staticmethod
+    def _check_float32(name, shape, bits, group=None):
+        rng = derive_rng(20260807, name)
+        tensor = make_tensor(rng, shape, bits, 0.01)
+        kernel = LookupKernel(tensor)
+        assert group is None or kernel.group == group
+        x = rng.normal(size=(8, shape[1])).astype(np.float32)
+        lookup = kernel.matmul(x)
         reference = dequantize_matmul(x, tensor)
         assert lookup.dtype == np.float32
         # Relative to the output scale: the two paths sum in different
@@ -268,36 +280,41 @@ class TestChunking:
     def test_concurrent_calls_share_one_kernel(self, monkeypatch):
         """The scratch tile is per call: threads multiplying different
         inputs through one kernel each get their own correct result."""
-        rng = derive_rng(20260807, "kernel-threads")
-        tensor = make_tensor(rng, (40, 24), 4, 0.1)
-        kernel = LookupKernel(tensor)
-        monkeypatch.setattr(lookup_module, "_TILE_BYTES", 24 * 8 * 3)
-        workers = 4  # more threads than the CI runners have cores
-        inputs = [rng.normal(size=(6, 24)) * 10.0**i for i in range(workers)]
-        expected = [dequantize_matmul(x, tensor) for x in inputs]
-        barrier = threading.Barrier(workers)
-        failures = []
+        _check_concurrent_calls(monkeypatch, "kernel-threads", (40, 24), 4)
 
-        def worker(index):
-            barrier.wait()
-            for _ in range(200):
-                got = kernel.matmul(inputs[index])
-                if not np.allclose(got, expected[index], rtol=1e-12, atol=1e-12):
-                    failures.append(index)
-                    return
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert not failures
+def _check_concurrent_calls(monkeypatch, name, shape, bits, group=None):
+    rng = derive_rng(20260807, name)
+    tensor = make_tensor(rng, shape, bits, 0.1)
+    kernel = LookupKernel(tensor)
+    assert group is None or kernel.group == group
+    monkeypatch.setattr(lookup_module, "_TILE_BYTES", shape[1] * 8 * 3)
+    workers = 4  # more threads than the CI runners have cores
+    inputs = [rng.normal(size=(6, shape[1])) * 10.0**i for i in range(workers)]
+    expected = [dequantize_matmul(x, tensor) for x in inputs]
+    barrier = threading.Barrier(workers)
+    failures = []
+
+    def worker(index):
+        barrier.wait()
+        for _ in range(200):
+            got = kernel.matmul(inputs[index])
+            if not np.allclose(got, expected[index], rtol=1e-12, atol=1e-12):
+                failures.append(index)
+                return
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
 
 
 class TestMalformedTensor:
@@ -358,9 +375,92 @@ class TestObservability:
         assert "quantizer.dequantize_calls" in names
 
     def test_prepared_nbytes_bounded(self):
-        """Resident state is one code byte per weight plus the outliers and
-        the centroid table: ~0.6 MB for a 768x768 3-bit layer."""
+        """Resident state is one uint16 index per four 3-bit codes plus a
+        128 KiB tuple table, the outliers and the centroid table: under
+        0.75 B per weight on a 768x768 layer."""
         rng = derive_rng(20260807, "kernel-bytes")
         tensor = make_tensor(rng, (768, 768), 3, 0.01)
         nbytes = LookupKernel(tensor).prepared_nbytes
-        assert 0 < nbytes <= tensor.total_count + 24 * tensor.outlier_count + 4096
+        bound = 0.75 * tensor.total_count + 24 * tensor.outlier_count + 4096
+        assert 0 < nbytes <= bound
+
+
+def layout_bytes(bits: int, shape: tuple[int, int], group: int) -> int:
+    """Index array plus tuple table for ``group`` codes per index: the
+    selection rule's byte count, restated independently of the kernel."""
+    rows, cols = shape
+    index_item = 1 if group * bits <= 8 else 2
+    return rows * -(-cols // group) * index_item + (1 << (group * bits)) * group * 8
+
+
+class TestGroupedDecode:
+    """One gather element carries ``group`` codes: 4 on 768-wide 3-bit
+    layers, 2 on tiny-bert's 64-wide ones, 1 where a tuple table would not
+    fit in one byte per weight.  Odd widths pad each row with code 0."""
+
+    @pytest.mark.parametrize("bits, shape, group", [
+        (3, (24, 31), 1),
+        (3, (64, 64), 2),
+        (3, (64, 63), 2),
+        (3, (768, 768), 4),
+        (3, (768, 767), 4),
+        (2, (128, 128), 4),
+        (2, (128, 127), 4),
+    ])
+    def test_bit_exact_at_each_group_size(self, bits, shape, group):
+        rng = derive_rng(20260807, "kernel-grouped", bits, *shape)
+        tensor = make_tensor(rng, shape, bits, 0.05, dyadic=True)
+        kernel = LookupKernel(tensor)
+        assert kernel.group == group
+        for rows in (1, 17):
+            x = rng.integers(-8, 9, size=(rows, shape[1])).astype(np.float64)
+            np.testing.assert_array_equal(kernel.matmul(x), dequantize_matmul(x, tensor))
+
+    def test_rule_boundary(self):
+        """A 3-bit 512x512 index plus table is exactly one byte per weight,
+        which fits; one column fewer does not, and drops to pairs."""
+        assert layout_bytes(3, (512, 512), 4) == 512 * 512
+        assert group_size(3, (512, 512)) == 4
+        assert group_size(3, (512, 511)) == 2
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 100])
+    def test_padded_rows_chunked(self, monkeypatch, chunk_rows):
+        """Outlier positions are remapped to the padded row stride, so every
+        band boundary must still land each outlier on its own weight."""
+        rng = derive_rng(20260807, "kernel-grouped-chunk", chunk_rows)
+        tensor = make_tensor(rng, (64, 63), 3, 0.3, dyadic=True)
+        kernel = LookupKernel(tensor)
+        assert kernel.group == 2
+        monkeypatch.setattr(lookup_module, "_TILE_BYTES", 64 * 8 * chunk_rows)
+        for batch in (1, 17):
+            x = rng.integers(-8, 9, size=(batch, 63)).astype(np.float64)
+            np.testing.assert_array_equal(kernel.matmul(x), dequantize_matmul(x, tensor))
+
+    @given(
+        bits=st.integers(min_value=1, max_value=16),
+        rows=st.sampled_from([0, 1, 2, 7, 24, 64, 128, 512, 768]),
+        cols=st.sampled_from([0, 1, 3, 31, 63, 64, 127, 511, 512, 767, 768]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_selection_rule(self, bits, rows, cols, seed):
+        """The kernel's index plus table never exceed one byte per weight
+        when it groups codes, no larger allowed group would have fit, and
+        the grouped decode is still bit-exact."""
+        group = group_size(bits, (rows, cols))
+        for larger in (4, 2):
+            if larger > group and larger * bits <= 16:
+                assert layout_bytes(bits, (rows, cols), larger) > rows * cols
+        rng = np.random.default_rng(seed)
+        tensor = make_tensor(rng, (rows, cols), bits, 0.05, dyadic=True)
+        kernel = LookupKernel(tensor)
+        assert kernel.group == group
+        if group > 1:
+            resident = kernel._index.nbytes + kernel._table.nbytes
+            assert resident == layout_bytes(bits, (rows, cols), group)
+            assert resident <= rows * cols
+        x = rng.integers(-8, 9, size=(2, cols)).astype(np.float64)
+        np.testing.assert_array_equal(kernel.matmul(x), dequantize_matmul(x, tensor))
+
+    def test_concurrent_calls_share_one_grouped_kernel(self, monkeypatch):
+        _check_concurrent_calls(monkeypatch, "kernel-threads-g4", (128, 127), 2, group=4)

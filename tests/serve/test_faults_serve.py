@@ -142,3 +142,15 @@ class TestFaultsDriveTheBreaker:
             assert time.monotonic() - started >= 0.2
         finally:
             registry.close()
+
+
+class TestServeCli:
+    def test_malformed_fault_spec_exits_2(self, micro_archive, monkeypatch, capsys):
+        """A bad REPRO_FAULTS value stops `repro serve` before it loads a
+        model, with exit 2 and a one-line message, not a traceback."""
+        from repro.cli import main
+
+        monkeypatch.setenv(FAULTS_ENV, "hang-forward")
+        code = main(["serve", "--model", f"tiny={micro_archive}", "--port", "0"])
+        assert code == 2
+        assert "bad fault spec 'hang-forward'" in capsys.readouterr().err

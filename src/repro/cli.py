@@ -142,10 +142,10 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    from repro.core.parallel import resolve_backend
+    from repro.core.parallel import resolve
 
     try:
-        backend = resolve_backend(args.backend)
+        backend = resolve("backend", args.backend)
     except QuantizationError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quantize.add_argument(
         "--layer-timeout", type=float, default=None, metavar="S",
-        help="per-layer watchdog deadline in seconds; default REPRO_LAYER_TIMEOUT or off",
+        help="per-layer deadline in seconds; default REPRO_LAYER_TIMEOUT or off",
     )
     quantize.add_argument(
         "--transient-retries", type=int, default=None, metavar="N",

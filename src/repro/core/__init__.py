@@ -36,11 +36,8 @@ from repro.core.parallel import (
     LayerRecord,
     ON_ERROR_POLICIES,
     QuantizationReport,
-    default_on_error,
-    default_workers,
     quantize_layers,
-    resolve_on_error,
-    resolve_workers,
+    resolve,
 )
 from repro.core.policy import LayerPolicy, PolicyRule, mixed_precision_policy
 from repro.core.quantizer import (
@@ -92,16 +89,13 @@ __all__ = [
     "StorageReport",
     "assign_to_centroids",
     "compression_curve",
-    "default_workers",
     "equal_population_centroids",
     "gobo_cluster",
     "kmeans_cluster",
     "linear_centroids",
     "load_quantized_model",
     "quantize_layers",
-    "default_on_error",
-    "resolve_on_error",
-    "resolve_workers",
+    "resolve",
     "validate_tensor",
     "verify_archive",
     "mixed_precision_policy",

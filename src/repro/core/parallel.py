@@ -39,6 +39,10 @@ Worker resolution:
   (default 1) so experiment pipelines can be parallelized without threading
   a parameter through every call site.
 
+Every engine setting resolves this way — argument, else environment
+variable, else default — through one table, :data:`SETTINGS`, read by
+:func:`resolve`.
+
 Failure isolation (``on_error``): one pathological tensor — zero-variance
 weights, NaN/Inf entries — must never abort a whole-model run.  Each job is
 attempted in isolation; what happens when it raises is a policy:
@@ -59,8 +63,8 @@ Supervision (``layer_timeout`` / ``transient_retries`` / ``cancel``): the
 durable-job layer (:mod:`repro.jobs`) runs the engine supervised:
 
 * ``layer_timeout=S`` arms a per-layer :class:`~repro.jobs.watchdog.Deadline`
-  (cooperatively checked inside the clustering loop, flagged by a monitor
-  thread) so a hung or pathologically slow layer becomes a
+  (cooperatively checked inside the clustering loop; no thread watches it)
+  so a hung or pathologically slow layer becomes a
   ``LayerFailure(action="timeout")`` resolved by the ``on_error`` policy
   instead of stalling the whole run;
 * ``transient_retries=N`` re-attempts a layer in place (exponential backoff
@@ -91,7 +95,7 @@ from repro.core.outliers import DEFAULT_LOG_PROB_THRESHOLD
 from repro.core.quantizer import GoboQuantizedTensor, quantize_tensor
 from repro.errors import LayerSkipped, LayerTimeoutError, QuantizationError
 from repro.jobs.retry import DEFAULT_BACKOFF_BASE, backoff_delay, is_transient
-from repro.jobs.watchdog import Deadline, Watchdog, deadline_scope
+from repro.jobs.watchdog import Deadline, deadline_scope
 from repro.obs import recorder as obs
 from repro.obs.metrics import MetricsSnapshot
 from repro.utils.tables import format_table
@@ -154,7 +158,7 @@ class LayerFailure:
     (rejected by the ``skip`` validation policy, shipped unquantized),
     ``"retry-higher-bits"`` (recovered at ``recovered_bits`` — the layer
     *is* quantized, just wider than requested) or ``"timeout"`` (the layer
-    blew its watchdog deadline; ``resolution`` records how the ``on_error``
+    blew its per-layer deadline; ``resolution`` records how the ``on_error``
     policy disposed of it — ``"skip"`` or ``"fp32-fallback"``).
     ``attempts`` lists every bit width tried and ``transient_retries`` how
     many in-place transient retries were consumed before the failure stuck.
@@ -303,127 +307,63 @@ class QuantizationReport:
         return f"{table}\n{footer}"
 
 
-def default_workers() -> int:
-    """Worker count from the ``REPRO_WORKERS`` environment (default 1)."""
-    raw = os.environ.get(WORKERS_ENV)
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
+#: Every engine setting: name -> (environment variable, default, accepted
+#: values).  Accepted values are a tuple of choices, ``int`` (a count >= 0;
+#: for ``workers``, 0 means every core) or ``float`` (seconds > 0).
+SETTINGS = {
+    "workers": (WORKERS_ENV, 1, int),
+    "backend": (BACKEND_ENV, "thread", BACKENDS),
+    "on_error": (ON_ERROR_ENV, "fail", ON_ERROR_POLICIES),
+    "layer_timeout": (LAYER_TIMEOUT_ENV, None, float),
+    "transient_retries": (TRANSIENT_RETRIES_ENV, 0, int),
+    "heartbeat_interval": ("REPRO_HEARTBEAT_INTERVAL", 0.2, float),
+    "heartbeat_timeout": ("REPRO_HEARTBEAT_TIMEOUT", 10.0, float),
+    "max_reassignments": ("REPRO_MAX_REASSIGNMENTS", 3, int),
+}
+
+
+def resolve(name: str, value=None):
+    """Resolve engine setting ``name`` to a concrete, checked value.
+
+    ``value`` wins when given; ``None`` defers to the setting's environment
+    variable, and an unset or empty variable to its default (see
+    :data:`SETTINGS`).  A bad value raises
+    :class:`~repro.errors.QuantizationError` naming the setting, and the
+    variable too when the value came from the environment.
+    """
+    env, default, accepted = SETTINGS[name]
+    where = name
+    if value is None:
+        raw = os.environ.get(env)
+        if not raw:
+            return default
+        where = f"{name} ({env})"
+        value = raw
+        if accepted in (int, float):
+            try:
+                value = accepted(raw)
+            except ValueError:
+                kind = "an integer" if accepted is int else "a number of seconds"
+                raise QuantizationError(f"{where} must be {kind}, got {raw!r}") from None
+    if isinstance(accepted, tuple):
+        if value not in accepted:
+            raise QuantizationError(f"unknown {where} {value!r}; use one of {accepted}")
+        return value
+    if accepted is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise QuantizationError(f"{where} must be an int or None, got {value!r}")
+        if value < 0:
+            raise QuantizationError(f"{where} must be >= 0, got {value}")
+        if name == "workers" and value == 0:
+            return os.cpu_count() or 1
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise QuantizationError(
-            f"{WORKERS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return resolve_workers(workers)
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalize a ``workers`` argument to a concrete thread count."""
-    if workers is None:
-        return default_workers()
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise QuantizationError(f"workers must be an int or None, got {workers!r}")
-    if workers < 0:
-        raise QuantizationError(f"workers must be >= 0, got {workers}")
-    if workers == 0:
-        return os.cpu_count() or 1
-    return workers
-
-
-def default_backend() -> str:
-    """Engine backend from the ``REPRO_BACKEND`` environment (default thread)."""
-    raw = os.environ.get(BACKEND_ENV)
-    if not raw:
-        return "thread"
-    return resolve_backend(raw)
-
-
-def resolve_backend(backend: str | None) -> str:
-    """Normalize a ``backend`` argument to a concrete backend name."""
-    if backend is None:
-        return default_backend()
-    if backend not in BACKENDS:
-        raise QuantizationError(
-            f"unknown engine backend {backend!r}; use one of {BACKENDS}"
+            f"{where} must be a number of seconds or None, got {value!r}"
         )
-    return backend
-
-
-def default_on_error() -> str:
-    """Failure policy from the ``REPRO_ON_ERROR`` environment (default fail)."""
-    raw = os.environ.get(ON_ERROR_ENV)
-    if not raw:
-        return "fail"
-    return resolve_on_error(raw)
-
-
-def resolve_on_error(on_error: str | None) -> str:
-    """Normalize an ``on_error`` argument to a concrete policy name."""
-    if on_error is None:
-        return default_on_error()
-    if on_error not in ON_ERROR_POLICIES:
-        raise QuantizationError(
-            f"unknown on_error policy {on_error!r}; use one of {ON_ERROR_POLICIES}"
-        )
-    return on_error
-
-
-def default_layer_timeout() -> float | None:
-    """Per-layer deadline from ``REPRO_LAYER_TIMEOUT`` (default: disabled)."""
-    raw = os.environ.get(LAYER_TIMEOUT_ENV)
-    if not raw:
-        return None
-    try:
-        seconds = float(raw)
-    except ValueError:
-        raise QuantizationError(
-            f"{LAYER_TIMEOUT_ENV} must be a number of seconds, got {raw!r}"
-        ) from None
-    return resolve_layer_timeout(seconds)
-
-
-def resolve_layer_timeout(layer_timeout: float | None) -> float | None:
-    """Normalize a ``layer_timeout`` argument; None defers to the environment."""
-    if layer_timeout is None:
-        return default_layer_timeout()
-    if isinstance(layer_timeout, bool) or not isinstance(layer_timeout, (int, float)):
-        raise QuantizationError(
-            f"layer_timeout must be a number of seconds or None, got {layer_timeout!r}"
-        )
-    if not layer_timeout > 0:
-        raise QuantizationError(
-            f"layer_timeout must be > 0 (omit it to disable), got {layer_timeout}"
-        )
-    return float(layer_timeout)
-
-
-def default_transient_retries() -> int:
-    """Transient retry budget from ``REPRO_TRANSIENT_RETRIES`` (default 0)."""
-    raw = os.environ.get(TRANSIENT_RETRIES_ENV)
-    if not raw:
-        return 0
-    try:
-        retries = int(raw)
-    except ValueError:
-        raise QuantizationError(
-            f"{TRANSIENT_RETRIES_ENV} must be an integer, got {raw!r}"
-        ) from None
-    return resolve_transient_retries(retries)
-
-
-def resolve_transient_retries(transient_retries: int | None) -> int:
-    """Normalize a ``transient_retries`` argument; None defers to the environment."""
-    if transient_retries is None:
-        return default_transient_retries()
-    if isinstance(transient_retries, bool) or not isinstance(transient_retries, int):
-        raise QuantizationError(
-            f"transient_retries must be an int or None, got {transient_retries!r}"
-        )
-    if transient_retries < 0:
-        raise QuantizationError(
-            f"transient_retries must be >= 0, got {transient_retries}"
-        )
-    return transient_retries
+    if not value > 0:
+        raise QuantizationError(f"{where} must be > 0 seconds, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -448,16 +388,15 @@ class JobRunner:
 
     One runner holds everything a single :class:`LayerJob` needs to reach
     its final :class:`LayerOutcome`: the weight state, the quantization
-    parameters, the ``on_error`` policy, the per-attempt watchdog deadline
-    and the in-place transient-retry loop.  The thread backend constructs
+    parameters, the ``on_error`` policy, the per-attempt deadline and the
+    in-place transient-retry loop.  The thread backend constructs
     one per run and calls :meth:`run` from its pool threads; the process
     backend (:mod:`repro.jobs.fleet`) constructs an identical runner inside
     each worker process — so a layer's disposition, and the exact bytes it
     produces, follow the same code path on every backend.
 
-    Fields must be *resolved* concrete values (use :func:`resolve_on_error`
-    and friends first); the runner does no environment fallback of its own.
-    ``watchdog`` must already be started when ``layer_timeout`` is set.
+    Fields must be *resolved* concrete values (use :func:`resolve` first);
+    the runner does no environment fallback of its own.
     """
 
     state: Mapping[str, np.ndarray]
@@ -470,7 +409,6 @@ class JobRunner:
     layer_timeout: float | None = None
     transient_retries: int = 0
     transient_backoff: float = DEFAULT_BACKOFF_BASE
-    watchdog: Watchdog | None = None
     aux: Mapping[str, np.ndarray] | None = None
 
     def attempt(
@@ -515,16 +453,11 @@ class JobRunner:
     def attempt_supervised(
         self, index: int, job: LayerJob, bits: int
     ) -> tuple[GoboQuantizedTensor, LayerRecord]:
-        """One attempt under a fresh watchdog deadline (when configured)."""
+        """One attempt under a fresh per-layer deadline (when configured)."""
         if self.layer_timeout is None:
             return self.attempt(index, job, bits)
-        deadline = Deadline(self.layer_timeout, label=job.name)
-        self.watchdog.register(deadline)
-        try:
-            with deadline_scope(deadline):
-                return self.attempt(index, job, bits)
-        finally:
-            self.watchdog.unregister(deadline)
+        with deadline_scope(Deadline(self.layer_timeout, label=job.name)):
+            return self.attempt(index, job, bits)
 
     def attempt_resilient(
         self, index: int, job: LayerJob, bits: int, retries_used: list[int]
@@ -703,7 +636,7 @@ def quantize_layers(
     is the deterministic test hook used by :mod:`repro.testing.faults`.
 
     Supervision knobs (see module docstring): ``layer_timeout`` arms a
-    watchdog deadline per attempt, ``transient_retries`` retries transient
+    deadline per attempt, ``transient_retries`` retries transient
     errors in place with ``transient_backoff``-based exponential backoff,
     ``cancel`` drains the run leaving unstarted jobs in ``report.pending``,
     and ``on_layer_complete`` receives each job's final
@@ -727,7 +660,7 @@ def quantize_layers(
     missing = [job.name for job in jobs if job.name not in state]
     if missing:
         raise QuantizationError(f"state dict is missing tensors: {missing}")
-    if resolve_backend(backend) == "process":
+    if resolve("backend", backend) == "process":
         if fault_injector is not None:
             raise QuantizationError(
                 "fault_injector objects cannot cross process boundaries; "
@@ -753,15 +686,10 @@ def quantize_layers(
             on_layer_complete=on_layer_complete,
             aux=aux,
         )
-    workers = resolve_workers(workers)
-    on_error = resolve_on_error(on_error)
-    layer_timeout = resolve_layer_timeout(layer_timeout)
-    transient_retries = resolve_transient_retries(transient_retries)
-    watchdog = (
-        Watchdog(poll_interval=min(0.02, layer_timeout / 5))
-        if layer_timeout is not None
-        else None
-    )
+    workers = resolve("workers", workers)
+    on_error = resolve("on_error", on_error)
+    layer_timeout = resolve("layer_timeout", layer_timeout)
+    transient_retries = resolve("transient_retries", transient_retries)
     hook_lock = threading.Lock()
     runner = JobRunner(
         state=state,
@@ -774,7 +702,6 @@ def quantize_layers(
         layer_timeout=layer_timeout,
         transient_retries=transient_retries,
         transient_backoff=transient_backoff,
-        watchdog=watchdog,
         aux=aux,
     )
 
@@ -785,35 +712,26 @@ def quantize_layers(
         # counts; determinism comparisons exclude it by name (DESIGN §5c).
         obs.gauge("engine.workers", workers)
         obs.gauge("engine.queue.jobs", len(jobs))
-        if watchdog is not None:
-            watchdog.start()
-        try:
-            with obs.span("engine.run") as engine_span:
-                # Worker threads re-attach the submitting thread's span
-                # context, so layer spans nest under engine.run at any
-                # worker count.
-                context = obs.capture_context()
+        with obs.span("engine.run") as engine_span:
+            # Worker threads re-attach the submitting thread's span context,
+            # so layer spans nest under engine.run at any worker count.
+            context = obs.capture_context()
 
-                def run_in_context(item: tuple[int, LayerJob]) -> LayerOutcome:
-                    with obs.use_context(context):
-                        if cancel is not None and cancel.is_set():
-                            return LayerOutcome(job=item[1], cancelled=True)
-                        outcome = runner.run(*item)
-                        if on_layer_complete is not None:
-                            with hook_lock:
-                                on_layer_complete(outcome)
-                        return outcome
+            def run_in_context(item: tuple[int, LayerJob]) -> LayerOutcome:
+                with obs.use_context(context):
+                    if cancel is not None and cancel.is_set():
+                        return LayerOutcome(job=item[1], cancelled=True)
+                    outcome = runner.run(*item)
+                    if on_layer_complete is not None:
+                        with hook_lock:
+                            on_layer_complete(outcome)
+                    return outcome
 
-                if workers == 1 or len(jobs) <= 1:
-                    outcomes = [run_in_context(item) for item in indexed]
-                else:
-                    with ThreadPoolExecutor(
-                        max_workers=min(workers, len(jobs))
-                    ) as pool:
-                        outcomes = list(pool.map(run_in_context, indexed))
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
+            if workers == 1 or len(jobs) <= 1:
+                outcomes = [run_in_context(item) for item in indexed]
+            else:
+                with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+                    outcomes = list(pool.map(run_in_context, indexed))
 
         report = QuantizationReport(
             workers=workers,

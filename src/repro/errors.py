@@ -59,7 +59,7 @@ class LayerSkipped(QuantizationError):
 
 
 class LayerTimeoutError(QuantizationError):
-    """A layer blew its per-layer deadline (watchdog timeout).
+    """A layer blew its per-layer deadline (``layer_timeout``).
 
     Raised cooperatively by :func:`repro.jobs.watchdog.checkpoint` inside
     the clustering iteration loop once the layer's

@@ -1,4 +1,4 @@
-"""Durable quantization jobs: checkpoint/resume, watchdogs, graceful exits.
+"""Durable quantization jobs: checkpoint/resume, deadlines, graceful exits.
 
 A whole-model GOBO run is embarrassingly parallel *in space* (every layer is
 independent — :mod:`repro.core.parallel`) but, before this package, it was
@@ -15,9 +15,10 @@ supervised, resumable run:
   from their shards and quantize only the remainder.  The final archive is
   **bit-identical** to an uninterrupted run at any worker count.
 * :mod:`repro.jobs.watchdog` — per-layer deadlines: a cooperative
-  :class:`Deadline` checked inside the clustering iteration loop plus a
-  monitor thread, converting a hung layer into a
-  ``LayerFailure(action="timeout")`` instead of a stalled run.
+  :class:`Deadline` checked inside the clustering iteration loop, converting
+  a hung layer into a ``LayerFailure(action="timeout")`` instead of a
+  stalled run, plus the :class:`DeadlineLedger` the fleet and the serving
+  batcher supervise with.
 * :mod:`repro.jobs.retry` — transient-error classification and exponential
   backoff used by the engine to retry I/O-flavoured failures in place
   before any ``on_error`` policy fires.
@@ -32,7 +33,7 @@ supervised, resumable run:
 
 Exports are resolved lazily (PEP 562) so that low-level modules —
 ``repro.core.clustering`` imports the deadline checkpoint,
-``repro.core.parallel`` imports the retry/watchdog helpers — can import
+``repro.core.parallel`` imports the retry/deadline helpers — can import
 ``repro.jobs.<module>`` without dragging in :mod:`repro.jobs.runner` (which
 itself imports the engine) and creating an import cycle.
 """
@@ -41,8 +42,7 @@ from __future__ import annotations
 
 _EXPORTS = {
     "Deadline": "repro.jobs.watchdog",
-    "LivenessMonitor": "repro.jobs.watchdog",
-    "Watchdog": "repro.jobs.watchdog",
+    "DeadlineLedger": "repro.jobs.watchdog",
     "checkpoint": "repro.jobs.watchdog",
     "current_deadline": "repro.jobs.watchdog",
     "deadline_scope": "repro.jobs.watchdog",

@@ -23,14 +23,14 @@ Architecture (DESIGN.md §5g):
   from ``layer-done``/``layer-failed`` alone — but ``repro jobs status``
   renders them as the fleet view.
 * **Heartbeats.**  Each worker runs a daemon thread sending ``beat``
-  messages every ``heartbeat_interval`` seconds; the supervisor keeps a
-  :class:`~repro.jobs.watchdog.LivenessMonitor` ledger.  A worker silent
-  past ``heartbeat_timeout`` is presumed wedged, SIGKILLed, and treated as
-  dead.  Because the sender is a thread, a worker stuck in GIL-holding
-  native code goes silent *by construction* — exactly the hang class the
-  cooperative in-process watchdog cannot catch.  The sender also watches
-  ``getppid()``: a worker orphaned by supervisor death exits immediately
-  rather than leaking.
+  messages every ``heartbeat_interval`` seconds; every message re-arms the
+  worker's key in a :class:`~repro.jobs.watchdog.DeadlineLedger` for
+  ``heartbeat_timeout`` seconds.  A worker whose key expires is presumed
+  wedged, SIGKILLed, and treated as dead.  Because the sender is a thread,
+  a worker stuck in GIL-holding native code goes silent *by construction*
+  — exactly the hang class the cooperative per-layer deadline cannot
+  catch.  The sender also watches ``getppid()``: a worker orphaned by
+  supervisor death exits immediately rather than leaking.
 * **Reassignment before degradation.**  A dead worker's leased layer is
   retried on a surviving worker — with the same deterministic backoff
   jitter as in-place transient retries — up to ``max_reassignments`` times
@@ -84,69 +84,18 @@ from repro.core.parallel import (
     LayerOutcome,
     QuantizationReport,
     assemble_outcomes,
-    resolve_layer_timeout,
-    resolve_on_error,
-    resolve_transient_retries,
-    resolve_workers,
+    resolve,
 )
 from repro.errors import QuantizationError, WorkerCrashError
 from repro.jobs.journal import JobJournal
 from repro.jobs.retry import DEFAULT_BACKOFF_BASE, backoff_delay
-from repro.jobs.watchdog import LivenessMonitor, Watchdog
+from repro.jobs.watchdog import DeadlineLedger
 from repro.obs import recorder as obs
 from repro.obs.events import read_trace_lenient
 from repro.obs.sinks import JsonlSink
 
-#: Environment knobs (all overridable per call).
-HEARTBEAT_INTERVAL_ENV = "REPRO_HEARTBEAT_INTERVAL"
-HEARTBEAT_TIMEOUT_ENV = "REPRO_HEARTBEAT_TIMEOUT"
-MAX_REASSIGNMENTS_ENV = "REPRO_MAX_REASSIGNMENTS"
 #: Set in each worker's environment to its worker id (fault targeting).
 WORKER_ID_ENV = "REPRO_FLEET_WORKER"
-
-DEFAULT_HEARTBEAT_INTERVAL = 0.2
-DEFAULT_HEARTBEAT_TIMEOUT = 10.0
-DEFAULT_MAX_REASSIGNMENTS = 3
-
-
-def _positive_float_env(env: str, default: float, what: str) -> float:
-    raw = os.environ.get(env)
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise QuantizationError(f"{env} must be a number, got {raw!r}") from None
-    if not value > 0:
-        raise QuantizationError(f"{what} must be > 0 seconds, got {value!r}")
-    return value
-
-
-def default_heartbeat_interval() -> float:
-    return _positive_float_env(
-        HEARTBEAT_INTERVAL_ENV, DEFAULT_HEARTBEAT_INTERVAL, "heartbeat interval"
-    )
-
-
-def default_heartbeat_timeout() -> float:
-    return _positive_float_env(
-        HEARTBEAT_TIMEOUT_ENV, DEFAULT_HEARTBEAT_TIMEOUT, "heartbeat timeout"
-    )
-
-
-def default_max_reassignments() -> int:
-    raw = os.environ.get(MAX_REASSIGNMENTS_ENV)
-    if not raw:
-        return DEFAULT_MAX_REASSIGNMENTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise QuantizationError(
-            f"{MAX_REASSIGNMENTS_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise QuantizationError(f"max reassignments must be >= 0, got {value}")
-    return value
 
 
 def _mp_context():
@@ -307,11 +256,6 @@ def _worker_main(
     injector = (
         injector_from_spec(config.fault_spec) if config.fault_spec.strip() else None
     )
-    watchdog = (
-        Watchdog(poll_interval=min(0.02, config.layer_timeout / 5)).start()
-        if config.layer_timeout is not None
-        else None
-    )
     runner = JobRunner(
         state=state,
         log_prob_threshold=config.log_prob_threshold,
@@ -323,7 +267,6 @@ def _worker_main(
         layer_timeout=config.layer_timeout,
         transient_retries=config.transient_retries,
         transient_backoff=config.transient_backoff,
-        watchdog=watchdog,
         aux=aux,
     )
     heartbeat.start()
@@ -345,8 +288,6 @@ def _worker_main(
         pass  # supervisor went away mid-recv/send: exit quietly
     finally:
         heartbeat.stop()
-        if watchdog is not None:
-            watchdog.stop()
         obs.uninstall(sink)
         sink.close()
 
@@ -416,20 +357,13 @@ def run_fleet_layers(
             "fault_injector objects cannot cross process boundaries; "
             "export a REPRO_FAULTS spec instead (see repro.testing.faults)"
         )
-    workers = resolve_workers(workers)
-    on_error = resolve_on_error(on_error)
-    layer_timeout = resolve_layer_timeout(layer_timeout)
-    transient_retries = resolve_transient_retries(transient_retries)
-    if heartbeat_interval is None:
-        heartbeat_interval = default_heartbeat_interval()
-    if heartbeat_timeout is None:
-        heartbeat_timeout = default_heartbeat_timeout()
-    if max_reassignments is None:
-        max_reassignments = default_max_reassignments()
-    if not heartbeat_interval > 0:
-        raise QuantizationError(
-            f"heartbeat interval must be > 0 seconds, got {heartbeat_interval!r}"
-        )
+    workers = resolve("workers", workers)
+    on_error = resolve("on_error", on_error)
+    layer_timeout = resolve("layer_timeout", layer_timeout)
+    transient_retries = resolve("transient_retries", transient_retries)
+    heartbeat_interval = resolve("heartbeat_interval", heartbeat_interval)
+    heartbeat_timeout = resolve("heartbeat_timeout", heartbeat_timeout)
+    max_reassignments = resolve("max_reassignments", max_reassignments)
     if not heartbeat_timeout > heartbeat_interval:
         raise QuantizationError(
             f"heartbeat timeout ({heartbeat_timeout!r}s) must exceed the "
@@ -469,7 +403,8 @@ def run_fleet_layers(
 
     n = min(workers, len(jobs))
     ctx = _mp_context()
-    monitor = LivenessMonitor(timeout=heartbeat_timeout)
+    # Worker id -> when its silence means death; every message re-arms it.
+    ledger = DeadlineLedger()
     config = WorkerConfig(
         log_prob_threshold=log_prob_threshold,
         method=method,
@@ -524,7 +459,7 @@ def run_fleet_layers(
             return
         handle.alive = False
         worker_deaths += 1
-        monitor.forget(handle.worker_id)
+        ledger.disarm(handle.worker_id)
         try:
             handle.conn.close()
         except OSError:  # pragma: no cover — already closed
@@ -614,15 +549,15 @@ def run_fleet_layers(
         nonlocal error
         kind = message[0]
         if kind == "beat":
-            monitor.beat(handle.worker_id)
+            ledger.arm(handle.worker_id, heartbeat_timeout)
         elif kind == "ready":
             handle.ready = True
             handle.pid = message[2]
-            monitor.beat(handle.worker_id)
+            ledger.arm(handle.worker_id, heartbeat_timeout)
         elif kind == "done":
             _, _, index, outcome = message
             handle.task = None
-            monitor.beat(handle.worker_id)
+            ledger.arm(handle.worker_id, heartbeat_timeout)
             finish(index, outcome)
         elif kind == "error":
             _, _, index, exc = message
@@ -649,7 +584,8 @@ def run_fleet_layers(
                             worker_id=worker_id, process=process, conn=parent_conn
                         )
                     )
-                    monitor.beat(worker_id)  # spawn counts as the first beat
+                    # Spawn counts as the first beat.
+                    ledger.arm(worker_id, heartbeat_timeout)
                 try:
                     while len(outcomes) < len(jobs) and error is None:
                         now = time.monotonic()
@@ -741,7 +677,7 @@ def run_fleet_layers(
                                     except (EOFError, OSError):
                                         break
                                 mark_dead(handle, "process exited unexpectedly")
-                        for worker_id in monitor.silent():
+                        for worker_id in ledger.expire():
                             handle = handles[worker_id]
                             if handle.alive:
                                 mark_dead(

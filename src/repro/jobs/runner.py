@@ -49,8 +49,7 @@ from repro.core.parallel import (
     LayerRecord,
     QuantizationReport,
     quantize_layers,
-    resolve_backend,
-    resolve_on_error,
+    resolve,
 )
 from repro.core.policy import LayerPolicy
 from repro.core.quantizer import GoboQuantizedTensor
@@ -274,7 +273,7 @@ def run_durable_layers(
     if len(set(names)) != len(names):
         raise JobStateError("durable jobs require unique layer names")
     job_dir = Path(job_dir)
-    on_error_resolved = resolve_on_error(on_error)
+    on_error_resolved = resolve("on_error", on_error)
     fingerprint = job_fingerprint(
         jobs,
         method=method,
@@ -389,7 +388,7 @@ def run_durable_layers(
     remaining = [
         job for job in jobs if job.name not in completed and job.name not in failures
     ]
-    if resolve_backend(backend) == "process":
+    if resolve("backend", backend) == "process":
         # The fleet journals leases/broken leases alongside the layer
         # records and keeps worker-local traces inside the job dir, where
         # they survive for post-mortem even if the supervisor dies.

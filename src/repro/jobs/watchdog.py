@@ -1,35 +1,30 @@
-"""Per-layer deadlines: cooperative cancellation plus a monitor thread.
+"""Deadlines: cooperative per-layer cancellation and one supervisor ledger.
 
 Python threads cannot be killed, so a hung layer cannot be interrupted from
-the outside; what *can* be done — and what every mature thread-based job
-system does — is cooperative cancellation with an external monitor:
+the outside; what *can* be done is cooperative cancellation:
 
 * A :class:`Deadline` is armed around each layer attempt.  Hot loops call
   :func:`checkpoint` (the clustering iteration loop does, once per
   iteration) which raises :class:`~repro.errors.LayerTimeoutError` as soon
   as the deadline has passed.  The deadline travels thread-locally via
   :func:`deadline_scope`, so deep callees (and fault injectors) can consult
-  :func:`current_deadline` without any parameter threading.
-* A :class:`Watchdog` monitor thread polls every armed deadline and flags
-  the expired ones.  Flagging makes later ``expired()`` checks a plain
-  attribute read, lets cooperative sleepers (e.g.
-  :class:`repro.testing.faults.HangOnLayer`) wake promptly, and records the
-  stall for observability even before the hung layer reaches its next
-  checkpoint.
+  :func:`current_deadline` without any parameter threading.  Expiry is read
+  off the monotonic clock at each check; no thread watches it.
 
 The guarantee is therefore *bounded grace*, not preemption: a layer that
 times out is surfaced within ``layer_timeout`` plus the time to its next
 checkpoint.  Code that never reaches a checkpoint (a true C-level hang)
-cannot be interrupted — the watchdog still flags it, so the stall is loud
-in the instrumentation.  See DESIGN.md §5d for the semantics.
+cannot be interrupted in the thread backend; in the process backend the
+fleet's heartbeats catch it.  See DESIGN.md §5d for the semantics.
 
-Process-level liveness (:class:`LivenessMonitor`) is the other half of the
-story, used by the fleet supervisor (:mod:`repro.jobs.fleet`, DESIGN.md
-§5g): worker *processes* — unlike threads — can die outright or wedge
-without ever reaching a checkpoint, so each worker sends periodic
-heartbeats and the supervisor keeps a last-beat ledger.  A member silent
-past the timeout is presumed dead; unlike a thread, a wedged process *can*
+:class:`DeadlineLedger` is the supervisors' half: keys armed with expiry
+times behind one lock.  The fleet supervisor (:mod:`repro.jobs.fleet`,
+DESIGN.md §5g) re-arms a worker's key on every message it hears from the
+worker and reaps the silent ones; unlike a thread, a wedged process *can*
 be killed, so the supervisor SIGKILLs it and reassigns its leased layer.
+The serving batcher (:mod:`repro.serve.batcher`, DESIGN.md §5i) arms its
+in-flight forward and reaps it on a timeout.  Every removal happens under
+the lock, so whoever removes an entry owns what it stands for.
 """
 
 from __future__ import annotations
@@ -43,19 +38,16 @@ from repro.errors import LayerTimeoutError, QuantizationError
 
 _local = threading.local()
 
-#: Default watchdog poll interval ceiling (seconds).
-DEFAULT_POLL_INTERVAL = 0.02
-
 
 class Deadline:
-    """A monotonic-clock deadline, expirable early by the watchdog.
+    """A monotonic-clock deadline.
 
-    ``expired()`` is true once ``seconds`` have elapsed since construction
-    *or* the watchdog flagged the deadline; ``check()`` converts expiry into
-    a :class:`~repro.errors.LayerTimeoutError`.
+    ``expired()`` is true once ``seconds`` have elapsed since construction;
+    ``check()`` converts expiry into a
+    :class:`~repro.errors.LayerTimeoutError`.
     """
 
-    __slots__ = ("seconds", "label", "_expires_at", "_flagged")
+    __slots__ = ("seconds", "label", "_expires_at")
 
     def __init__(self, seconds: float, label: str = ""):
         if not seconds > 0:
@@ -63,23 +55,13 @@ class Deadline:
         self.seconds = float(seconds)
         self.label = label
         self._expires_at = time.monotonic() + self.seconds
-        self._flagged = False
 
     def remaining(self) -> float:
         """Seconds until expiry (negative once past it)."""
         return self._expires_at - time.monotonic()
 
-    @property
-    def flagged(self) -> bool:
-        """True once the watchdog marked this deadline expired."""
-        return self._flagged
-
-    def expire_now(self) -> None:
-        """Mark the deadline expired immediately (watchdog hook)."""
-        self._flagged = True
-
     def expired(self) -> bool:
-        return self._flagged or self.remaining() <= 0
+        return self.remaining() <= 0
 
     def check(self) -> None:
         """Raise :class:`LayerTimeoutError` if the deadline has passed."""
@@ -123,118 +105,39 @@ def checkpoint() -> None:
         deadline.check()
 
 
-class LivenessMonitor:
-    """Last-heartbeat ledger: which members have gone silent?
+class DeadlineLedger:
+    """Keys armed with expiry times; removing a key claims it.
 
-    Thread-safe and clock-injectable (every method takes an optional
-    ``now``, defaulting to :func:`time.monotonic`) so supervision logic is
-    testable without sleeping.  The monitor passes no judgement on *why* a
-    member is silent — a dead process and a wedged one look identical from
-    the outside, which is exactly the point: the supervisor treats both as
-    dead, kills whatever is left, and reassigns the member's work.
+    Thread-safe and clock-injectable: ``now`` defaults to
+    :func:`time.monotonic`, and a caller that passes its own clock must pass
+    it everywhere.  :meth:`disarm` and :meth:`expire` both remove under one
+    lock, so when an owner finishing its work races a supervisor reaping it,
+    exactly one of them gets the key — the owner sees ``disarm`` return
+    False and leaves the outcome to the supervisor.  The ledger passes no
+    judgement on *why* a key expired: a dead process and a wedged one look
+    identical from the outside.
     """
 
-    def __init__(self, timeout: float):
-        if not timeout > 0:
-            raise QuantizationError(
-                f"liveness timeout must be > 0 seconds, got {timeout!r}"
-            )
-        self.timeout = float(timeout)
-        self._last: dict = {}
+    def __init__(self) -> None:
+        self._expires: dict = {}
         self._lock = threading.Lock()
 
-    def beat(self, member, now: float | None = None) -> None:
-        """Record a heartbeat from ``member`` (any hashable key)."""
+    def arm(self, key, seconds: float, now: float | None = None) -> None:
+        """(Re)arm ``key`` (any hashable) to expire ``seconds`` after ``now``."""
+        expires_at = (time.monotonic() if now is None else now) + seconds
         with self._lock:
-            self._last[member] = time.monotonic() if now is None else now
+            self._expires[key] = expires_at
 
-    def forget(self, member) -> None:
-        """Stop tracking ``member`` (it exited, or was declared dead)."""
+    def disarm(self, key) -> bool:
+        """Remove ``key``; True if it was armed, i.e. the caller claimed it."""
         with self._lock:
-            self._last.pop(member, None)
+            return self._expires.pop(key, None) is not None
 
-    def last_beat(self, member) -> float | None:
-        with self._lock:
-            return self._last.get(member)
-
-    def tracked(self) -> list:
-        with self._lock:
-            return list(self._last)
-
-    def silent(self, now: float | None = None) -> list:
-        """Members whose last beat is older than ``timeout`` seconds."""
+    def expire(self, now: float | None = None) -> list:
+        """Remove and return every key whose expiry is at or before ``now``."""
         now = time.monotonic() if now is None else now
         with self._lock:
-            return [
-                member
-                for member, beat in self._last.items()
-                if now - beat > self.timeout
-            ]
-
-
-class Watchdog:
-    """Monitor thread that flags expired deadlines.
-
-    Usage::
-
-        with Watchdog(poll_interval=0.02) as watchdog:
-            deadline = Deadline(5.0, label=layer_name)
-            watchdog.register(deadline)
-            try:
-                with deadline_scope(deadline):
-                    ...layer work, checkpoints raise on expiry...
-            finally:
-                watchdog.unregister(deadline)
-
-    The thread is a daemon and wakes every ``poll_interval`` seconds; it
-    never interrupts anything itself — it only calls
-    :meth:`Deadline.expire_now` so cooperative checks and sleepers observe
-    the expiry promptly, and records the stalled labels in ``stalled``.
-    """
-
-    def __init__(self, poll_interval: float = DEFAULT_POLL_INTERVAL):
-        self.poll_interval = max(float(poll_interval), 0.001)
-        self.stalled: list[str] = []
-        self._deadlines: dict[int, Deadline] = {}
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def register(self, deadline: Deadline) -> Deadline:
-        with self._lock:
-            self._deadlines[id(deadline)] = deadline
-        return deadline
-
-    def unregister(self, deadline: Deadline) -> None:
-        with self._lock:
-            self._deadlines.pop(id(deadline), None)
-
-    def start(self) -> "Watchdog":
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="repro-watchdog", daemon=True
-            )
-            self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "Watchdog":
-        return self.start()
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.poll_interval):
-            with self._lock:
-                armed = list(self._deadlines.values())
-            for deadline in armed:
-                if not deadline.flagged and deadline.expired():
-                    deadline.expire_now()
-                    with self._lock:
-                        self.stalled.append(deadline.label)
+            due = [key for key, expires_at in self._expires.items() if expires_at <= now]
+            for key in due:
+                del self._expires[key]
+        return due

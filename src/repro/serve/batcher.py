@@ -20,15 +20,15 @@ Threading contract:
   vectorized sweeps, and one-at-a-time batches keep per-request latency
   predictable.
 * A **watchdog thread** supervises the worker (DESIGN.md §5i).  Every
-  forward registers an in-flight record with a deadline
-  (``forward_timeout`` seconds); the watchdog failing that deadline — or
+  forward is armed in a :class:`~repro.jobs.watchdog.DeadlineLedger` for
+  ``forward_timeout`` seconds; the watchdog reaping that deadline — or
   finding the worker thread dead — fails the in-flight batch with a
   *transient* :class:`~repro.errors.ForwardTimeoutError` /
   :class:`~repro.errors.BatchWorkerError`, reports it to the health
   monitor, and starts a replacement worker under a new generation.  A
-  superseded worker that eventually un-wedges sees its generation is stale,
-  discards its late results, and exits — so one hung mmap read stalls the
-  process for at most ``forward_timeout``, not forever.
+  superseded worker that eventually un-wedges finds its forward already
+  claimed, discards its late results, and exits — so one hung mmap read
+  stalls the process for at most ``forward_timeout``, not forever.
 * Spans: the handler's ``serve.request`` span wraps :meth:`wait`, which
   nests ``serve.queue_wait`` (admission → batch start, measured on the
   handler thread).  The worker emits ``serve.batch`` under the span context
@@ -39,6 +39,7 @@ Threading contract:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -51,6 +52,7 @@ from repro.errors import (
     RequestTimeoutError,
     ServeError,
 )
+from repro.jobs.watchdog import DeadlineLedger
 from repro.obs import recorder as obs
 from repro.serve.admission import AdmissionController
 from repro.serve.registry import ModelRegistry
@@ -81,26 +83,6 @@ class PendingRequest:
         self.abandoned = False
         self.result: dict | None = None
         self.error: Exception | None = None
-
-
-class _InflightBatch:
-    """One forward in progress, visible to the watchdog.
-
-    ``aborted`` is the handoff bit: whoever sets it first (the watchdog on
-    deadline/death, under ``MicroBatcher._inflight_lock``) owns failing the
-    batch's requests; the worker checks it after the forward returns and
-    discards late results instead of double-completing.
-    """
-
-    __slots__ = ("model", "live", "started_at", "deadline", "aborted")
-
-    def __init__(self, model: str, live: list[PendingRequest],
-                 started_at: float, deadline: float | None):
-        self.model = model
-        self.live = live
-        self.started_at = started_at
-        self.deadline = deadline
-        self.aborted = False
 
 
 class MicroBatcher:
@@ -137,8 +119,10 @@ class MicroBatcher:
         self._not_empty = threading.Condition()
         self._stop = False
         self._generation = 0
-        self._inflight_lock = threading.Lock()
-        self._inflight: _InflightBatch | None = None
+        # In-flight forwards, keyed (model, tuple(live)) on time.perf_counter.
+        # Whoever removes a key — the worker's disarm or the watchdog's
+        # expire — owns completing that batch's requests.
+        self._forwards = DeadlineLedger()
         self._watchdog_stop = threading.Event()
         self._worker = self._spawn_worker()
         poll = WATCHDOG_POLL_INTERVAL
@@ -308,13 +292,18 @@ class MicroBatcher:
         # deterministic choice beats a parentless span.
         with obs.use_context(live[0].context):
             with obs.span("serve.batch", model=model, batch_size=len(live)):
-                inflight = self._begin_forward(model, live)
+                key = (model, tuple(live))
+                self._forwards.arm(
+                    key,
+                    math.inf if self.forward_timeout is None else self.forward_timeout,
+                    now=time.perf_counter(),
+                )
                 try:
                     result_rows, error = self._forward(model, live), None
                 except Exception as exc:  # noqa: BLE001 — fan the error out
                     result_rows, error = None, exc
-                if self._end_forward(inflight):
-                    return  # aborted: the watchdog failed + reported this batch
+                if not self._forwards.disarm(key):
+                    return  # claimed: the watchdog failed + reported this batch
                 if error is None:
                     for pending, row in zip(live, result_rows):
                         self._complete(pending, row, None)
@@ -327,22 +316,6 @@ class MicroBatcher:
                         self.health.report_failure(model, error)
         obs.counter("serve.batches", model=model)
         obs.histogram("serve.batch_size", len(live), model=model)
-
-    def _begin_forward(self, model: str,
-                       live: list[PendingRequest]) -> _InflightBatch:
-        now = time.perf_counter()
-        deadline = None if self.forward_timeout is None else now + self.forward_timeout
-        inflight = _InflightBatch(model, live, now, deadline)
-        with self._inflight_lock:
-            self._inflight = inflight
-        return inflight
-
-    def _end_forward(self, inflight: _InflightBatch) -> bool:
-        """Clear the in-flight record; True if the watchdog aborted it."""
-        with self._inflight_lock:
-            if self._inflight is inflight:
-                self._inflight = None
-            return inflight.aborted
 
     def _forward(self, model: str, live: list[PendingRequest]) -> list[dict]:
         if self.fault is not None:
@@ -392,59 +365,43 @@ class MicroBatcher:
                 return None
             worker = self._worker
             generation = self._generation
-        with self._inflight_lock:
-            inflight = self._inflight
-            wedged = (
-                inflight is not None
-                and not inflight.aborted
-                and inflight.deadline is not None
-                and now >= inflight.deadline
-            )
-            if wedged:
-                inflight.aborted = True  # we own failing this batch now
-        if wedged:
-            error = ForwardTimeoutError(
-                f"forward for model {inflight.model!r} exceeded the "
-                f"{self.forward_timeout:g}s forward timeout; the batch "
-                f"worker was replaced"
-            )
-            self._abort_batch(inflight, error, "forward-timeout", generation)
-            return "forward-timeout"
-        if not worker.is_alive():
+        claimed = self._forwards.expire(now)
+        if claimed:
+            reason = "forward-timeout"
+        elif not worker.is_alive():
             # The worker died outside close() — a BaseException escaped, or
             # the interpreter killed the thread.  Fail whatever it had in
             # flight and hand the queue to a fresh worker.
-            with self._inflight_lock:
-                inflight = self._inflight
-                if inflight is not None and not inflight.aborted:
-                    inflight.aborted = True
-                else:
-                    inflight = None
-            error = BatchWorkerError(
-                "batch worker died mid-forward; the batch was failed and "
-                "the worker replaced"
-            )
-            self._abort_batch(inflight, error, "worker-died", generation)
-            return "worker-died"
-        return None
-
-    def _abort_batch(self, inflight: _InflightBatch | None, error: Exception,
-                     reason: str, generation: int) -> None:
-        """Fail an aborted batch, report health, and respawn the worker."""
-        if inflight is not None:
-            for pending in inflight.live:
+            claimed = self._forwards.expire(math.inf)
+            reason = "worker-died"
+        else:
+            return None
+        for model, live in claimed:
+            if reason == "forward-timeout":
+                error = ForwardTimeoutError(
+                    f"forward for model {model!r} exceeded the "
+                    f"{self.forward_timeout:g}s forward timeout; the batch "
+                    f"worker was replaced"
+                )
+            else:
+                error = BatchWorkerError(
+                    "batch worker died mid-forward; the batch was failed and "
+                    "the worker replaced"
+                )
+            for pending in live:
                 self._complete(pending, None, error)
             if self.health is not None:
-                self.health.report_failure(inflight.model, error)
+                self.health.report_failure(model, error)
         with self._not_empty:
             if self._stop or self._generation != generation:
-                return  # already replaced (or shutting down)
+                return reason  # already replaced (or shutting down)
             self._worker = self._spawn_worker()
             self._not_empty.notify_all()
         obs.counter(
             "serve.worker_replaced", reason=reason,
-            model=inflight.model if inflight is not None else None,
+            model=claimed[0][0] if claimed else None,
         )
+        return reason
 
     # -------------------------------------------------------------- shutdown
     def close(self, drain: bool = True, timeout: float = 30.0) -> None:

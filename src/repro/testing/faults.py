@@ -18,7 +18,7 @@ prove every ``on_error``/``validation`` policy path end-to-end:
 Durability-oriented injectors exercise the job subsystem end-to-end:
 
 * :class:`HangOnLayer` — stall the targeted layer (cooperatively: it polls
-  :func:`repro.jobs.watchdog.checkpoint`), proving the per-layer watchdog
+  :func:`repro.jobs.watchdog.checkpoint`), proving the per-layer deadline
   converts a hang into a ``timeout`` failure.
 * :class:`SlowLayer` — delay every (or one) layer by a fixed number of
   seconds; combined with a tight ``layer_timeout`` this also times out, and
@@ -35,9 +35,9 @@ Process-fleet injectors target one worker *process* of a
 * :class:`KillWorker` — SIGKILL the targeted worker mid-layer: the
   supervisor must reassign the leased layer to a survivor.
 * :class:`MuteWorker` — mute the worker's heartbeats and wedge it: the
-  supervisor's liveness monitor must declare it dead and SIGKILL it.
+  supervisor's heartbeat deadline must declare it dead and SIGKILL it.
 * :class:`HangWorker` — cooperatively hang the worker's current layer while
-  heartbeats keep flowing: the *worker-local* watchdog must time it out.
+  heartbeats keep flowing: the *worker-local* deadline must time it out.
 
 Because kill-and-resume tests need faults inside a *subprocess* — and fleet
 workers cannot receive injector objects at all (they hold locks, which do
@@ -228,7 +228,7 @@ class PoisonTensor:
 
 @dataclass
 class HangOnLayer:
-    """Stall the targeted layer until the watchdog deadline fires.
+    """Stall the targeted layer until the per-layer deadline fires.
 
     The stall is *cooperative*: it spins on
     :func:`repro.jobs.watchdog.checkpoint`, which raises
@@ -403,7 +403,7 @@ class HangWorker:
     """Cooperatively hang worker ``worker``'s current layer.
 
     The fleet counterpart of :class:`HangOnLayer`: the stall polls
-    :func:`repro.jobs.watchdog.checkpoint`, so the *worker-local* watchdog
+    :func:`repro.jobs.watchdog.checkpoint`, so the *worker-local* deadline
     converts it into a ``timeout`` failure while heartbeats keep flowing —
     proving per-layer deadlines still work inside fleet workers, distinct
     from the heartbeat-silence path :class:`MuteWorker` exercises.

@@ -10,9 +10,8 @@ from repro.core.parallel import (
     LayerJob,
     ON_ERROR_ENV,
     ON_ERROR_POLICIES,
-    default_on_error,
     quantize_layers,
-    resolve_on_error,
+    resolve,
 )
 from repro.core.serialization import load_quantized_model, save_quantized_model
 from repro.errors import QuantizationError
@@ -43,21 +42,21 @@ def jobs(state):
 class TestOnErrorResolution:
     def test_default_is_fail(self, monkeypatch):
         monkeypatch.delenv(ON_ERROR_ENV, raising=False)
-        assert resolve_on_error(None) == "fail"
-        assert default_on_error() == "fail"
+        assert resolve("on_error", None) == "fail"
+        assert resolve("on_error") == "fail"
 
     def test_environment_read(self, monkeypatch):
         monkeypatch.setenv(ON_ERROR_ENV, "fp32-fallback")
-        assert resolve_on_error(None) == "fp32-fallback"
+        assert resolve("on_error", None) == "fp32-fallback"
 
     def test_bad_environment_rejected(self, monkeypatch):
         monkeypatch.setenv(ON_ERROR_ENV, "explode")
         with pytest.raises(QuantizationError):
-            default_on_error()
+            resolve("on_error")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(QuantizationError, match="on_error"):
-            resolve_on_error("panic")
+            resolve("on_error", "panic")
 
     def test_policies_exported(self):
         assert ON_ERROR_POLICIES == ("fail", "skip", "fp32-fallback", "retry-higher-bits")

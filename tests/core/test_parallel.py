@@ -10,9 +10,8 @@ from repro.core.parallel import (
     LayerJob,
     QuantizationReport,
     WORKERS_ENV,
-    default_workers,
     quantize_layers,
-    resolve_workers,
+    resolve,
 )
 from repro.errors import QuantizationError
 from repro.models.heads import BertForSequenceClassification
@@ -31,35 +30,35 @@ def state_and_selection(model):
 
 class TestWorkerResolution:
     def test_explicit_count(self):
-        assert resolve_workers(3) == 3
+        assert resolve("workers", 3) == 3
 
     def test_one_is_serial(self):
-        assert resolve_workers(1) == 1
+        assert resolve("workers", 1) == 1
 
     def test_zero_means_all_cores(self):
-        assert resolve_workers(0) == (os.cpu_count() or 1)
+        assert resolve("workers", 0) == (os.cpu_count() or 1)
 
     def test_negative_rejected(self):
         with pytest.raises(QuantizationError):
-            resolve_workers(-1)
+            resolve("workers", -1)
 
     def test_non_int_rejected(self):
         with pytest.raises(QuantizationError):
-            resolve_workers(2.5)
+            resolve("workers", 2.5)
 
     def test_none_defaults_to_one(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_workers(None) == 1
+        assert resolve("workers", None) == 1
 
     def test_none_reads_environment(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "5")
-        assert resolve_workers(None) == 5
-        assert default_workers() == 5
+        assert resolve("workers", None) == 5
+        assert resolve("workers") == 5
 
     def test_bad_environment_rejected(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "many")
         with pytest.raises(QuantizationError):
-            default_workers()
+            resolve("workers")
 
 
 class TestQuantizeLayers:

@@ -5,7 +5,9 @@ archive bytes identical to the thread backend at every worker count, with the
 supervision machinery (heartbeats, leases, worker-local traces) invisible in
 the output.  Chaos scenarios — killed, muted and hung workers — live in
 ``test_fleet_chaos.py``; this module covers the happy path and the unit
-surface (liveness ledger, lenient trace reader, validation of the knobs).
+surface (lenient trace reader, validation of the knobs).  The deadline
+ledger the supervisor reaps silent workers with is tested in
+``test_watchdog.py``.
 """
 
 import json
@@ -17,18 +19,12 @@ from repro.core.parallel import (
     BACKEND_ENV,
     LayerJob,
     quantize_layers,
-    resolve_backend,
+    resolve,
 )
 from repro.core.serialization import save_quantized_model
 from repro.errors import QuantizationError
-from repro.jobs.fleet import (
-    default_heartbeat_interval,
-    default_heartbeat_timeout,
-    default_max_reassignments,
-    run_fleet_layers,
-)
+from repro.jobs.fleet import run_fleet_layers
 from repro.jobs.runner import durable_quantize_state_dict, job_status
-from repro.jobs.watchdog import LivenessMonitor
 from repro.obs import recorder as obs
 from repro.obs.events import read_trace_lenient
 from repro.obs.sinks import JsonlSink
@@ -200,54 +196,32 @@ class TestConfigValidation:
             run_fleet_layers(state, [LayerJob("no.such.tensor", 3)])
 
     @pytest.mark.parametrize(
-        "env, reader",
+        "env, name",
         [
-            ("REPRO_HEARTBEAT_INTERVAL", default_heartbeat_interval),
-            ("REPRO_HEARTBEAT_TIMEOUT", default_heartbeat_timeout),
-            ("REPRO_MAX_REASSIGNMENTS", default_max_reassignments),
+            ("REPRO_HEARTBEAT_INTERVAL", "heartbeat_interval"),
+            ("REPRO_HEARTBEAT_TIMEOUT", "heartbeat_timeout"),
+            ("REPRO_MAX_REASSIGNMENTS", "max_reassignments"),
         ],
     )
-    def test_bad_env_values_rejected(self, monkeypatch, env, reader):
+    def test_bad_env_values_rejected(self, monkeypatch, env, name):
         monkeypatch.setenv(env, "not-a-number")
         with pytest.raises(QuantizationError, match=env):
-            reader()
+            resolve(name)
         monkeypatch.setenv(env, "-1")
         with pytest.raises(QuantizationError):
-            reader()
+            resolve(name)
 
     def test_resolve_backend(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend(None) == "thread"
-        assert resolve_backend("process") == "process"
+        assert resolve("backend") == "thread"
+        assert resolve("backend", "process") == "process"
         monkeypatch.setenv(BACKEND_ENV, "process")
-        assert resolve_backend(None) == "process"
+        assert resolve("backend") == "process"
         with pytest.raises(QuantizationError, match="backend"):
-            resolve_backend("carrier-pigeon")
+            resolve("backend", "carrier-pigeon")
         monkeypatch.setenv(BACKEND_ENV, "bogus")
         with pytest.raises(QuantizationError, match="backend"):
-            resolve_backend(None)
-
-
-class TestLivenessMonitor:
-    def test_silence_is_relative_to_last_beat(self):
-        monitor = LivenessMonitor(timeout=1.0)
-        monitor.beat("a", now=0.0)
-        monitor.beat("b", now=0.0)
-        assert monitor.silent(now=0.5) == []
-        monitor.beat("b", now=0.9)
-        assert monitor.silent(now=1.5) == ["a"]
-        assert monitor.silent(now=2.5) == ["a", "b"]
-
-    def test_forget_stops_tracking(self):
-        monitor = LivenessMonitor(timeout=1.0)
-        monitor.beat("a", now=0.0)
-        monitor.forget("a")
-        assert monitor.tracked() == []
-        assert monitor.silent(now=10.0) == []
-
-    def test_timeout_must_be_positive(self):
-        with pytest.raises(QuantizationError):
-            LivenessMonitor(timeout=0.0)
+            resolve("backend")
 
 
 class TestTraceMergeUnits:

@@ -1,5 +1,8 @@
-"""Watchdog deadlines, cooperative checkpoints, and transient-retry helpers."""
+"""Deadlines, the deadline ledger, cooperative checkpoints, and transient-retry helpers."""
 
+import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -9,7 +12,7 @@ from repro.errors import LayerTimeoutError, QuantizationError
 from repro.jobs.retry import backoff_delay, is_transient
 from repro.jobs.watchdog import (
     Deadline,
-    Watchdog,
+    DeadlineLedger,
     checkpoint,
     current_deadline,
     deadline_scope,
@@ -32,13 +35,6 @@ class TestDeadline:
         with deadline_scope(Deadline(60.0, label="ok")):
             checkpoint()
 
-    def test_expire_now_flags_immediately(self):
-        deadline = Deadline(60.0, label="flagged")
-        deadline.expire_now()
-        with deadline_scope(deadline):
-            with pytest.raises(LayerTimeoutError):
-                checkpoint()
-
     def test_scope_nests_and_restores(self):
         outer, inner = Deadline(60.0, label="outer"), Deadline(60.0, label="inner")
         with deadline_scope(outer):
@@ -53,22 +49,75 @@ class TestDeadline:
             checkpoint()
 
 
-class TestWatchdog:
-    def test_flags_expired_deadline(self):
-        deadline = Deadline(0.02, label="hung-layer")
-        with Watchdog(poll_interval=0.005) as dog:
-            dog.register(deadline)
-            time.sleep(0.08)
-        assert deadline.flagged
-        assert "hung-layer" in dog.stalled
+class TestDeadlineLedger:
+    def test_silence_is_relative_to_last_beat(self):
+        ledger = DeadlineLedger()
+        ledger.arm("a", 1.0, now=0.0)
+        ledger.arm("b", 1.0, now=0.0)
+        assert ledger.expire(now=0.5) == []
+        ledger.arm("b", 1.0, now=0.9)  # a beat re-arms from its own time
+        assert ledger.expire(now=1.5) == ["a"]
+        assert ledger.expire(now=2.5) == ["b"]
 
-    def test_unregistered_deadline_untouched(self):
-        deadline = Deadline(0.02, label="done-in-time")
-        with Watchdog(poll_interval=0.005) as dog:
-            dog.register(deadline)
-            dog.unregister(deadline)
-            time.sleep(0.05)
-        assert not deadline.flagged
+    def test_disarm_claims_only_once(self):
+        ledger = DeadlineLedger()
+        ledger.arm("a", 1.0, now=0.0)
+        assert ledger.disarm("a")
+        assert not ledger.disarm("a")
+        assert not ledger.disarm("never-armed")
+        assert ledger.expire(now=10.0) == []
+
+    def test_expire_consumes(self):
+        ledger = DeadlineLedger()
+        ledger.arm("a", 1.0, now=0.0)
+        ledger.arm("forever", math.inf, now=0.0)
+        assert ledger.expire(now=1.0) == ["a"]
+        assert ledger.expire(now=1.0) == []
+        assert not ledger.disarm("a")  # the expirer owns it now
+        assert ledger.expire(now=math.inf) == ["forever"]
+
+    def test_concurrent_claims_are_exclusive(self):
+        """8 threads on 2 CPUs race disarm against expire over the same
+        1,000 keys: every key is claimed by exactly one of them."""
+        keys = range(1000)
+
+        def disarmer(ledger, start, out, order):
+            start.wait()
+            out.extend(key for key in order if ledger.disarm(key))
+
+        def expirer(ledger, start, out):
+            start.wait()
+            for _ in range(50):
+                out.extend(ledger.expire(now=math.inf))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):  # each round catches a lost claim most times
+                ledger = DeadlineLedger()
+                for key in keys:
+                    ledger.arm(key, 1.0, now=0.0)
+                claims: list[list] = [[] for _ in range(8)]
+                start = threading.Barrier(len(claims), timeout=30.0)
+                threads = [
+                    threading.Thread(target=expirer, args=(ledger, start, out))
+                    if index % 2
+                    else threading.Thread(
+                        target=disarmer,
+                        args=(ledger, start, out,
+                              keys if index % 4 == 0 else keys[::-1]),
+                    )
+                    for index, out in enumerate(claims)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+                claimed = [key for out in claims for key in out]
+                assert sorted(claimed) == list(keys)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestEngineTimeout:
@@ -109,6 +158,37 @@ class TestEngineTimeout:
         # outright, otherwise it resolves to FP32 fallback.
         assert set(quantized) == {"a", "c"}
         assert failure.dropped == (on_error == "skip")
+
+    def test_runner_built_directly_times_out(self):
+        """A JobRunner needs nothing beyond layer_timeout to enforce it."""
+        from repro.core.parallel import JobRunner, LayerJob
+        from repro.testing.faults import HangOnLayer
+
+        runner = JobRunner(
+            state=self._state(), layer_timeout=0.1, on_error="skip",
+            fault_injector=HangOnLayer("b"),
+        )
+        outcome = runner.run(1, LayerJob("b", 3))
+        assert outcome.tensor is None
+        assert outcome.failure.action == "timeout"
+        assert outcome.failure.resolution == "skip"
+
+    def test_supervised_run_starts_no_thread(self):
+        """Deadlines are read off the clock: a supervised run adds no thread."""
+        from repro.core.parallel import LayerJob, quantize_layers
+
+        before = set(threading.enumerate())
+        during: list[set] = []
+
+        def look(index, job, weights):
+            during.append(set(threading.enumerate()))
+
+        quantize_layers(
+            self._state(), [LayerJob(n, 3) for n in ("a", "b", "c")],
+            layer_timeout=30, fault_injector=look,
+        )
+        assert len(during) == 3
+        assert all(threads == before for threads in during)
 
     def test_slow_layer_within_deadline_is_bit_identical(self):
         from repro.core.parallel import LayerJob, quantize_layers
@@ -195,14 +275,11 @@ class TestTransientRetry:
         assert scoped.snapshot().counter("engine.retry") == 2
 
     def test_env_defaults(self, monkeypatch):
-        from repro.core.parallel import (
-            resolve_layer_timeout,
-            resolve_transient_retries,
-        )
+        from repro.core.parallel import resolve
 
         monkeypatch.setenv("REPRO_LAYER_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_TRANSIENT_RETRIES", "4")
-        assert resolve_layer_timeout(None) == 2.5
-        assert resolve_transient_retries(None) == 4
-        assert resolve_layer_timeout(1.0) == 1.0
-        assert resolve_transient_retries(0) == 0
+        assert resolve("layer_timeout") == 2.5
+        assert resolve("transient_retries") == 4
+        assert resolve("layer_timeout", 1.0) == 1.0
+        assert resolve("transient_retries", 0) == 0

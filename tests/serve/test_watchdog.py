@@ -65,18 +65,19 @@ class TestForwardTimeout:
     def test_clock_injected_sweep(self, registry):
         """check_worker(now=...) makes the deadline testable without real
         waiting: a forward 'past' its deadline is aborted on the spot."""
-        release = threading.Event()
+        entered, release = threading.Event(), threading.Event()
         batcher = make_batcher(registry, forward_timeout=60.0)
         original_forward = batcher._forward
 
         def gated_forward(model, live):
+            entered.set()
             release.wait(10.0)
             return original_forward(model, live)
 
         batcher._forward = gated_forward
         try:
             pending = batcher.submit("micro", [1, 2, 3])
-            wait_for(lambda: batcher._inflight is not None)
+            assert entered.wait(5.0), "the forward never started"
             assert batcher.check_worker(now=time.perf_counter() + 1.0) is None
             reason = batcher.check_worker(now=time.perf_counter() + 61.0)
             assert reason == "forward-timeout"

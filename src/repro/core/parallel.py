@@ -109,10 +109,10 @@ ON_ERROR_POLICIES = ("fail", "skip", "fp32-fallback", "retry-higher-bits")
 BACKENDS = ("thread", "process")
 MAX_RETRY_BITS = 8
 
-# A fault injector is called as ``injector(index, job, weights)`` before each
-# layer is quantized; it may raise (simulating a layer failure) or return a
-# replacement weight array (poisoning).  See ``repro.testing.faults``.
-FaultInjector = Callable[[int, "LayerJob", np.ndarray], "np.ndarray | None"]
+# A fault injector is called as ``fault("layer", (index, job.name), weights)``
+# before each layer attempt and returns the weights to quantize; it may raise
+# (a layer failure) or return a poisoned copy.  See ``repro.testing.faults``.
+FaultInjector = Callable[[str, tuple, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -417,9 +417,7 @@ class JobRunner:
         with obs.span("engine.layer", layer=job.name, bits=bits) as layer_span:
             weights = self.state[job.name]
             if self.fault_injector is not None:
-                replacement = self.fault_injector(index, job, weights)
-                if replacement is not None:
-                    weights = replacement
+                weights = self.fault_injector("layer", (index, job.name), weights)
             tensor, result = quantize_tensor(
                 weights,
                 bits=bits,
@@ -661,11 +659,6 @@ def quantize_layers(
     if missing:
         raise QuantizationError(f"state dict is missing tensors: {missing}")
     if resolve("backend", backend) == "process":
-        if fault_injector is not None:
-            raise QuantizationError(
-                "fault_injector objects cannot cross process boundaries; "
-                "export a REPRO_FAULTS spec instead (see repro.testing.faults)"
-            )
         # Lazy import: the fleet lives in the jobs subsystem and pulls in
         # multiprocessing machinery the thread path never needs.
         from repro.jobs.fleet import run_fleet_layers
@@ -679,6 +672,7 @@ def quantize_layers(
             workers=workers,
             on_error=on_error,
             validation=validation,
+            fault_injector=fault_injector,
             layer_timeout=layer_timeout,
             transient_retries=transient_retries,
             transient_backoff=transient_backoff,

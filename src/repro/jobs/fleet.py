@@ -50,13 +50,13 @@ Architecture (DESIGN.md §5g):
   :func:`~repro.obs.recorder.replay`, so one trace and one metrics snapshot
   cover the whole run.
 
-Fault injectors hold locks and cannot cross process boundaries, so the
-fleet takes *fault specs* (the ``REPRO_FAULTS`` text format) and each
-worker rebuilds its injector locally; stateful injectors therefore count
-per worker, not globally.  :func:`current_worker_id` and
-:func:`mute_heartbeat` are the hooks the process-level injectors
-(``kill-worker``, ``mute-worker``, ``hang-worker``) use to target one
-worker from inside it.
+Faults (:mod:`repro.testing.faults`) hold locks and cannot cross process
+boundaries, so the fleet takes the ``REPRO_FAULTS`` text spec, checks it
+before any worker spawns, and each worker builds its own faults from it;
+a fault therefore counts its worker's calls, not the run's.  A fault with
+a ``worker`` (``kill-worker``, ``mute-worker``, ``hang-worker``) reads
+:func:`current_worker_id` to act inside that worker only, and
+``mute-worker`` silences it through :func:`mute_heartbeat`.
 """
 
 from __future__ import annotations
@@ -93,9 +93,6 @@ from repro.jobs.watchdog import DeadlineLedger
 from repro.obs import recorder as obs
 from repro.obs.events import read_trace_lenient
 from repro.obs.sinks import JsonlSink
-
-#: Set in each worker's environment to its worker id (fault targeting).
-WORKER_ID_ENV = "REPRO_FLEET_WORKER"
 
 
 def _mp_context():
@@ -192,18 +189,8 @@ _runtime: WorkerRuntime | None = None
 
 
 def current_worker_id() -> int | None:
-    """This process's fleet worker id, or None outside a fleet worker.
-
-    Falls back to the :data:`WORKER_ID_ENV` environment variable so code in
-    a worker's *sub*process (or a test) can still identify the worker.
-    """
-    if _runtime is not None:
-        return _runtime.worker_id
-    raw = os.environ.get(WORKER_ID_ENV, "")
-    try:
-        return int(raw) if raw else None
-    except ValueError:
-        return None
+    """This process's fleet worker id, or None outside a fleet worker."""
+    return None if _runtime is None else _runtime.worker_id
 
 
 def mute_heartbeat() -> bool:
@@ -233,7 +220,6 @@ def _worker_main(
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    os.environ[WORKER_ID_ENV] = str(worker_id)
     # A forked worker inherits the supervisor's sinks, scopes and span
     # stack; shed them before installing the worker-local sink.
     obs.reset()
@@ -249,13 +235,11 @@ def _worker_main(
     _runtime = WorkerRuntime(worker_id=worker_id, heartbeat=heartbeat)
 
     sink = obs.install(JsonlSink(Path(config.obs_dir) / f"worker-{worker_id}.jsonl"))
-    # Injectors are rebuilt from the text spec in each worker: injector
-    # objects hold locks and cannot cross the process boundary.
+    # Faults are rebuilt from the text spec in each worker: they hold locks
+    # and cannot cross the process boundary.
     from repro.testing.faults import injector_from_spec
 
-    injector = (
-        injector_from_spec(config.fault_spec) if config.fault_spec.strip() else None
-    )
+    injector = injector_from_spec(config.fault_spec)
     runner = JobRunner(
         state=state,
         log_prob_threshold=config.log_prob_threshold,

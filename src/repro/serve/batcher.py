@@ -92,9 +92,9 @@ class MicroBatcher:
     disables it; dead-worker detection runs either way).  ``health`` is an
     optional :class:`~repro.serve.health.HealthMonitor`: quarantined models
     are rejected at :meth:`submit` and every batch outcome is reported.
-    ``fault`` is an optional serve-path fault injector
-    (:func:`repro.testing.faults.serve_injector_from_env`) called as
-    ``fault("forward", model)`` before each forward.
+    ``fault`` is an optional fault injector
+    (:func:`repro.testing.faults.injector_from_env`) called as
+    ``fault("forward", (model,))`` before each forward.
     """
 
     def __init__(self, registry: ModelRegistry, admission: AdmissionController,
@@ -319,7 +319,7 @@ class MicroBatcher:
 
     def _forward(self, model: str, live: list[PendingRequest]) -> list[dict]:
         if self.fault is not None:
-            self.fault("forward", model)
+            self.fault("forward", (model,))
         lengths = [pending.input_ids.size for pending in live]
         width = max(lengths)
         input_ids = np.zeros((len(live), width), dtype=np.int64)

@@ -149,7 +149,7 @@ def _build_entry(name: str, path: Path, config,
     from repro.core.serialization import load_quantized_model
 
     if fault is not None:
-        fault("load", name)
+        fault("load", (name,))
     with obs.span("serve.model_load", model=name, generation=version) as sp:
         qmodel = load_quantized_model(path, lazy=True, verify=verify)
         try:
@@ -183,7 +183,7 @@ class ModelRegistry:
 
     def __init__(self, verify: str = "lazy", fault=None):
         self.verify = verify
-        self.fault = fault  # serve-path injector, called as fault("load", name)
+        self.fault = fault  # fault injector, called as fault("load", (name,))
         self._lock = threading.Lock()
         self._entries: dict[str, ModelEntry] = {}
 

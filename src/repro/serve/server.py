@@ -332,9 +332,9 @@ def run_server(
     main thread (signal handlers).
     """
     from repro.jobs.signals import EXIT_INTERRUPTED, GracefulInterrupt
-    from repro.testing.faults import serve_injector_from_env
+    from repro.testing.faults import injector_from_env
 
-    fault = serve_injector_from_env()
+    fault = injector_from_env()
     policy = HealthPolicy(
         breaker_window=breaker_window,
         breaker_threshold=breaker_threshold,

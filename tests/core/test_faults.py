@@ -16,13 +16,7 @@ from repro.core.parallel import (
 from repro.core.serialization import load_quantized_model, save_quantized_model
 from repro.errors import QuantizationError
 from repro.models.heads import BertForSequenceClassification
-from repro.testing.faults import (
-    InjectedFault,
-    PoisonTensor,
-    RaiseNth,
-    RaiseOnLayer,
-    compose_injectors,
-)
+from repro.testing.faults import Fault, InjectedFault, compose_injectors
 from tests.conftest import MICRO_CONFIG
 
 WORKER_COUNTS = (1, 2, 4)
@@ -65,19 +59,19 @@ class TestOnErrorResolution:
 class TestFailureIsolation:
     def test_fail_policy_reraises(self, state, jobs):
         with pytest.raises(InjectedFault):
-            quantize_layers(state, jobs, fault_injector=RaiseOnLayer("layer2"))
+            quantize_layers(state, jobs, fault_injector=Fault("raise", target="layer2"))
 
     def test_fail_policy_reraises_parallel(self, state, jobs):
         with pytest.raises(InjectedFault):
             quantize_layers(
-                state, jobs, workers=3, fault_injector=RaiseOnLayer("layer2")
+                state, jobs, workers=3, fault_injector=Fault("raise", target="layer2")
             )
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_skip_drops_only_the_failing_layer(self, state, jobs, workers):
         quantized, iterations, report = quantize_layers(
             state, jobs, workers=workers,
-            on_error="skip", fault_injector=RaiseOnLayer("layer2"),
+            on_error="skip", fault_injector=Fault("raise", target="layer2"),
         )
         assert sorted(quantized) == sorted(set(state) - {"layer2"})
         assert "layer2" not in iterations
@@ -91,7 +85,7 @@ class TestFailureIsolation:
     def test_fp32_fallback_records_failure(self, state, jobs, workers):
         quantized, _, report = quantize_layers(
             state, jobs, workers=workers,
-            on_error="fp32-fallback", fault_injector=RaiseOnLayer("layer4"),
+            on_error="fp32-fallback", fault_injector=Fault("raise", target="layer4"),
         )
         assert "layer4" not in quantized
         [failure] = report.failures
@@ -105,7 +99,7 @@ class TestFailureIsolation:
         for workers in WORKER_COUNTS:
             quantized, iterations, report = quantize_layers(
                 state, jobs, workers=workers,
-                on_error="fp32-fallback", fault_injector=RaiseOnLayer(failing),
+                on_error="fp32-fallback", fault_injector=Fault("raise", target=failing),
             )
             assert report.failed_layer_names == (failing,)
             assert sorted(quantized) == sorted(set(state) - {failing})
@@ -121,7 +115,7 @@ class TestFailureIsolation:
     def test_transient_fault_fails_exactly_once(self, state, jobs, workers):
         quantized, _, report = quantize_layers(
             state, jobs, workers=workers,
-            on_error="skip", fault_injector=RaiseNth(nth=1, times=1),
+            on_error="skip", fault_injector=Fault("raise", times=1),
         )
         assert len(report.failures) == 1
         assert len(quantized) == len(state) - 1
@@ -130,7 +124,7 @@ class TestFailureIsolation:
         quantized, _, report = quantize_layers(
             state, jobs, workers=4, on_error="skip",
             fault_injector=compose_injectors(
-                RaiseOnLayer("layer1"), RaiseOnLayer("layer5")
+                Fault("raise", target="layer1"), Fault("raise", target="layer5")
             ),
         )
         assert report.failed_layer_names == ("layer1", "layer5")
@@ -138,7 +132,7 @@ class TestFailureIsolation:
     def test_render_includes_failures(self, state, jobs):
         _, _, report = quantize_layers(
             state, jobs, on_error="fp32-fallback",
-            fault_injector=RaiseOnLayer("layer0"),
+            fault_injector=Fault("raise", target="layer0"),
         )
         text = report.render()
         assert "Layer failures" in text and "fp32-fallback" in text
@@ -163,7 +157,7 @@ class TestRetryHigherBits:
     def test_persistent_fault_exhausts_retries_to_fp32(self, state, jobs):
         quantized, _, report = quantize_layers(
             state, jobs, on_error="retry-higher-bits",
-            fault_injector=RaiseOnLayer("layer3"),
+            fault_injector=Fault("raise", target="layer3"),
         )
         assert "layer3" not in quantized
         [failure] = report.failures
@@ -177,7 +171,7 @@ class TestPoisonedTensors:
     def test_strict_validation_fails_poisoned_layer(self, state, jobs, mode):
         quantized, _, report = quantize_layers(
             state, jobs, on_error="fp32-fallback",
-            fault_injector=PoisonTensor("layer1", mode=mode),
+            fault_injector=Fault("poison", target="layer1", mode=mode),
         )
         assert "layer1" not in quantized
         [failure] = report.failures
@@ -186,7 +180,7 @@ class TestPoisonedTensors:
     def test_repair_validation_recovers_poisoned_layer(self, state, jobs):
         quantized, _, report = quantize_layers(
             state, jobs, validation="repair",
-            fault_injector=PoisonTensor("layer1", mode="nan"),
+            fault_injector=Fault("poison", target="layer1", mode="nan"),
         )
         assert report.ok and len(quantized) == len(state)
         assert np.isfinite(quantized["layer1"].dequantize(np.float64)).all()
@@ -194,7 +188,7 @@ class TestPoisonedTensors:
     def test_skip_validation_ships_layer_fp32(self, state, jobs):
         quantized, _, report = quantize_layers(
             state, jobs, validation="skip",
-            fault_injector=PoisonTensor("layer1", mode="nan"),
+            fault_injector=Fault("poison", target="layer1", mode="nan"),
         )
         assert "layer1" not in quantized
         [failure] = report.failures
@@ -213,7 +207,7 @@ class TestEndToEndModel:
         failing_layer = clean.fc_names[2]
         degraded = quantize_model(
             model, weight_bits=3, embedding_bits=4,
-            on_error="fp32-fallback", fault_injector=RaiseOnLayer(failing_layer),
+            on_error="fp32-fallback", fault_injector=Fault("raise", target=failing_layer),
         )
         assert degraded.report.failed_layer_names == (failing_layer,)
         # The failed layer ships FP32 and the state dict stays complete.
@@ -238,7 +232,7 @@ class TestEndToEndModel:
         failing_layer = clean.fc_names[0]
         degraded = quantize_model(
             model, weight_bits=3, embedding_bits=4,
-            on_error="skip", fault_injector=RaiseOnLayer(failing_layer),
+            on_error="skip", fault_injector=Fault("raise", target=failing_layer),
         )
         assert failing_layer not in degraded.state_dict()
         assert failing_layer not in degraded.fp32
@@ -252,7 +246,7 @@ class TestEndToEndModel:
         quantized = quantize_state_dict(
             state, fc_names=selection.fc_names, embedding_names=(),
             on_error=None,  # defer to REPRO_ON_ERROR
-            fault_injector=RaiseOnLayer(selection.fc_names[1]),
+            fault_injector=Fault("raise", target=selection.fc_names[1]),
         )
         assert quantized.report.on_error == "fp32-fallback"
         assert len(quantized.report.failures) == 1
@@ -269,46 +263,37 @@ class TestFaultSpecs:
         assert injector_from_env("REPRO_FAULTS_UNSET_FOR_TEST") is None
 
     def test_single_specs(self):
-        from repro.testing.faults import (
-            CrashOnCall,
-            HangOnLayer,
-            PoisonTensor,
-            RaiseOnLayer,
-            SlowLayer,
-            TransientIOFault,
-            injector_from_spec,
-        )
+        from repro.testing.faults import injector_from_spec
 
-        assert isinstance(injector_from_spec("raise:layer0"), RaiseOnLayer)
-        assert injector_from_spec("raise:2").layer == 2
-        hang = injector_from_spec("hang:emb.word")
-        assert isinstance(hang, HangOnLayer) and hang.layer == "emb.word"
-        slow = injector_from_spec("slow:0.25")
-        assert isinstance(slow, SlowLayer)
-        assert slow.seconds == 0.25 and slow.layer is None
-        assert injector_from_spec("slow:0.1:3").layer == 3
-        tio = injector_from_spec("transient-io:layer1:2")
-        assert isinstance(tio, TransientIOFault)
-        assert tio.layer == "layer1" and tio.times == 2
+        assert injector_from_spec("raise:layer0") == Fault("raise", target="layer0")
+        assert injector_from_spec("raise:2").target == 2
+        assert injector_from_spec("hang:emb.word") == Fault("hang", target="emb.word")
+        assert injector_from_spec("slow:0.25") == Fault("slow", seconds=0.25)
+        assert injector_from_spec("slow:0.1:3").target == 3
+        assert injector_from_spec("transient-io:layer1:2") == Fault(
+            "io", target="layer1", times=2
+        )
         assert injector_from_spec("transient-io:0").times == 1
-        crash = injector_from_spec("crash:4")
-        assert isinstance(crash, CrashOnCall) and crash.nth == 4
-        poison = injector_from_spec("poison:layer2:inf")
-        assert isinstance(poison, PoisonTensor) and poison.mode == "inf"
+        assert injector_from_spec("crash:4") == Fault("crash", nth=4, times=1)
+        assert injector_from_spec("poison:layer2:inf") == Fault(
+            "poison", target="layer2", mode="inf"
+        )
+        assert injector_from_spec("kill-worker:1:2") == Fault(
+            "crash", worker=1, nth=2, times=1
+        )
+        assert injector_from_spec("mute-worker:0") == Fault("mute", worker=0)
+        assert injector_from_spec("hang-worker:1:5") == Fault("hang", worker=1, seconds=5.0)
 
     def test_composed_spec(self):
-        import numpy as np
-
-        from repro.core.parallel import LayerJob
         from repro.testing.faults import InjectedIOError, injector_from_spec
 
         injector = injector_from_spec("transient-io:a:1, poison:b:constant")
         weights = np.ones((4, 4))
         with pytest.raises(InjectedIOError):
-            injector(0, LayerJob("a", 3), weights)
-        poisoned = injector(1, LayerJob("b", 3), weights)
-        assert poisoned is not None and np.all(poisoned == 0.5)
-        assert injector(2, LayerJob("c", 3), weights) is None
+            injector("layer", (0, "a"), weights)
+        poisoned = injector("layer", (1, "b"), weights)
+        assert poisoned is not weights and np.all(poisoned == 0.5)
+        assert injector("layer", (2, "c"), weights) is weights
 
     def test_bad_specs_rejected(self):
         from repro.testing.faults import injector_from_spec
@@ -325,11 +310,53 @@ class TestFaultSpecs:
             injector_from_env()
 
 
+class TestOneProtocol:
+    """The engine, the batcher and the registry all call
+    ``fault(hook, keys, value)``; a fault counts and fires only at its own
+    hook."""
+
+    def test_counting_is_per_hook(self):
+        from repro.testing.faults import InjectedIOError, injector_from_spec
+
+        injector = injector_from_spec("transient-io:a:1,fail-forward:m:2")
+        for _ in range(2):
+            with pytest.raises(InjectedFault):
+                injector("forward", ("m",))
+        assert injector("forward", ("m",)) is None
+        weights = np.ones((2, 2))
+        with pytest.raises(InjectedIOError):
+            injector("layer", (0, "a"), weights)
+        assert injector("layer", (0, "a"), weights) is weights
+
+    def test_serve_faults_leave_quantize_bit_identical(self):
+        """Forward and load faults aimed at a layer's own name never fire in
+        the engine."""
+        from repro.testing.faults import injector_from_spec
+
+        rng = np.random.default_rng(11)
+        state = {name: rng.normal(0, 0.05, size=(24, 24)) for name in ("x", "y")}
+        jobs = [LayerJob(name, 3) for name in state]
+        clean, clean_iters, _ = quantize_layers(state, jobs)
+        faulted, iters, report = quantize_layers(
+            state, jobs, workers=2,
+            fault_injector=injector_from_spec(
+                "fail-forward:x:0,hang-forward:x:30,slow-load:30"
+            ),
+        )
+        assert report.ok and iters == clean_iters
+        for name, tensor in clean.items():
+            assert faulted[name].packed_codes == tensor.packed_codes
+            np.testing.assert_array_equal(faulted[name].centroids, tensor.centroids)
+            np.testing.assert_array_equal(
+                faulted[name].outlier_values, tensor.outlier_values
+            )
+
+
 class TestFaultSpecValidation:
-    """Every value in a spec is checked at parse time, by both parsers,
-    and fails with the typed FaultSpecError (a ConfigError and a
+    """Every value in a spec is checked at parse time, by every entry
+    point, and fails with the typed FaultSpecError (a ConfigError and a
     ValueError) — never later, when the fault fires, and never by building
-    an injector that cannot fire."""
+    a fault that cannot fire."""
 
     #: Each of these used to parse: then raised inside the engine, slept a
     #: negative or infinite time, silently did nothing, or never fired.
@@ -349,9 +376,9 @@ class TestFaultSpecValidation:
     @pytest.mark.parametrize("spec", DEFECTS)
     def test_defect_rejected_by_both_parsers(self, spec):
         from repro.errors import ConfigError, FaultSpecError
-        from repro.testing.faults import injector_from_spec, serve_injector_from_spec
+        from repro.testing.faults import injector_from_spec, parse_fault_spec
 
-        for parse in (injector_from_spec, serve_injector_from_spec):
+        for parse in (parse_fault_spec, injector_from_spec):
             with pytest.raises(FaultSpecError, match="bad fault spec") as info:
                 parse(spec)
             assert isinstance(info.value, ConfigError)
@@ -370,16 +397,16 @@ class TestFaultSpecValidation:
             injector_from_spec(spec)
 
     def test_persistent_times_and_worker_zero_accepted(self):
-        from repro.testing.faults import injector_from_spec, serve_injector_from_spec
+        from repro.testing.faults import injector_from_spec
 
-        assert serve_injector_from_spec("fail-forward:m:0").times == 0
-        assert serve_injector_from_spec("corrupt-member-at-serve:m:0").times == 0
+        assert injector_from_spec("fail-forward:m:0").times == 0
+        assert injector_from_spec("corrupt-member-at-serve:m:0").times == 0
         assert injector_from_spec("kill-worker:0").worker == 0
         assert injector_from_spec("slow:0").seconds == 0.0
 
     def test_poison_mode_checked_at_construction(self):
         with pytest.raises(ValueError, match="unknown poison mode"):
-            PoisonTensor(0, mode="xyz")
+            Fault("poison", target=0, mode="xyz")
 
     TOKENS = (
         "raise", "hang", "slow", "transient-io", "crash", "poison",
@@ -387,46 +414,75 @@ class TestFaultSpecValidation:
         "fail-forward", "corrupt-member-at-serve", "slow-load",
         ":", ",", *"0123456789", "-", ".", "e", "nan", "inf",
     )
+    #: Spec kinds whose fault fires on every matching call (times 0).
+    EVERY_CALL = (
+        "raise", "hang", "slow", "poison", "mute-worker", "hang-worker", "slow-load",
+    )
+    #: Spec kinds whose TIMES may be 0, meaning persistent.
+    PERSISTENT_TIMES = ("fail-forward", "corrupt-member-at-serve")
 
     @given(st.lists(st.sampled_from(TOKENS), max_size=14).map("".join))
     @settings(max_examples=400, deadline=None)
     def test_property_grammar_alphabet(self, spec):
-        """Any string over the grammar's alphabet: each parser returns None
+        """Any string over the grammar's alphabet: the parser returns None
         or a callable, or raises FaultSpecError; whatever parses holds only
         values its fault can act on."""
         import math
 
         from repro.errors import FaultSpecError
         from repro.testing.faults import (
-            CorruptMemberAtServe,
-            FailForward,
+            FAULT_KINDS,
+            HOOKS,
+            POISON_MODES,
             injector_from_spec,
             parse_fault_spec,
-            serve_injector_from_spec,
         )
 
-        for parse in (injector_from_spec, serve_injector_from_spec):
-            try:
-                injector = parse(spec)
-            except FaultSpecError:
-                continue
-            assert injector is None or callable(injector)
         try:
-            faults = parse_fault_spec(spec)
+            injector = injector_from_spec(spec)
         except FaultSpecError:
             return
-        for _, fault in faults:
-            for name in ("seconds", "max_seconds"):
-                if hasattr(fault, name):
-                    assert math.isfinite(getattr(fault, name)) and getattr(fault, name) >= 0
-            persistent_ok = isinstance(fault, (FailForward, CorruptMemberAtServe))
-            for name in ("nth", "times"):
-                if hasattr(fault, name):
-                    assert getattr(fault, name) >= (0 if persistent_ok else 1)
-            if hasattr(fault, "worker"):
-                assert fault.worker >= 0
-            layer = getattr(fault, "layer", None)
-            if isinstance(layer, str):
-                assert layer
-            elif layer is not None:
-                assert layer >= 0
+        assert injector is None or callable(injector)
+        parts = [part.strip() for part in spec.split(",") if part.strip()]
+        faults = parse_fault_spec(spec)
+        assert len(faults) == len(parts)
+        for part, fault in zip(parts, faults):
+            kind = part.partition(":")[0]
+            assert fault.kind in FAULT_KINDS and fault.hook in HOOKS
+            assert fault.mode in POISON_MODES
+            assert math.isfinite(fault.seconds) and fault.seconds >= 0
+            assert fault.nth >= 1
+            if kind in self.EVERY_CALL:
+                assert fault.times == 0
+            else:
+                assert fault.times >= (0 if kind in self.PERSISTENT_TIMES else 1)
+            assert fault.worker is None or fault.worker >= 0
+            if isinstance(fault.target, str):
+                assert fault.target
+            elif fault.target is not None:
+                assert fault.target >= 0
+
+    @given(st.lists(st.sampled_from(TOKENS), max_size=14).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_faults_are_inert_at_other_hooks(self, spec):
+        """Whatever parses, called at any hook but its own with keys its
+        target matches, returns the value untouched, raises nothing and
+        counts nothing."""
+        import dataclasses
+        from unittest import mock
+
+        from repro.errors import FaultSpecError
+        from repro.testing import faults
+
+        try:
+            parsed = faults.parse_fault_spec(spec)
+        except FaultSpecError:
+            return
+        sentinel = object()
+        with mock.patch.object(faults, "crash_process", side_effect=AssertionError):
+            for fault in parsed:
+                fault = dataclasses.replace(fault, seconds=0.0)  # a misfire fails fast
+                keys = (0, "layer0") if fault.target is None else (fault.target,)
+                for hook in set(faults.HOOKS) - {fault.hook}:
+                    assert fault(hook, keys, sentinel) is sentinel
+                assert fault._calls == 0

@@ -28,7 +28,7 @@ from repro.jobs.runner import durable_quantize_state_dict, job_status
 from repro.obs import recorder as obs
 from repro.obs.events import read_trace_lenient
 from repro.obs.sinks import JsonlSink
-from repro.testing.faults import InjectedFault, RaiseOnLayer
+from repro.testing.faults import Fault, InjectedFault
 from repro.utils.rng import derive_rng
 
 FC_NAMES = tuple(f"layer{i}.weight" for i in range(6))
@@ -162,7 +162,7 @@ class TestConfigValidation:
             run_fleet_layers(
                 state,
                 [LayerJob(FC_NAMES[0], 3)],
-                fault_injector=RaiseOnLayer(0),
+                fault_injector=Fault("raise", target=0),
             )
 
     def test_injector_object_rejected_through_quantize_state_dict(self, state):
@@ -171,7 +171,7 @@ class TestConfigValidation:
                 state,
                 fc_names=FC_NAMES,
                 backend="process",
-                fault_injector=RaiseOnLayer(0),
+                fault_injector=Fault("raise", target=0),
             )
 
     def test_timeout_must_exceed_interval(self, state):

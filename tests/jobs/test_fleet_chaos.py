@@ -70,7 +70,7 @@ class TestWorkerDeath:
 
     def test_muted_worker_detected_and_replaced(self, state, reference):
         # Worker 1 stops beating mid-layer; the liveness monitor must kill
-        # and replace it well before MuteWorker's 30 s harness bound.
+        # and replace it well before the mute fault's 30 s harness bound.
         quantized, _, report = run_fleet_layers(
             state,
             [LayerJob(name, 3) for name in FC_NAMES],

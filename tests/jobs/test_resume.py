@@ -25,7 +25,7 @@ from repro.jobs.runner import (
     run_durable_layers,
     save_shard,
 )
-from repro.testing.faults import InjectedFault, RaiseOnLayer, corrupt_bytes
+from repro.testing.faults import Fault, InjectedFault, corrupt_bytes
 from repro.utils.rng import derive_rng
 
 FC_NAMES = tuple(f"layer{i}.weight" for i in range(5))
@@ -113,7 +113,7 @@ class TestResumeDeterminism:
             with pytest.raises(InjectedFault):
                 durable_quantize_state_dict(
                     state, fc_names=FC_NAMES, workers=workers,
-                    job_dir=job_dir, fault_injector=RaiseOnLayer(FC_NAMES[3]),
+                    job_dir=job_dir, fault_injector=Fault("raise", target=FC_NAMES[3]),
                 )
             status = job_status(job_dir)
             assert status.pending, "the aborted run should leave pending layers"
@@ -136,7 +136,7 @@ class TestResumeDeterminism:
         with pytest.raises(InjectedFault):
             durable_quantize_state_dict(
                 state, fc_names=FC_NAMES, workers=2,
-                job_dir=job_dir, fault_injector=RaiseOnLayer(FC_NAMES[2]),
+                job_dir=job_dir, fault_injector=Fault("raise", target=FC_NAMES[2]),
             )
         resumed = durable_quantize_state_dict(
             state, fc_names=FC_NAMES, workers=resume_workers,
@@ -213,7 +213,7 @@ class TestResumeSafety:
         with pytest.raises(InjectedFault):
             durable_quantize_state_dict(
                 state, fc_names=FC_NAMES, job_dir=job_dir,
-                fault_injector=RaiseOnLayer(FC_NAMES[4]),
+                fault_injector=Fault("raise", target=FC_NAMES[4]),
             )
         # Simulate SIGKILL mid-append: garbage bytes after the last record.
         with open(job_dir / "journal.jsonl", "ab") as handle:
@@ -230,7 +230,7 @@ class TestResumeSafety:
         jobs = [LayerJob(n, 3) for n in FC_NAMES]
         _, _, first = run_durable_layers(
             state, jobs, job_dir=tmp_path / "job", on_error="fp32-fallback",
-            fault_injector=RaiseOnLayer(FC_NAMES[1]),
+            fault_injector=Fault("raise", target=FC_NAMES[1]),
         )
         assert [f.name for f in first.failures] == [FC_NAMES[1]]
         # Resume WITHOUT the fault injector: the journaled failure persists
@@ -249,7 +249,7 @@ class TestStatus:
         with pytest.raises(InjectedFault):
             durable_quantize_state_dict(
                 state, fc_names=FC_NAMES, job_dir=job_dir,
-                fault_injector=RaiseOnLayer(FC_NAMES[3]),
+                fault_injector=Fault("raise", target=FC_NAMES[3]),
             )
         status = job_status(job_dir)
         assert len(status.jobs) == len(FC_NAMES)

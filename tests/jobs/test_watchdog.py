@@ -129,26 +129,26 @@ class TestEngineTimeout:
 
     def test_hang_times_out_under_fail(self):
         from repro.core.parallel import LayerJob, quantize_layers
-        from repro.testing.faults import HangOnLayer
+        from repro.testing.faults import Fault
 
         jobs = [LayerJob(n, 3) for n in ("a", "b", "c")]
         with pytest.raises(LayerTimeoutError):
             quantize_layers(
                 self._state(), jobs, layer_timeout=0.1,
-                fault_injector=HangOnLayer("b"),
+                fault_injector=Fault("hang", target="b"),
             )
 
     @pytest.mark.parametrize("on_error", ["skip", "fp32-fallback", "retry-higher-bits"])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_hang_becomes_timeout_failure(self, on_error, workers):
         from repro.core.parallel import LayerJob, quantize_layers
-        from repro.testing.faults import HangOnLayer
+        from repro.testing.faults import Fault
 
         jobs = [LayerJob(n, 3) for n in ("a", "b", "c")]
         started = time.monotonic()
         quantized, _, report = quantize_layers(
             self._state(), jobs, layer_timeout=0.15, workers=workers,
-            on_error=on_error, fault_injector=HangOnLayer("b"),
+            on_error=on_error, fault_injector=Fault("hang", target="b"),
         )
         elapsed = time.monotonic() - started
         assert elapsed < 5.0, "timeout took far longer than deadline + grace"
@@ -162,11 +162,11 @@ class TestEngineTimeout:
     def test_runner_built_directly_times_out(self):
         """A JobRunner needs nothing beyond layer_timeout to enforce it."""
         from repro.core.parallel import JobRunner, LayerJob
-        from repro.testing.faults import HangOnLayer
+        from repro.testing.faults import Fault
 
         runner = JobRunner(
             state=self._state(), layer_timeout=0.1, on_error="skip",
-            fault_injector=HangOnLayer("b"),
+            fault_injector=Fault("hang", target="b"),
         )
         outcome = runner.run(1, LayerJob("b", 3))
         assert outcome.tensor is None
@@ -180,8 +180,9 @@ class TestEngineTimeout:
         before = set(threading.enumerate())
         during: list[set] = []
 
-        def look(index, job, weights):
+        def look(hook, keys, weights):
             during.append(set(threading.enumerate()))
+            return weights
 
         quantize_layers(
             self._state(), [LayerJob(n, 3) for n in ("a", "b", "c")],
@@ -192,13 +193,13 @@ class TestEngineTimeout:
 
     def test_slow_layer_within_deadline_is_bit_identical(self):
         from repro.core.parallel import LayerJob, quantize_layers
-        from repro.testing.faults import SlowLayer
+        from repro.testing.faults import Fault
 
         state = self._state()
         jobs = [LayerJob(n, 3) for n in state]
         clean, _, _ = quantize_layers(state, jobs)
         slow, _, report = quantize_layers(
-            state, jobs, layer_timeout=30.0, fault_injector=SlowLayer(0.05),
+            state, jobs, layer_timeout=30.0, fault_injector=Fault("slow", seconds=0.05),
         )
         assert report.ok
         for name in clean:
@@ -231,7 +232,7 @@ class TestTransientRetry:
 
     def test_engine_absorbs_transient_faults_bit_identically(self):
         from repro.core.parallel import LayerJob, quantize_layers
-        from repro.testing.faults import TransientIOFault
+        from repro.testing.faults import Fault
 
         rng = np.random.default_rng(8)
         state = {name: rng.normal(size=(24, 24)) for name in ("a", "b")}
@@ -239,7 +240,7 @@ class TestTransientRetry:
         clean, _, _ = quantize_layers(state, jobs)
         retried, _, report = quantize_layers(
             state, jobs, transient_retries=2, transient_backoff=0.001,
-            fault_injector=TransientIOFault("a", times=2),
+            fault_injector=Fault("io", target="a", times=2),
         )
         assert report.ok and not report.failures
         for name in clean:
@@ -247,13 +248,13 @@ class TestTransientRetry:
 
     def test_exhausted_retries_escalate_to_policy(self):
         from repro.core.parallel import LayerJob, quantize_layers
-        from repro.testing.faults import TransientIOFault
+        from repro.testing.faults import Fault
 
         rng = np.random.default_rng(9)
         state = {"a": rng.normal(size=(24, 24))}
         _, _, report = quantize_layers(
             state, [LayerJob("a", 3)], transient_retries=1, transient_backoff=0.001,
-            on_error="fp32-fallback", fault_injector=TransientIOFault("a", times=5),
+            on_error="fp32-fallback", fault_injector=Fault("io", target="a", times=5),
         )
         (failure,) = report.failures
         assert failure.action == "fp32-fallback"
@@ -262,7 +263,7 @@ class TestTransientRetry:
     def test_retry_counter_emitted(self):
         from repro import obs
         from repro.core.parallel import LayerJob, quantize_layers
-        from repro.testing.faults import TransientIOFault
+        from repro.testing.faults import Fault
 
         rng = np.random.default_rng(10)
         state = {"a": rng.normal(size=(24, 24))}
@@ -270,7 +271,7 @@ class TestTransientRetry:
             quantize_layers(
                 state, [LayerJob("a", 3)], transient_retries=3,
                 transient_backoff=0.001,
-                fault_injector=TransientIOFault("a", times=2),
+                fault_injector=Fault("io", target="a", times=2),
             )
         assert scoped.snapshot().counter("engine.retry") == 2
 

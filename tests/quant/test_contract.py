@@ -25,7 +25,7 @@ from repro.errors import DegenerateTensorError, NonFiniteWeightError
 from repro.models import attach_quantized_linears
 from repro.models.zoo import build_model
 from repro.quant.registry import available_specs, build_quantizer
-from repro.testing.faults import InjectedFault, RaiseOnLayer
+from repro.testing.faults import Fault, InjectedFault
 from tests.conftest import MICRO_CONFIG
 
 SPECS = available_specs()
@@ -196,14 +196,14 @@ class TestFaultPolicies:
         with pytest.raises(InjectedFault):
             quantize_spec(
                 spec, state, selection,
-                on_error="fail", fault_injector=RaiseOnLayer(target),
+                on_error="fail", fault_injector=Fault("raise", target=target),
             )
 
     def test_on_error_fp32_fallback_degrades_one_layer(self, spec, state, selection):
         target = selection.fc_names[-1]
         quantized = quantize_spec(
             spec, state, selection,
-            on_error="fp32-fallback", fault_injector=RaiseOnLayer(target),
+            on_error="fp32-fallback", fault_injector=Fault("raise", target=target),
         )
         assert target not in quantized.quantized
         assert target in quantized.fp32
@@ -217,7 +217,7 @@ class TestFaultPolicies:
         target = selection.fc_names[-1]
         quantized = quantize_spec(
             spec, state, selection,
-            on_error="skip", fault_injector=RaiseOnLayer(target),
+            on_error="skip", fault_injector=Fault("raise", target=target),
         )
         assert target not in quantized.quantized
         assert target not in quantized.fp32

@@ -1,9 +1,11 @@
-"""Serve-path fault injectors: spec parsing and end-to-end chaos behavior."""
+"""Serve-path faults: spec parsing, the one hook protocol, and end-to-end
+chaos behavior."""
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ChecksumMismatchError, ModelQuarantinedError
@@ -11,94 +13,103 @@ from repro.serve import AdmissionController, MicroBatcher, ModelRegistry
 from repro.serve.health import QUARANTINED, HealthMonitor, HealthPolicy
 from repro.testing.faults import (
     FAULTS_ENV,
-    CorruptMemberAtServe,
-    FailForward,
-    HangForward,
+    Fault,
     InjectedFault,
-    SlowLoad,
+    injector_from_env,
     injector_from_spec,
-    serve_injector_from_env,
-    serve_injector_from_spec,
+    parse_fault_spec,
 )
 from tests.conftest import MICRO_CONFIG
 
 
 class TestSpecParsing:
     def test_each_kind_parses(self):
-        injector = serve_injector_from_spec("hang-forward:alpha:2.5:3")
-        assert isinstance(injector, HangForward)
-        assert (injector.model, injector.seconds, injector.times) == ("alpha", 2.5, 3)
-        injector = serve_injector_from_spec("fail-forward:beta:0")
-        assert isinstance(injector, FailForward)
-        assert (injector.model, injector.times) == ("beta", 0)
-        injector = serve_injector_from_spec("corrupt-member-at-serve:gamma")
-        assert isinstance(injector, CorruptMemberAtServe)
-        assert (injector.model, injector.times) == ("gamma", 1)
-        injector = serve_injector_from_spec("slow-load:0.5:delta")
-        assert isinstance(injector, SlowLoad)
-        assert (injector.seconds, injector.model) == (0.5, "delta")
+        assert injector_from_spec("hang-forward:alpha:2.5:3") == Fault(
+            "wedge", "forward", "alpha", seconds=2.5, times=3)
+        assert injector_from_spec("fail-forward:beta:0") == Fault(
+            "raise", "forward", "beta", times=0)
+        assert injector_from_spec("corrupt-member-at-serve:gamma") == Fault(
+            "crc", "forward", "gamma", times=1)
+        assert injector_from_spec("slow-load:0.5:delta") == Fault(
+            "wedge", "load", "delta", seconds=0.5)
 
     def test_engine_kinds_are_skipped(self):
-        """One REPRO_FAULTS value carries both families; each parser takes
-        only its own kinds."""
+        """One REPRO_FAULTS value carries engine, fleet and serve faults;
+        each fires only where its own hook is called."""
         spec = "crash:3,hang-forward:alpha:1:1,kill-worker:1"
-        serve = serve_injector_from_spec(spec)
-        assert isinstance(serve, HangForward)
-        engine = injector_from_spec("hang-forward:alpha:1:1,slow:0.1")
-        assert engine is not None and not isinstance(engine, HangForward)
+        assert [f.hook for f in parse_fault_spec(spec)] == ["layer", "forward", "layer"]
+        mixed = injector_from_spec("raise:alpha,fail-forward:alpha:0,slow-load:5:beta")
+        with pytest.raises(InjectedFault, match="layer"):
+            mixed("layer", (0, "alpha"), np.ones(3))
+        with pytest.raises(InjectedFault, match="forward"):
+            mixed("forward", ("alpha",))
+        sentinel = object()
+        assert mixed("load", ("alpha",), sentinel) is sentinel
 
-    def test_engine_only_spec_yields_none(self):
-        assert serve_injector_from_spec("crash:3,slow:0.1") is None
+    def test_engine_only_spec_yields_none(self, monkeypatch):
+        """A spec without serve faults is inert at the forward and load
+        hooks: each call hands back the value it was given (None by default)."""
+        from repro.testing import faults
+
+        def misfired_crash():
+            raise AssertionError("a layer crash fault fired at a serve hook")
+
+        monkeypatch.setattr(faults, "crash_process", misfired_crash)
+        sentinel = object()
+        for spec in ("crash:3,slow:0.1",
+                     "raise:alpha,transient-io:alpha:5,poison:alpha,slow:5,kill-worker:1"):
+            layer_only = injector_from_spec(spec)
+            for hook in ("forward", "load"):
+                assert layer_only(hook, ("alpha",), sentinel) is sentinel
+                assert layer_only(hook, ("alpha",)) is None
 
     def test_unknown_kind_raises_in_both_parsers(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            serve_injector_from_spec("melt-cpu:1")
+            parse_fault_spec("melt-cpu:1")
         with pytest.raises(ValueError, match="unknown fault kind"):
             injector_from_spec("melt-cpu:1")
 
     def test_composition_first_raise_wins(self):
-        injector = serve_injector_from_spec(
-            "fail-forward:alpha:1,slow-load:0.01")
+        injector = injector_from_spec("fail-forward:alpha:1,slow-load:0.01")
         with pytest.raises(InjectedFault):
-            injector("forward", "alpha")
-        injector("forward", "alpha")  # times=1: cleared
-        injector("load", "alpha")  # only the slow-load applies
+            injector("forward", ("alpha",))
+        injector("forward", ("alpha",))  # times=1: cleared
+        injector("load", ("alpha",))  # only the slow-load applies
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)
-        assert serve_injector_from_env() is None
+        assert injector_from_env() is None
         monkeypatch.setenv(FAULTS_ENV, "fail-forward:alpha:2")
-        injector = serve_injector_from_env()
-        assert isinstance(injector, FailForward)
+        assert injector_from_env() == Fault("raise", "forward", "alpha", times=2)
 
 
 class TestInjectorBehavior:
     def test_fail_forward_counts_and_clears(self):
-        injector = FailForward("alpha", times=2)
+        injector = Fault("raise", "forward", "alpha", times=2)
         for _ in range(2):
             with pytest.raises(InjectedFault):
-                injector("forward", "alpha")
-        injector("forward", "alpha")  # cleared
-        injector("forward", "beta")  # other models never matched
+                injector("forward", ("alpha",))
+        injector("forward", ("alpha",))  # cleared
+        injector("forward", ("beta",))  # other models never matched
 
     def test_fail_forward_persistent(self):
-        injector = FailForward(times=0)  # any model, forever
+        injector = Fault("raise", "forward")  # any model, forever
         for _ in range(5):
             with pytest.raises(InjectedFault):
-                injector("forward", "anything")
+                injector("forward", ("anything",))
 
     def test_corrupt_member_raises_integrity_type(self):
-        injector = CorruptMemberAtServe("alpha")
+        injector = Fault("crc", "forward", "alpha", times=1)
         with pytest.raises(ChecksumMismatchError, match="CRC"):
-            injector("forward", "alpha")
-        injector("forward", "alpha")  # times=1: cleared
-        injector("load", "alpha")  # wrong stage: inert
+            injector("forward", ("alpha",))
+        injector("forward", ("alpha",))  # times=1: cleared
+        injector("load", ("alpha",))  # wrong hook: inert
 
     def test_hang_forward_ignores_load_stage(self):
-        injector = HangForward("alpha", seconds=5.0, times=1)
+        injector = Fault("wedge", "forward", "alpha", seconds=5.0, times=1)
         started = time.monotonic()
-        injector("load", "alpha")
-        injector("forward", "beta")
+        injector("load", ("alpha",))
+        injector("forward", ("beta",))
         assert time.monotonic() - started < 1.0
 
 
@@ -120,7 +131,7 @@ class TestFaultsDriveTheBreaker:
         health = HealthMonitor(registry, policy=policy)
         batcher = MicroBatcher(
             registry, AdmissionController(max_pending=16, request_timeout=5.0),
-            batch_window=0.0, health=health, fault=FailForward("micro", times=0),
+            batch_window=0.0, health=health, fault=Fault("raise", "forward", "micro"),
         )
         try:
             for _ in range(policy.breaker_threshold):
@@ -134,8 +145,28 @@ class TestFaultsDriveTheBreaker:
             batcher.close()
             health.close()
 
+    def test_layer_faults_leave_a_forward_untouched(self, registry):
+        """Faults aimed at the engine hook never fire in the batcher, even
+        one whose target is the model's own name."""
+        admission = AdmissionController(max_pending=16, request_timeout=5.0)
+        clean = MicroBatcher(registry, admission, batch_window=0.0)
+        try:
+            expected = clean.wait(clean.submit("micro", [1, 2, 3]))
+        finally:
+            clean.close()
+        batcher = MicroBatcher(
+            registry, admission, batch_window=0.0,
+            fault=injector_from_spec(
+                "raise:0,transient-io:0:5,poison:0,hang:0,raise:micro"),
+        )
+        try:
+            result = batcher.wait(batcher.submit("micro", [1, 2, 3]))
+        finally:
+            batcher.close()
+        assert result["pooled"] == expected["pooled"]
+
     def test_slow_load_delays_registry_loads(self, micro_archive):
-        registry = ModelRegistry(fault=SlowLoad(0.2, model="slowpoke"))
+        registry = ModelRegistry(fault=Fault("wedge", "load", "slowpoke", seconds=0.2))
         try:
             started = time.monotonic()
             registry.register("slowpoke", micro_archive, config=MICRO_CONFIG)

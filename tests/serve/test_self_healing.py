@@ -32,11 +32,7 @@ import pytest
 
 from repro.serve import ModelRegistry, QuantServer
 from repro.serve.health import HealthPolicy, QUARANTINED
-from repro.testing.faults import (
-    CorruptMemberAtServe,
-    HangForward,
-    corrupt_bytes,
-)
+from repro.testing.faults import Fault, corrupt_bytes
 from tests.conftest import MICRO_CONFIG
 from tests.serve.conftest import http_json
 
@@ -97,12 +93,11 @@ def wait_until(predicate, timeout: float = 15.0):
 
 class TestCorruptArchiveSelfHealing:
     def test_quarantine_reload_recovery_cycle(self, swap_archive, micro_archive):
-        corrupt_fault = CorruptMemberAtServe("micro", times=1)
+        corrupt_fault = Fault("crc", "forward", "micro", times=1)
         armed = threading.Event()
 
-        def fault(stage: str, model: str) -> None:
-            if armed.is_set():
-                corrupt_fault(stage, model)
+        def fault(hook: str, keys: tuple, value=None):
+            return corrupt_fault(hook, keys, value) if armed.is_set() else value
 
         registry = ModelRegistry(verify="lazy")
         registry.register("micro", swap_archive, config=MICRO_CONFIG)
@@ -184,7 +179,7 @@ class TestHangIsolation:
         registry = ModelRegistry(verify="lazy")
         registry.register("alpha", micro_archive, config=MICRO_CONFIG)
         registry.register("beta", micro_archive, config=MICRO_CONFIG)
-        fault = HangForward("alpha", seconds=8.0, times=1)
+        fault = Fault("wedge", "forward", "alpha", seconds=8.0, times=1)
         with QuantServer(registry, port=0, batch_window=0.0,
                          request_timeout=5.0, forward_timeout=0.3,
                          health_policy=FAST_POLICY, fault=fault) as server:

@@ -11,7 +11,7 @@ from repro import obs
 from repro.errors import BatchWorkerError, ForwardTimeoutError, ServeError
 from repro.serve import AdmissionController, MicroBatcher, ModelRegistry
 from repro.serve.health import DEGRADED, HealthMonitor, HealthPolicy
-from repro.testing.faults import HangForward
+from repro.testing.faults import Fault
 from tests.conftest import MICRO_CONFIG
 
 
@@ -42,7 +42,7 @@ class TestForwardTimeout:
     def test_wedged_forward_failed_and_worker_replaced(self, registry):
         """A non-cooperative hang is fenced at forward_timeout: the batch
         fails as transient, a fresh worker serves the next request."""
-        fault = HangForward("micro", seconds=10.0, times=1)
+        fault = Fault("wedge", "forward", "micro", seconds=10.0, times=1)
         batcher = make_batcher(registry, forward_timeout=0.2, fault=fault)
         try:
             with obs.scope() as trace:
@@ -95,7 +95,7 @@ class TestForwardTimeout:
 
     def test_timeout_reports_transient_to_health(self, registry):
         health = HealthMonitor(registry, policy=HealthPolicy(breaker_threshold=5))
-        fault = HangForward("micro", seconds=10.0, times=1)
+        fault = Fault("wedge", "forward", "micro", seconds=10.0, times=1)
         batcher = make_batcher(registry, forward_timeout=0.2, health=health,
                                fault=fault)
         try:
@@ -110,7 +110,7 @@ class TestForwardTimeout:
     def test_disabled_without_forward_timeout(self, registry):
         """forward_timeout=None arms no deadline: a slow forward completes."""
         batcher = make_batcher(registry, forward_timeout=None,
-                               fault=HangForward("micro", seconds=0.3, times=1))
+                               fault=Fault("wedge", "forward", "micro", seconds=0.3, times=1))
         try:
             result = batcher.wait(batcher.submit("micro", [1, 2, 3]))
             assert result["model"] == "micro"

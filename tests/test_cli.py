@@ -229,9 +229,9 @@ class TestQuantizeDegraded:
         original = parallel_mod.quantize_layers
 
         def sabotaged(weights, jobs, **kwargs):
-            from repro.testing.faults import RaiseOnLayer
+            from repro.testing.faults import Fault
 
-            kwargs["fault_injector"] = RaiseOnLayer(jobs[0].name)
+            kwargs["fault_injector"] = Fault("raise", target=jobs[0].name)
             return original(weights, jobs, **kwargs)
 
         monkeypatch.setattr(

@@ -37,7 +37,13 @@ WORKERS = 4
 LAYERS = 8
 SIZE = 64 if _smoke_mode() else 256
 REPEATS = 2 if _smoke_mode() else 3
-FLEET_KW = dict(heartbeat_interval=0.05, heartbeat_timeout=10.0)
+
+
+@pytest.fixture(autouse=True)
+def fleet_supervision(monkeypatch):
+    """Beat every 50 ms; declare a worker dead after 10 s of silence."""
+    monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.05")
+    monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "10")
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +86,8 @@ def test_bench_thread_backend(benchmark, state, jobs):
 
 
 def test_bench_process_backend(benchmark, state, jobs):
-    from repro.jobs.fleet import run_fleet_layers
-
     quantized, _, report = benchmark.pedantic(
-        lambda: run_fleet_layers(state, jobs, workers=WORKERS, **FLEET_KW),
+        lambda: quantize_layers(state, jobs, workers=WORKERS, backend="process"),
         rounds=REPEATS, iterations=1,
     )
     assert report.backend == "process" and report.worker_deaths == 0
@@ -91,8 +95,6 @@ def test_bench_process_backend(benchmark, state, jobs):
 
 def test_record_bench_jobs_json(results_dir, state, jobs):
     """Record the BENCH_jobs.json baseline (see module docstring)."""
-    from repro.jobs.fleet import run_fleet_layers
-
     # Warm both paths once (imports, allocator) before timing.
     quantize_layers(state, jobs, workers=WORKERS)
 
@@ -100,7 +102,7 @@ def test_record_bench_jobs_json(results_dir, state, jobs):
         lambda: quantize_layers(state, jobs, workers=WORKERS)
     )
     process_seconds, process_out = _best_seconds(
-        lambda: run_fleet_layers(state, jobs, workers=WORKERS, **FLEET_KW)
+        lambda: quantize_layers(state, jobs, workers=WORKERS, backend="process")
     )
     identical = _identical(thread_out[0], process_out[0])
 

@@ -29,7 +29,6 @@ in-flight requests and exits 75.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 
@@ -127,13 +126,12 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     if args.resume and not args.job_dir:
         print("--resume requires --job-dir", file=sys.stderr)
         return 2
-    engine = None
+    job = None
     if args.job_dir:
-        from repro.jobs.runner import run_durable_layers
+        from repro.jobs.runner import DurableJob
 
-        engine = functools.partial(
-            run_durable_layers,
-            job_dir=args.job_dir,
+        job = DurableJob(
+            args.job_dir,
             resume=args.resume,
             fingerprint_extra={"config": args.config, "seed": args.seed},
         )
@@ -142,18 +140,6 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    from repro.core.parallel import resolve
-
-    try:
-        backend = resolve("backend", args.backend)
-    except QuantizationError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if backend == "process":
-        # Fleet workers rebuild their injectors from REPRO_FAULTS themselves
-        # (injector objects cannot cross the process boundary); the env read
-        # above still validates the spec before any worker spawns.
-        fault_injector = None
 
     sinks: list = []
     trace_sink = None
@@ -181,8 +167,8 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
                     layer_timeout=args.layer_timeout,
                     transient_retries=args.transient_retries,
                     cancel=interrupt.event,
-                    backend=backend,
-                    engine=engine,
+                    backend=args.backend,
+                    job=job,
                 )
             else:
                 from repro.core.model_quantizer import select_parameters
@@ -199,8 +185,8 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
                     layer_timeout=args.layer_timeout,
                     transient_retries=args.transient_retries,
                     cancel=interrupt.event,
-                    backend=backend,
-                    engine=engine,
+                    backend=args.backend,
+                    job=job,
                 )
         report = quantized.report
         if not report.interrupted and args.out:

@@ -17,6 +17,7 @@ The result is a :class:`QuantizedModel` that can
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from repro.errors import QuantizationError
 from repro.models.bert import BertModel
 from repro.nn.module import Module
 from repro.obs import recorder as obs
+
+if TYPE_CHECKING:
+    from repro.jobs.runner import DurableJob
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def quantize_state_dict(
     transient_retries: int | None = None,
     cancel=None,
     backend: str | None = None,
-    engine=None,
+    job: DurableJob | None = None,
     embedding_method: str | None = None,
     aux: dict[str, np.ndarray] | None = None,
 ) -> QuantizedModel:
@@ -176,11 +180,10 @@ def quantize_state_dict(
     (``"thread"``/``"process"``, None = ``REPRO_BACKEND``): the process
     backend runs layers in supervised worker processes
     (:mod:`repro.jobs.fleet`) so a worker crash costs one in-flight attempt
-    instead of the run, with byte-identical output.  ``engine`` swaps the
-    layer engine itself
-    — any callable with :func:`~repro.core.parallel.quantize_layers`'s
-    signature, e.g. :func:`repro.jobs.runner.run_durable_layers` partially
-    bound to a job directory for checkpoint/resume durability.
+    instead of the run, with byte-identical output.  ``job`` (a
+    :class:`repro.jobs.runner.DurableJob`) journals every finished layer to
+    its job directory and, on resume, quantizes only the layers it has not
+    journaled — checkpoint/resume durability on either backend.
 
     ``on_error``/``validation``/``fault_injector`` are forwarded to the
     engine (see :mod:`repro.core.parallel`).  A layer resolved by
@@ -206,8 +209,7 @@ def quantize_state_dict(
             LayerJob(name=name, bits=embedding_bits, method=embedding_method)
             for name in embedding_names
         )
-    run_engine = engine if engine is not None else quantize_layers
-    quantized, iterations, report = run_engine(
+    quantized, iterations, report = quantize_layers(
         state,
         jobs,
         log_prob_threshold=log_prob_threshold,
@@ -221,6 +223,7 @@ def quantize_state_dict(
         cancel=cancel,
         backend=backend,
         aux=aux,
+        job=job,
     )
 
     dropped = {failure.name for failure in report.failures if failure.dropped}
@@ -261,13 +264,13 @@ def quantize_model(
     transient_retries: int | None = None,
     cancel=None,
     backend: str | None = None,
-    engine=None,
+    job: DurableJob | None = None,
 ) -> QuantizedModel:
     """Quantize a live model's BERT FC layers and embedding tables.
 
     Set ``quantize_weights=False`` for the Figure 4 embedding-only scenario.
-    ``workers``, ``on_error``, ``validation`` and ``fault_injector`` are
-    forwarded to the layer-parallel engine (see :func:`quantize_state_dict`).
+    ``workers``, ``on_error``, ``validation``, ``fault_injector`` and ``job``
+    are forwarded to the layer-parallel engine (see :func:`quantize_state_dict`).
     """
     selection = select_parameters(model)
     return quantize_state_dict(
@@ -286,5 +289,5 @@ def quantize_model(
         transient_retries=transient_retries,
         cancel=cancel,
         backend=backend,
-        engine=engine,
+        job=job,
     )

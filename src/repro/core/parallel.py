@@ -74,9 +74,6 @@ durable-job layer (:mod:`repro.jobs`) runs the engine supervised:
   started are left pending (``report.pending``), in-flight layers finish,
   and ``report.interrupted`` is set.  Graceful SIGINT/SIGTERM handling in
   :mod:`repro.jobs.signals` sets this event.
-* ``on_layer_complete`` is invoked (serialized under a lock) with each
-  layer's final :class:`LayerOutcome` the moment it finishes — the hook the
-  durable runner uses to journal and shard completed layers immediately.
 """
 
 from __future__ import annotations
@@ -86,7 +83,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -99,6 +96,9 @@ from repro.jobs.watchdog import Deadline, deadline_scope
 from repro.obs import recorder as obs
 from repro.obs.metrics import MetricsSnapshot
 from repro.utils.tables import format_table
+
+if TYPE_CHECKING:  # the durable runner imports this module
+    from repro.jobs.runner import DurableJob
 
 WORKERS_ENV = "REPRO_WORKERS"
 ON_ERROR_ENV = "REPRO_ON_ERROR"
@@ -368,10 +368,11 @@ def resolve(name: str, value=None):
 
 @dataclass(frozen=True)
 class LayerOutcome:
-    """The final disposition of one job: at most one of the payloads is set.
+    """The final disposition of one job.
 
-    Passed to the ``on_layer_complete`` hook the moment the job finishes
-    (and collected internally).  ``cancelled`` marks a job that was never
+    ``tensor`` and ``record`` are set when the layer quantized, ``failure``
+    when it needed a degradation policy (both for a layer recovered by
+    ``retry-higher-bits``).  ``cancelled`` marks a job that was never
     started because the run was interrupted.
     """
 
@@ -389,10 +390,10 @@ class JobRunner:
     One runner holds everything a single :class:`LayerJob` needs to reach
     its final :class:`LayerOutcome`: the weight state, the quantization
     parameters, the ``on_error`` policy, the per-attempt deadline and the
-    in-place transient-retry loop.  The thread backend constructs
-    one per run and calls :meth:`run` from its pool threads; the process
-    backend (:mod:`repro.jobs.fleet`) constructs an identical runner inside
-    each worker process — so a layer's disposition, and the exact bytes it
+    in-place transient-retry loop.  :func:`quantize_layers` builds one per
+    run; the thread backend calls :meth:`run` from its pool threads and the
+    process backend (:mod:`repro.jobs.fleet`) hands the same runner to each
+    worker process — so a layer's disposition, and the exact bytes it
     produces, follow the same code path on every backend.
 
     Fields must be *resolved* concrete values (use :func:`resolve` first);
@@ -493,117 +494,82 @@ class JobRunner:
         except LayerSkipped as exc:
             # The skip validation policy always ships the layer FP32,
             # independent of on_error.
-            return LayerOutcome(
-                job=job,
-                failure=LayerFailure(
-                    name=job.name,
-                    bits=job.bits,
-                    action="validation-skip",
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=tuple(attempts),
-                    transient_retries=retries_used[0],
-                ),
-            )
+            return self.failed(job, exc, attempts, retries_used[0], "validation-skip")
         except LayerTimeoutError as exc:
-            # The layer consumed its whole deadline: resolve it through the
-            # on_error policy, but never retry it (in place or wider) — that
-            # would stall the run all over again.
+            # The layer consumed its whole deadline: never retry it (in place
+            # or wider) — that would stall the run all over again.
             obs.counter("engine.timeout", layer=job.name, bits=job.bits)
-            if self.on_error == "fail":
-                raise
-            resolution = "skip" if self.on_error == "skip" else "fp32-fallback"
-            return LayerOutcome(
-                job=job,
-                failure=LayerFailure(
-                    name=job.name,
-                    bits=job.bits,
-                    action="timeout",
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=tuple(attempts),
-                    resolution=resolution,
-                    transient_retries=retries_used[0],
-                ),
-            )
+            return self.failed(job, exc, attempts, retries_used[0], "timeout")
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             if self.on_error == "fail":
                 raise
-            if self.on_error == "retry-higher-bits":
-                for retry_bits in range(job.bits + 1, MAX_RETRY_BITS + 1):
-                    attempts.append(retry_bits)
-                    try:
-                        tensor, record = self.attempt_resilient(
-                            index, job, retry_bits, retries_used
-                        )
-                    except LayerTimeoutError:
-                        obs.counter("engine.timeout", layer=job.name, bits=retry_bits)
-                        break  # widening further would time out again
-                    except Exception:  # noqa: BLE001 — keep widening
-                        continue
-                    return LayerOutcome(
-                        job=job,
-                        tensor=tensor,
-                        record=record,
-                        failure=LayerFailure(
-                            name=job.name,
-                            bits=job.bits,
-                            action="retry-higher-bits",
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            attempts=tuple(attempts),
-                            recovered_bits=retry_bits,
-                            transient_retries=retries_used[0],
-                        ),
+            if self.on_error != "retry-higher-bits":
+                return self.failed(job, exc, attempts, retries_used[0], self.on_error)
+            for retry_bits in range(job.bits + 1, MAX_RETRY_BITS + 1):
+                attempts.append(retry_bits)
+                try:
+                    tensor, record = self.attempt_resilient(
+                        index, job, retry_bits, retries_used
                     )
-                action = "fp32-fallback"  # every retry failed
-            else:
-                action = self.on_error
-            return LayerOutcome(
-                job=job,
-                failure=LayerFailure(
-                    name=job.name,
-                    bits=job.bits,
-                    action=action,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=tuple(attempts),
-                    transient_retries=retries_used[0],
-                ),
-            )
+                except LayerTimeoutError:
+                    obs.counter("engine.timeout", layer=job.name, bits=retry_bits)
+                    break  # widening further would time out again
+                except Exception:  # noqa: BLE001 — keep widening
+                    continue
+                return self.failed(
+                    job, exc, attempts, retries_used[0], "retry-higher-bits",
+                    tensor=tensor, record=record, recovered_bits=retry_bits,
+                )
+            # Every retry failed.
+            return self.failed(job, exc, attempts, retries_used[0], "fp32-fallback")
 
+    def failed(
+        self,
+        job: LayerJob,
+        exc: BaseException,
+        attempts: Iterable[int],
+        retries: int,
+        action: str | None = None,
+        *,
+        tensor: GoboQuantizedTensor | None = None,
+        record: LayerRecord | None = None,
+        recovered_bits: int | None = None,
+    ) -> LayerOutcome:
+        """The final outcome of ``job`` after ``exc`` stuck.
 
-def assemble_outcomes(
-    outcomes: Iterable[LayerOutcome], report: QuantizationReport
-) -> tuple[dict[str, GoboQuantizedTensor], dict[str, int]]:
-    """Fold job-ordered outcomes into ``(quantized, iterations)`` + ``report``.
-
-    Shared by the thread path and the fleet supervisor so both backends
-    assemble results — and emit the layer counters — identically.  Must run
-    inside the run's obs scope so the counters land in ``report.metrics``.
-    """
-    quantized: dict[str, GoboQuantizedTensor] = {}
-    iterations: dict[str, int] = {}
-    for outcome in outcomes:
-        if outcome.cancelled:
-            report.pending.append(outcome.job.name)
-            continue
-        if outcome.record is not None and outcome.tensor is not None:
-            quantized[outcome.record.name] = outcome.tensor
-            iterations[outcome.record.name] = outcome.record.iterations
-            report.layers.append(outcome.record)
-        if outcome.failure is not None:
-            report.failures.append(outcome.failure)
-    # A cancellation that arrived after every job had already started
-    # drained to a complete run; only unstarted work marks the run
-    # interrupted.
-    report.interrupted = bool(report.pending)
-    obs.counter("engine.layers.quantized", len(report.layers))
-    if report.failures:
-        obs.counter("engine.layers.degraded", len(report.failures))
-    if report.pending:
-        obs.counter("engine.layers.cancelled", len(report.pending))
-    return quantized, iterations
+        ``attempts`` lists every bit width tried and ``retries`` counts the
+        in-place transient retries consumed.  A failure that is never
+        retried — a timeout (``action="timeout"``) or a worker crash past
+        its reassignment budget (``action=None``) — is resolved here by
+        ``on_error``: ``"fail"`` raises ``exc``, ``"skip"`` drops the layer
+        and any other policy ships it FP32.  A timeout records that
+        resolution next to its action; a crash records it as the action.
+        A layer recovered wider passes its ``tensor``, ``record`` and
+        ``recovered_bits``.
+        """
+        resolution = ""
+        if action in (None, "timeout"):
+            if self.on_error == "fail":
+                raise exc
+            resolution = "skip" if self.on_error == "skip" else "fp32-fallback"
+            if action is None:  # a crash records the resolution as its action
+                action, resolution = resolution, ""
+        return LayerOutcome(
+            job=job,
+            tensor=tensor,
+            record=record,
+            failure=LayerFailure(
+                name=job.name,
+                bits=job.bits,
+                action=action,
+                error_type=type(exc).__name__,
+                message=str(exc),
+                attempts=tuple(attempts),
+                recovered_bits=recovered_bits,
+                resolution=resolution,
+                transient_retries=retries,
+            ),
+        )
 
 
 def quantize_layers(
@@ -620,11 +586,11 @@ def quantize_layers(
     transient_retries: int | None = None,
     transient_backoff: float = DEFAULT_BACKOFF_BASE,
     cancel: "threading.Event | None" = None,
-    on_layer_complete: "Callable[[LayerOutcome], None] | None" = None,
     backend: str | None = None,
     aux: Mapping[str, np.ndarray] | None = None,
+    job: DurableJob | None = None,
 ) -> tuple[dict[str, GoboQuantizedTensor], dict[str, int], QuantizationReport]:
-    """Quantize every job's tensor, optionally fanning out over threads.
+    """Quantize every job's tensor, optionally fanning out over workers.
 
     Results are keyed in job order regardless of completion order, and each
     job is an independent pure computation, so the output is bit-for-bit
@@ -636,76 +602,59 @@ def quantize_layers(
     Supervision knobs (see module docstring): ``layer_timeout`` arms a
     deadline per attempt, ``transient_retries`` retries transient
     errors in place with ``transient_backoff``-based exponential backoff,
-    ``cancel`` drains the run leaving unstarted jobs in ``report.pending``,
-    and ``on_layer_complete`` receives each job's final
-    :class:`LayerOutcome` as it finishes (calls are serialized; an exception
-    from the hook aborts the run — durable storage failing is fatal).
+    and ``cancel`` drains the run leaving unstarted jobs in
+    ``report.pending``.
 
     ``backend`` selects the fan-out mechanism: ``"thread"`` (default) runs
     jobs on a :class:`ThreadPoolExecutor` in this process; ``"process"``
-    delegates to the supervised worker fleet
-    (:func:`repro.jobs.fleet.run_fleet_layers`) for crash isolation.  Both
+    hands the run's :class:`JobRunner` to the supervised worker fleet
+    (:func:`repro.jobs.fleet.run_fleet`) for crash isolation.  Both
     produce bit-identical archives; ``None`` consults ``REPRO_BACKEND``.
 
     ``aux`` maps layer names to per-layer side data handed to the tensor
     method (e.g. GWQ's precomputed saliency outlier masks); layers without
     an entry receive ``None``.  Both backends deliver it identically.
 
+    ``job`` (a :class:`repro.jobs.runner.DurableJob`) makes the run durable:
+    layers it has journaled are taken from their shards instead of being
+    quantized, and each layer that finishes is journaled before the next
+    result is collected (an exception while journaling aborts the run —
+    durable storage failing is fatal).
+
     Returns ``(quantized, iterations, report)``; failed layers appear in
     ``report.failures`` instead of ``quantized``.
     """
     jobs = list(jobs)
-    missing = [job.name for job in jobs if job.name not in state]
+    missing = [layer.name for layer in jobs if layer.name not in state]
     if missing:
         raise QuantizationError(f"state dict is missing tensors: {missing}")
-    if resolve("backend", backend) == "process":
-        # Lazy import: the fleet lives in the jobs subsystem and pulls in
-        # multiprocessing machinery the thread path never needs.
-        from repro.jobs.fleet import run_fleet_layers
-
-        return run_fleet_layers(
-            state,
-            jobs,
-            log_prob_threshold=log_prob_threshold,
-            method=method,
-            max_iterations=max_iterations,
-            workers=workers,
-            on_error=on_error,
-            validation=validation,
-            fault_injector=fault_injector,
-            layer_timeout=layer_timeout,
-            transient_retries=transient_retries,
-            transient_backoff=transient_backoff,
-            cancel=cancel,
-            on_layer_complete=on_layer_complete,
-            aux=aux,
-        )
+    backend = resolve("backend", backend)
     workers = resolve("workers", workers)
-    on_error = resolve("on_error", on_error)
-    layer_timeout = resolve("layer_timeout", layer_timeout)
-    transient_retries = resolve("transient_retries", transient_retries)
-    hook_lock = threading.Lock()
     runner = JobRunner(
         state=state,
         log_prob_threshold=log_prob_threshold,
         method=method,
         max_iterations=max_iterations,
-        on_error=on_error,
+        on_error=resolve("on_error", on_error),
         validation=validation,
         fault_injector=fault_injector,
-        layer_timeout=layer_timeout,
-        transient_retries=transient_retries,
+        layer_timeout=resolve("layer_timeout", layer_timeout),
+        transient_retries=resolve("transient_retries", transient_retries),
         transient_backoff=transient_backoff,
         aux=aux,
     )
+    done = {} if job is None else job.open(jobs, runner)
+    # Journaled layers are not run again; the rest are numbered afresh.
+    indexed = list(enumerate(layer for layer in jobs if layer.name not in done))
+    record_lock = threading.Lock()
+    worker_deaths = reassignments = 0
 
-    indexed = list(enumerate(jobs))
     with obs.scope() as scoped:
         # The workers gauge is the one event whose payload legitimately
         # differs between otherwise identical runs at different worker
         # counts; determinism comparisons exclude it by name (DESIGN §5c).
         obs.gauge("engine.workers", workers)
-        obs.gauge("engine.queue.jobs", len(jobs))
+        obs.gauge("engine.queue.jobs", len(indexed))
         with obs.span("engine.run") as engine_span:
             # Worker threads re-attach the submitting thread's span context,
             # so layer spans nest under engine.run at any worker count.
@@ -716,23 +665,65 @@ def quantize_layers(
                     if cancel is not None and cancel.is_set():
                         return LayerOutcome(job=item[1], cancelled=True)
                     outcome = runner.run(*item)
-                    if on_layer_complete is not None:
-                        with hook_lock:
-                            on_layer_complete(outcome)
+                    if job is not None:
+                        with record_lock:
+                            job.record(outcome)
                     return outcome
 
-            if workers == 1 or len(jobs) <= 1:
+            if backend == "process" and indexed:
+                # Lazy import: the fleet pulls in multiprocessing machinery
+                # the thread path never needs.
+                from repro.jobs.fleet import run_fleet
+
+                outcomes, worker_deaths, reassignments = run_fleet(
+                    runner, indexed, workers, cancel=cancel, job=job
+                )
+            elif workers == 1 or len(indexed) <= 1:
                 outcomes = [run_in_context(item) for item in indexed]
             else:
-                with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+                with ThreadPoolExecutor(max_workers=min(workers, len(indexed))) as pool:
                     outcomes = list(pool.map(run_in_context, indexed))
 
         report = QuantizationReport(
             workers=workers,
             wall_seconds=engine_span.duration,
-            on_error=on_error,
-            layer_timeout=layer_timeout,
+            on_error=runner.on_error,
+            layer_timeout=runner.layer_timeout,
+            resumed_layers=len(done),
+            backend=backend,
+            worker_deaths=worker_deaths,
+            reassignments=reassignments,
         )
-        quantized, iterations = assemble_outcomes(outcomes, report)
+        # Merge journaled layers back in job order, so the assembled dicts —
+        # and therefore an archive's member order and bytes — match an
+        # uninterrupted run exactly.
+        fresh = {outcome.job.name: outcome for outcome in outcomes}
+        quantized: dict[str, GoboQuantizedTensor] = {}
+        iterations: dict[str, int] = {}
+        for layer in jobs:
+            outcome = fresh.get(layer.name) or done[layer.name]
+            if outcome.cancelled:
+                report.pending.append(layer.name)
+                continue
+            if outcome.record is not None and outcome.tensor is not None:
+                quantized[layer.name] = outcome.tensor
+                iterations[layer.name] = outcome.record.iterations
+                report.layers.append(outcome.record)
+            if outcome.failure is not None:
+                report.failures.append(outcome.failure)
+        # A cancellation that arrived after every job had already started
+        # drained to a complete run; only unstarted work marks the run
+        # interrupted.
+        report.interrupted = bool(report.pending)
+        obs.counter(
+            "engine.layers.quantized", sum(o.record is not None for o in outcomes)
+        )
+        degraded = sum(o.failure is not None for o in outcomes)
+        if degraded:
+            obs.counter("engine.layers.degraded", degraded)
+        if report.pending:
+            obs.counter("engine.layers.cancelled", len(report.pending))
     report.metrics = scoped.snapshot()
+    if job is not None:
+        job.close(report)
     return quantized, iterations, report

@@ -9,11 +9,11 @@ supervised, resumable run:
 * :mod:`repro.jobs.journal` — a checksummed JSONL journal plus per-layer
   shard files; every completed layer is durably recorded the moment it
   finishes (write + fsync), so no completed work is ever lost.
-* :mod:`repro.jobs.runner` — the durable runner:
-  :func:`durable_quantize_state_dict` / :func:`run_durable_layers` journal
-  each layer as it completes and, on ``resume=True``, load journaled layers
-  from their shards and quantize only the remainder.  The final archive is
-  **bit-identical** to an uninterrupted run at any worker count.
+* :mod:`repro.jobs.runner` — :class:`DurableJob`, passed to the engine as
+  ``job=``, journals each layer as it completes and, on ``resume=True``,
+  loads journaled layers from their shards so only the remainder is
+  quantized.  The final archive is **bit-identical** to an uninterrupted
+  run at any worker count.
 * :mod:`repro.jobs.watchdog` — per-layer deadlines: a cooperative
   :class:`Deadline` checked inside the clustering iteration loop, converting
   a hung layer into a ``LayerFailure(action="timeout")`` instead of a
@@ -25,11 +25,11 @@ supervised, resumable run:
 * :mod:`repro.jobs.signals` — SIGINT/SIGTERM handling that drains in-flight
   layers, flushes the journal, and exits with :data:`EXIT_INTERRUPTED`
   (a second signal hard-exits immediately).
-* :mod:`repro.jobs.fleet` — the ``backend="process"`` engine: a supervisor
-  leases layers to N worker processes over per-worker pipes, monitors
-  heartbeats, SIGKILLs wedged workers and reassigns their leased layers to
-  survivors — crash isolation the thread backend cannot offer, with
-  byte-identical archives.
+* :mod:`repro.jobs.fleet` — the ``backend="process"`` map: a supervisor
+  hands the run's job runner to N worker processes, leases them layers over
+  per-worker pipes, monitors heartbeats, SIGKILLs wedged workers and
+  reassigns their leased layers to survivors — crash isolation the thread
+  backend cannot offer, with byte-identical archives.
 
 Exports are resolved lazily (PEP 562) so that low-level modules —
 ``repro.core.clustering`` imports the deadline checkpoint,
@@ -48,18 +48,16 @@ _EXPORTS = {
     "deadline_scope": "repro.jobs.watchdog",
     "current_worker_id": "repro.jobs.fleet",
     "mute_heartbeat": "repro.jobs.fleet",
-    "run_fleet_layers": "repro.jobs.fleet",
     "JobJournal": "repro.jobs.journal",
     "JournalReadResult": "repro.jobs.journal",
     "read_journal": "repro.jobs.journal",
     "backoff_delay": "repro.jobs.retry",
     "is_transient": "repro.jobs.retry",
+    "DurableJob": "repro.jobs.runner",
     "JobStatus": "repro.jobs.runner",
-    "durable_quantize_state_dict": "repro.jobs.runner",
     "job_fingerprint": "repro.jobs.runner",
     "job_status": "repro.jobs.runner",
     "render_status": "repro.jobs.runner",
-    "run_durable_layers": "repro.jobs.runner",
     "EXIT_INTERRUPTED": "repro.jobs.signals",
     "GracefulInterrupt": "repro.jobs.signals",
 }

@@ -1,9 +1,10 @@
-"""The durable runner: journaled, shard-backed, resumable engine runs.
+"""Durable jobs: journaled, shard-backed, resumable engine runs.
 
-:func:`run_durable_layers` is a drop-in engine for
-:func:`repro.core.model_quantizer.quantize_state_dict` (its ``engine=``
-parameter): it calls :func:`repro.core.parallel.quantize_layers` with an
-``on_layer_complete`` hook that, the moment each layer finishes,
+A :class:`DurableJob` is what :func:`repro.core.parallel.quantize_layers`
+(and :func:`~repro.core.model_quantizer.quantize_state_dict`,
+``quantize_model`` and every zoo method) takes as ``job=``.  The engine
+opens it before any layer runs and hands it each layer's final outcome the
+moment the layer finishes; the job
 
 1. writes the quantized tensor to a per-layer **shard** file under
    ``<job_dir>/shards/`` via :func:`repro.utils.atomic.atomic_savez`
@@ -23,14 +24,14 @@ extended across process lifetimes.
 
 Resume is refused (:class:`~repro.errors.JobStateError`) when the job
 directory's fingerprint — jobs, method, threshold, validation, ``on_error``
-— does not match the requested run; worker count and supervision knobs
-(timeout, retries) are deliberately *not* fingerprinted, so a run may be
-resumed with different parallelism or stricter deadlines.
+— does not match the requested run; worker count, backend and supervision
+knobs (timeout, retries) are deliberately *not* fingerprinted, so a run may
+be resumed with different parallelism or stricter deadlines.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import hashlib
 import warnings
 from dataclasses import dataclass, field
@@ -39,19 +40,14 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.model_quantizer import QuantizedModel, quantize_state_dict
-from repro.core.outliers import DEFAULT_LOG_PROB_THRESHOLD
 from repro.core.parallel import (
-    FaultInjector,
+    JobRunner,
     LayerFailure,
     LayerJob,
     LayerOutcome,
     LayerRecord,
     QuantizationReport,
-    quantize_layers,
-    resolve,
 )
-from repro.core.policy import LayerPolicy
 from repro.core.quantizer import GoboQuantizedTensor
 from repro.core.serialization import CHECKSUM_KEY, payload_checksum
 from repro.errors import ChecksumMismatchError, JobStateError, SerializationError
@@ -236,62 +232,64 @@ def _failure_from_dict(data: Mapping) -> LayerFailure:
 
 # -------------------------------------------------------------------- running
 
-def run_durable_layers(
-    state: Mapping[str, np.ndarray],
-    jobs: Iterable[LayerJob],
-    log_prob_threshold: float = DEFAULT_LOG_PROB_THRESHOLD,
-    method: str = "gobo",
-    max_iterations: int = 50,
-    workers: int | None = 1,
-    on_error: str | None = "fail",
-    validation: str = "strict",
-    fault_injector: FaultInjector | None = None,
-    layer_timeout: float | None = None,
-    transient_retries: int | None = None,
-    cancel=None,
-    backend: str | None = None,
-    aux: Mapping[str, np.ndarray] | None = None,
-    *,
-    job_dir: str | Path,
-    resume: bool = False,
-    fingerprint_extra: Mapping[str, object] | None = None,
-) -> tuple[dict[str, GoboQuantizedTensor], dict[str, int], QuantizationReport]:
-    """Engine-compatible durable run over ``job_dir`` (see module docstring).
+class DurableJob:
+    """One job directory, passed to the engine as ``job=`` (module docstring).
 
-    Drop-in for :func:`~repro.core.parallel.quantize_layers`; the extra
-    keyword-only parameters configure durability.  ``backend="process"``
-    runs the remaining layers on the supervised worker fleet
-    (:mod:`repro.jobs.fleet`) with leases journaled to this job's journal
-    and worker traces under ``<job_dir>/obs/``; like the worker count, the
-    backend is not fingerprinted — a job may be resumed on either backend
-    and the archive bytes do not change.  Raises
-    :class:`~repro.errors.JobStateError` when ``job_dir`` holds a journal
-    for a different job, or holds any journal while ``resume`` is False.
+    Construction touches nothing on disk.  The engine calls :meth:`open`
+    once its settings are resolved, :meth:`record` with each finished
+    layer, and :meth:`close` when the run returns.  ``fingerprint_extra``
+    folds caller context (e.g. the CLI's model config and seed) into the
+    fingerprint.  The process backend journals its leases here too and
+    keeps worker traces under ``<job_dir>/obs/``.
     """
-    jobs = list(jobs)
-    names = [job.name for job in jobs]
-    if len(set(names)) != len(names):
-        raise JobStateError("durable jobs require unique layer names")
-    job_dir = Path(job_dir)
-    on_error_resolved = resolve("on_error", on_error)
-    fingerprint = job_fingerprint(
-        jobs,
-        method=method,
-        log_prob_threshold=log_prob_threshold,
-        validation=validation,
-        on_error=on_error_resolved,
-        max_iterations=max_iterations,
-        extra=fingerprint_extra,
-        aux=aux,
-    )
-    journal = JobJournal(job_dir)
 
-    completed: dict[str, tuple[GoboQuantizedTensor, LayerRecord]] = {}
-    failures: dict[str, LayerFailure] = {}
-    had_complete = False
-    existing = journal.recover() if journal.exists() else None
-    if existing is not None and existing.records:
-        if not resume:
+    def __init__(
+        self,
+        job_dir: str | Path,
+        resume: bool = False,
+        fingerprint_extra: Mapping[str, object] | None = None,
+    ):
+        self.job_dir = Path(job_dir)
+        self.resume = resume
+        self.fingerprint_extra = fingerprint_extra
+        self.journal = JobJournal(self.job_dir)
+        self._had_complete = False
+
+    def open(self, jobs: list[LayerJob], runner: JobRunner) -> dict[str, LayerOutcome]:
+        """Start or resume the journal; returns journaled outcomes by layer.
+
+        Raises :class:`~repro.errors.JobStateError` when layer names repeat,
+        when the directory journals a different job, or when it journals
+        anything while ``resume`` is False.
+        """
+        names = [job.name for job in jobs]
+        if len(set(names)) != len(names):
+            raise JobStateError("durable jobs require unique layer names")
+        params = {
+            "method": runner.method,
+            "log_prob_threshold": float(runner.log_prob_threshold),
+            "validation": runner.validation,
+            "on_error": runner.on_error,
+            "max_iterations": int(runner.max_iterations),
+        }
+        fingerprint = job_fingerprint(
+            jobs, **params, extra=self.fingerprint_extra, aux=runner.aux
+        )
+        journal = self.journal
+        existing = journal.recover() if journal.exists() else None
+        if existing is None or not existing.records:
+            journal.append(
+                {
+                    "type": "job-meta",
+                    "version": 1,
+                    "fingerprint": fingerprint,
+                    "jobs": [_job_entry(job) for job in jobs],
+                    "params": params,
+                    "extra": dict(sorted((self.fingerprint_extra or {}).items())),
+                }
+            )
+            return {}
+        if not self.resume:
             raise JobStateError(
                 f"{journal.path} already journals {len(existing.records)} record(s); "
                 f"pass resume=True (--resume) to continue it, or use a fresh job dir"
@@ -306,14 +304,15 @@ def run_durable_layers(
                 f"{fingerprint[:12]}…); same layers, bits, method, threshold, "
                 f"validation and on_error are required to resume"
             )
-        had_complete = bool(existing.of_type("complete"))
-        with obs.span("job.resume", job_dir=str(job_dir)):
-            job_bits = {job.name: job.bits for job in jobs}
+        self._had_complete = bool(existing.of_type("complete"))
+        by_name = {job.name: job for job in jobs}
+        done: dict[str, LayerOutcome] = {}
+        with obs.span("job.resume", job_dir=str(self.job_dir)):
             for record in existing.of_type("layer-done"):
                 name = record["name"]
-                if name not in job_bits:
+                if name not in by_name:
                     continue
-                shard_path = job_dir / record["shard"]
+                shard_path = self.job_dir / record["shard"]
                 try:
                     if not shard_path.exists():
                         raise SerializationError(f"shard {shard_path} is missing")
@@ -322,7 +321,7 @@ def run_durable_layers(
                         raise ChecksumMismatchError(
                             f"shard {shard_path} does not match its journaled SHA-256"
                         )
-                    shard_name, tensor, iterations = load_shard(shard_path)
+                    shard_name, tensor, _ = load_shard(shard_path)
                     if shard_name != name:
                         raise SerializationError(
                             f"shard {shard_path} holds layer {shard_name!r}, "
@@ -337,39 +336,31 @@ def run_durable_layers(
                     )
                     obs.counter("job.shard_requantized", layer=name)
                     continue
-                completed[name] = (tensor, LayerRecord(**record["record"]))
+                done[name] = LayerOutcome(
+                    by_name[name], tensor, LayerRecord(**record["record"])
+                )
+            # Journaled failures are final; a layer recovered wider has both
+            # records and is one resumed layer.
             for record in existing.of_type("layer-failed"):
                 failure = _failure_from_dict(record["failure"])
-                if failure.name in job_bits:
-                    failures[failure.name] = failure
-        obs.counter("job.resumed_layers", len(completed) + len(failures))
-    else:
-        journal.append(
-            {
-                "type": "job-meta",
-                "version": 1,
-                "fingerprint": fingerprint,
-                "jobs": [_job_entry(job) for job in jobs],
-                "params": {
-                    "method": method,
-                    "log_prob_threshold": float(log_prob_threshold),
-                    "validation": validation,
-                    "on_error": on_error_resolved,
-                    "max_iterations": int(max_iterations),
-                },
-                "extra": dict(sorted((fingerprint_extra or {}).items())),
-            }
-        )
+                name = failure.name
+                if name in by_name:
+                    outcome = done.get(name, LayerOutcome(by_name[name]))
+                    done[name] = dataclasses.replace(outcome, failure=failure)
+        obs.counter("job.resumed_layers", len(done))
+        return done
 
-    def journal_layer(outcome: LayerOutcome) -> None:
-        # Called by the engine (serialized) the moment a layer finishes:
-        # shard first, then the journal record pointing at it — a crash
-        # between the two costs only a re-quantization of that layer.
+    def record(self, outcome: LayerOutcome) -> None:
+        """Journal one finished layer: shard first, then the record pointing
+        at it — a crash between the two costs only a re-quantization."""
         if outcome.tensor is not None and outcome.record is not None:
             relpath, sha, size = save_shard(
-                job_dir, outcome.record.name, outcome.tensor, outcome.record.iterations
+                self.job_dir,
+                outcome.record.name,
+                outcome.tensor,
+                outcome.record.iterations,
             )
-            journal.append(
+            self.journal.append(
                 {
                     "type": "layer-done",
                     "name": outcome.record.name,
@@ -381,134 +372,24 @@ def run_durable_layers(
                 }
             )
         if outcome.failure is not None:
-            journal.append(
+            self.journal.append(
                 {"type": "layer-failed", "failure": _failure_to_dict(outcome.failure)}
             )
 
-    remaining = [
-        job for job in jobs if job.name not in completed and job.name not in failures
-    ]
-    if resolve("backend", backend) == "process":
-        # The fleet journals leases/broken leases alongside the layer
-        # records and keeps worker-local traces inside the job dir, where
-        # they survive for post-mortem even if the supervisor dies.
-        from repro.jobs.fleet import run_fleet_layers
-
-        engine = functools.partial(
-            run_fleet_layers, journal=journal, obs_dir=job_dir / "obs"
-        )
-    else:
-        engine = quantize_layers
-    fresh_quantized, fresh_iterations, report = engine(
-        state,
-        remaining,
-        log_prob_threshold=log_prob_threshold,
-        method=method,
-        max_iterations=max_iterations,
-        workers=workers,
-        on_error=on_error_resolved,
-        validation=validation,
-        fault_injector=fault_injector,
-        layer_timeout=layer_timeout,
-        transient_retries=transient_retries,
-        cancel=cancel,
-        on_layer_complete=journal_layer,
-        aux=aux,
-    )
-
-    # Merge journaled work back in *original job order*, so the assembled
-    # dicts — and therefore the final archive's member order and bytes —
-    # match an uninterrupted run exactly.
-    quantized: dict[str, GoboQuantizedTensor] = {}
-    iterations: dict[str, int] = {}
-    fresh_records = {record.name: record for record in report.layers}
-    fresh_failures = {failure.name: failure for failure in report.failures}
-    merged_records: list[LayerRecord] = []
-    merged_failures: list[LayerFailure] = []
-    for job in jobs:
-        if job.name in fresh_quantized:
-            quantized[job.name] = fresh_quantized[job.name]
-            iterations[job.name] = fresh_iterations[job.name]
-        elif job.name in completed:
-            tensor, record = completed[job.name]
-            quantized[job.name] = tensor
-            iterations[job.name] = record.iterations
-        if job.name in fresh_records:
-            merged_records.append(fresh_records[job.name])
-        elif job.name in completed:
-            merged_records.append(completed[job.name][1])
-        if job.name in fresh_failures:
-            merged_failures.append(fresh_failures[job.name])
-        elif job.name in failures:
-            merged_failures.append(failures[job.name])
-    report.layers = merged_records
-    report.failures = merged_failures
-    report.resumed_layers = len(completed) + len(failures)
-
-    if report.interrupted:
-        journal.append({"type": "interrupted", "pending": list(report.pending)})
-    elif not had_complete:
-        journal.append(
-            {
-                "type": "complete",
-                "layers": len(report.layers),
-                "failures": len(report.failures),
-            }
-        )
-    return quantized, iterations, report
-
-
-def durable_quantize_state_dict(
-    state: dict[str, np.ndarray],
-    fc_names: tuple[str, ...],
-    embedding_names: tuple[str, ...] = (),
-    weight_bits: "int | LayerPolicy" = 3,
-    embedding_bits: int | None = 4,
-    method: str = "gobo",
-    log_prob_threshold: float = DEFAULT_LOG_PROB_THRESHOLD,
-    workers: int | None = 1,
-    on_error: str | None = "fail",
-    validation: str = "strict",
-    fault_injector: FaultInjector | None = None,
-    layer_timeout: float | None = None,
-    transient_retries: int | None = None,
-    cancel=None,
-    backend: str | None = None,
-    *,
-    job_dir: str | Path,
-    resume: bool = False,
-    fingerprint_extra: Mapping[str, object] | None = None,
-) -> QuantizedModel:
-    """:func:`~repro.core.model_quantizer.quantize_state_dict`, durably.
-
-    Identical semantics and bit-identical output, with every completed layer
-    journaled to ``job_dir`` and ``resume=True`` continuing an interrupted
-    run (on either backend).  Inspect progress with :func:`job_status`.
-    """
-    engine = functools.partial(
-        run_durable_layers,
-        job_dir=job_dir,
-        resume=resume,
-        fingerprint_extra=fingerprint_extra,
-    )
-    return quantize_state_dict(
-        state,
-        fc_names=fc_names,
-        embedding_names=embedding_names,
-        weight_bits=weight_bits,
-        embedding_bits=embedding_bits,
-        method=method,
-        log_prob_threshold=log_prob_threshold,
-        workers=workers,
-        on_error=on_error,
-        validation=validation,
-        fault_injector=fault_injector,
-        layer_timeout=layer_timeout,
-        transient_retries=transient_retries,
-        cancel=cancel,
-        backend=backend,
-        engine=engine,
-    )
+    def close(self, report: QuantizationReport) -> None:
+        """Write the run's closing record: ``interrupted`` or ``complete``."""
+        if report.interrupted:
+            self.journal.append(
+                {"type": "interrupted", "pending": list(report.pending)}
+            )
+        elif not self._had_complete:
+            self.journal.append(
+                {
+                    "type": "complete",
+                    "layers": len(report.layers),
+                    "failures": len(report.failures),
+                }
+            )
 
 
 # --------------------------------------------------------------------- status

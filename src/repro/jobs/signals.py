@@ -43,7 +43,9 @@ class GracefulInterrupt:
     Usage::
 
         with GracefulInterrupt() as interrupt:
-            quantized = durable_quantize_state_dict(..., cancel=interrupt.event)
+            quantized = quantize_state_dict(
+                ..., cancel=interrupt.event, job=DurableJob(job_dir)
+            )
         if interrupt.triggered:
             sys.exit(EXIT_INTERRUPTED)
 

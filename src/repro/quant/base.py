@@ -113,9 +113,13 @@ class EngineBackedQuantizer:
         transient_retries: int | None = None,
         cancel=None,
         backend: str | None = None,
-        engine=None,
+        job=None,
     ):
-        """Run this method through the engine, returning a ``QuantizedModel``."""
+        """Run this method through the engine, returning a ``QuantizedModel``.
+
+        ``job`` (a :class:`repro.jobs.runner.DurableJob`) makes the run
+        durable and resumable, as for ``quantize_state_dict``.
+        """
         # Lazy import: repro.quant must stay importable without dragging in
         # the whole engine (plug-in tensor-method modules import the other way).
         from repro.core.model_quantizer import quantize_state_dict
@@ -133,7 +137,7 @@ class EngineBackedQuantizer:
             transient_retries=transient_retries,
             cancel=cancel,
             backend=backend,
-            engine=engine,
+            job=job,
             **options,
         )
 

@@ -41,14 +41,15 @@ What firing does is its ``kind``:
 * ``poison`` — return a NaN/Inf/constant-poisoned copy of the weights
   (``mode``), exercising ``validation=`` instead of ``on_error=``.
 
-Faults hold a lock and cannot cross a process boundary, so ``repro
-quantize``, ``repro serve`` and every fleet worker build theirs from the
-text spec in ``REPRO_FAULTS`` (:func:`injector_from_env`; grammar in
-:func:`parse_fault_spec`), and a fault in a fleet worker counts that
-worker's calls only.  A fault acts only at its own hook, so one spec can
-carry faults for all three.  Every value in a spec is checked when it is
-parsed: a malformed spec fails with :class:`~repro.errors.FaultSpecError`
-before anything runs instead of misfiring, or never firing, mid-run.
+``repro quantize`` and ``repro serve`` build theirs from the text spec in
+``REPRO_FAULTS`` (:func:`injector_from_env`; grammar in
+:func:`parse_fault_spec`).  A fault acts only at its own hook, so one spec
+can carry faults for all three.  Every value in a spec is checked when it
+is parsed: a malformed spec fails with :class:`~repro.errors.FaultSpecError`
+before anything runs instead of misfiring, or never firing, mid-run.  A
+copied or unpickled fault counts from zero, so the injector a run hands to
+its fleet workers (:mod:`repro.jobs.fleet`) counts each worker's calls
+only.
 
 Storage-level helpers simulate the two ways an archive dies on disk:
 :func:`truncate_file` (a crash mid-write tears the container) and
@@ -72,7 +73,7 @@ import numpy as np
 from repro.errors import ChecksumMismatchError, FaultSpecError
 from repro.jobs.watchdog import checkpoint
 
-#: Environment variable the CLIs and fleet workers read fault specs from.
+#: Environment variable the CLIs read fault specs from.
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: What a fault does when it fires (see the module docstring).
@@ -147,6 +148,17 @@ class Fault:
         ):
             if value not in allowed:
                 raise ValueError(f"unknown {what} {value!r}; expected one of {allowed}")
+
+    def __getstate__(self) -> dict:
+        # The lock cannot be pickled, and a copy counts its own calls.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in ("_calls", "_lock")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _calls=0, _lock=threading.Lock())
 
     def __call__(self, hook: str, keys: tuple, value=None):
         if hook != self.hook or (self.target is not None and self.target not in keys):
@@ -338,16 +350,17 @@ def injector_from_env(env: str = FAULTS_ENV):
     return injector_from_spec(spec) if spec.strip() else None
 
 
+def _chain(faults: tuple, hook: str, keys: tuple, value=None):
+    for fault in faults:
+        value = fault(hook, keys, value)
+    return value
+
+
 def compose_injectors(*faults):
     """Chain faults: each may raise, and each sees the value the ones before
-    it returned."""
-
-    def injector(hook: str, keys: tuple, value=None):
-        for fault in faults:
-            value = fault(hook, keys, value)
-        return value
-
-    return injector
+    it returned.  The chain is picklable, and copies deeply, when its faults
+    are."""
+    return functools.partial(_chain, faults)
 
 
 def truncate_file(path: str | Path, keep: int | float) -> int:

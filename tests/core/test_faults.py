@@ -352,6 +352,29 @@ class TestOneProtocol:
             )
 
 
+    @pytest.mark.parametrize("copy_of", ["deepcopy", "pickle"])
+    def test_copies_count_from_zero(self, copy_of):
+        """A fleet worker's copy of the run's injector counts its own calls;
+        the original's count is untouched."""
+        import copy
+        import pickle
+
+        from repro.testing.faults import InjectedIOError, injector_from_spec
+
+        original = injector_from_spec("transient-io:0:1,raise:never")
+        weights = np.ones((2, 2))
+        with pytest.raises(InjectedIOError):
+            original("layer", (0, "a"), weights)
+        if copy_of == "deepcopy":
+            duplicate = copy.deepcopy(original)
+        else:
+            duplicate = pickle.loads(pickle.dumps(original))
+        with pytest.raises(InjectedIOError):
+            duplicate("layer", (0, "a"), weights)
+        assert duplicate("layer", (0, "a"), weights) is weights
+        assert original("layer", (0, "a"), weights) is weights
+
+
 class TestFaultSpecValidation:
     """Every value in a spec is checked at parse time, by every entry
     point, and fails with the typed FaultSpecError (a ConfigError and a

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.model_quantizer import quantize_state_dict
 from repro.core.parallel import (
     BACKEND_ENV,
@@ -23,17 +24,22 @@ from repro.core.parallel import (
 )
 from repro.core.serialization import save_quantized_model
 from repro.errors import QuantizationError
-from repro.jobs.fleet import run_fleet_layers
-from repro.jobs.runner import durable_quantize_state_dict, job_status
+from repro.jobs.runner import DurableJob, job_status
 from repro.obs import recorder as obs
 from repro.obs.events import read_trace_lenient
 from repro.obs.sinks import JsonlSink
-from repro.testing.faults import Fault, InjectedFault
+from repro.testing.faults import InjectedFault, injector_from_spec
 from repro.utils.rng import derive_rng
 
 FC_NAMES = tuple(f"layer{i}.weight" for i in range(6))
-# Fast supervision for tests: beat every 50 ms, declare death after 5 s.
-FLEET_KW = dict(heartbeat_interval=0.05, heartbeat_timeout=5.0)
+JOBS = [LayerJob(name, 3) for name in FC_NAMES]
+
+
+@pytest.fixture(autouse=True)
+def fast_supervision(monkeypatch):
+    """Fast supervision for tests: beat every 50 ms, declare death after 5 s."""
+    monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.05")
+    monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "5")
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +79,12 @@ class TestByteIdentity:
 
     def test_durable_fleet_run_matches_thread(self, state, thread_archive, tmp_path):
         job_dir = tmp_path / "job"
-        model = durable_quantize_state_dict(
+        model = quantize_state_dict(
             state,
             fc_names=FC_NAMES,
             workers=2,
             backend="process",
-            job_dir=job_dir,
+            job=DurableJob(job_dir),
         )
         assert _archive_bytes(model, tmp_path / "fleet.npz") == thread_archive
         # Leases went through the journal, and the completed job holds none.
@@ -91,33 +97,45 @@ class TestByteIdentity:
         assert status.complete and not status.active_leases
         assert status.worker_deaths == 0 and status.broken_leases == 0
 
+    def test_injector_object_reaches_the_workers(self, state, thread_archive, tmp_path):
+        # The run's injector travels with its job runner; worker 1's copy
+        # kills it on its first layer, and the stall gives worker 1 one.
+        model = quantize_state_dict(
+            state,
+            fc_names=FC_NAMES,
+            workers=2,
+            backend="process",
+            fault_injector=injector_from_spec("kill-worker:1,slow:0.2"),
+        )
+        assert model.report.worker_deaths == 1
+        assert _archive_bytes(model, tmp_path / "fleet.npz") == thread_archive
+
 
 class TestSupervisionPlumbing:
     def test_worker_events_merged_into_report(self, state, tmp_path):
-        jobs = [LayerJob(name, 3) for name in FC_NAMES]
-        _, _, report = run_fleet_layers(
-            state, jobs, workers=2, obs_dir=tmp_path, **FLEET_KW
+        _, _, report = quantize_layers(
+            state, JOBS, workers=2, backend="process", job=DurableJob(tmp_path)
         )
         # Worker-local traces were written and merged: spans recorded inside
         # the worker processes show up in the supervisor's snapshot.
-        traces = sorted(tmp_path.glob("worker-*.jsonl"))
+        traces = sorted((tmp_path / "obs").glob("worker-*.jsonl"))
         assert traces and all(t.stat().st_size > 0 for t in traces)
         assert report.metrics is not None
         assert "fleet.task" in report.metrics.spans
         assert "engine.layer" in report.metrics.spans
-        assert report.metrics.counters["fleet.leases"] == len(jobs)
+        assert report.metrics.counters["fleet.leases"] == len(JOBS)
 
     def test_transient_fault_absorbed_inside_worker(self, state, thread_archive, tmp_path):
         model = quantize_state_dict(
             state, fc_names=FC_NAMES, workers=2, backend="process"
         )
-        faulted = run_fleet_layers(
+        faulted = quantize_layers(
             state,
-            [LayerJob(name, 3) for name in FC_NAMES],
+            JOBS,
             workers=2,
             transient_retries=3,
-            fault_spec="transient-io:0:2",
-            **FLEET_KW,
+            fault_injector=injector_from_spec("transient-io:0:2"),
+            backend="process",
         )
         quantized, _, report = faulted
         assert not report.failures
@@ -129,71 +147,61 @@ class TestSupervisionPlumbing:
     def test_worker_error_propagates_under_on_error_fail(self, state):
         # The worker's exception crosses the pipe with its type intact.
         with pytest.raises(InjectedFault, match="injected"):
-            run_fleet_layers(
+            quantize_layers(
                 state,
-                [LayerJob(name, 3) for name in FC_NAMES],
+                JOBS,
                 workers=2,
-                fault_spec="raise:2",
-                **FLEET_KW,
+                fault_injector=injector_from_spec("raise:2"),
+                backend="process",
             )
 
     def test_on_error_skip_drops_only_the_failed_layer(self, state):
-        quantized, _, report = run_fleet_layers(
+        quantized, _, report = quantize_layers(
             state,
-            [LayerJob(name, 3) for name in FC_NAMES],
+            JOBS,
             workers=2,
             on_error="skip",
-            fault_spec=f"raise:{FC_NAMES[2]}",
-            **FLEET_KW,
+            fault_injector=injector_from_spec(f"raise:{FC_NAMES[2]}"),
+            backend="process",
         )
         assert set(quantized) == set(FC_NAMES) - {FC_NAMES[2]}
         assert [f.name for f in report.failures] == [FC_NAMES[2]]
         assert report.failures[0].dropped
 
     def test_empty_jobs_short_circuits(self, state):
-        quantized, iterations, report = run_fleet_layers(state, [], workers=4)
+        quantized, iterations, report = quantize_layers(
+            state, [], workers=4, backend="process"
+        )
         assert quantized == {} and iterations == {}
         assert report.backend == "process"
 
 
 class TestConfigValidation:
-    def test_fault_injector_object_rejected(self, state):
-        with pytest.raises(QuantizationError, match="REPRO_FAULTS"):
-            run_fleet_layers(
-                state,
-                [LayerJob(FC_NAMES[0], 3)],
-                fault_injector=Fault("raise", target=0),
-            )
-
-    def test_injector_object_rejected_through_quantize_state_dict(self, state):
-        with pytest.raises(QuantizationError, match="REPRO_FAULTS"):
-            quantize_state_dict(
-                state,
-                fc_names=FC_NAMES,
-                backend="process",
-                fault_injector=Fault("raise", target=0),
-            )
-
-    def test_timeout_must_exceed_interval(self, state):
+    def test_timeout_must_exceed_interval(self, state, monkeypatch):
+        monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "1.0")
+        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "0.5")
         with pytest.raises(QuantizationError, match="heartbeat"):
-            run_fleet_layers(
-                state,
-                [LayerJob(FC_NAMES[0], 3)],
-                heartbeat_interval=1.0,
-                heartbeat_timeout=0.5,
-            )
+            quantize_layers(state, [LayerJob(FC_NAMES[0], 3)], backend="process")
 
-    def test_bad_fault_spec_rejected_before_spawn(self, state):
-        with pytest.raises(QuantizationError, match="fault spec"):
-            run_fleet_layers(
-                state,
-                [LayerJob(FC_NAMES[0], 3)],
-                fault_spec="kill-worker:not-a-number",
-            )
+    def test_bad_fault_spec_rejected_before_spawn(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_FAULTS", "kill-worker:not-a-number")
+        job_dir = tmp_path / "job"
+        assert main([
+            "quantize", "--backend", "process", "--job-dir", str(job_dir),
+        ]) == 2
+        assert "fault spec" in capsys.readouterr().err
+        assert not job_dir.exists()
+
+    def test_bad_backend_rejected_before_the_journal(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(BACKEND_ENV, "bogus")
+        job_dir = tmp_path / "job"
+        assert main(["quantize", "--job-dir", str(job_dir)]) == 2
+        assert "backend" in capsys.readouterr().err
+        assert not job_dir.exists()
 
     def test_missing_tensor_rejected(self, state):
         with pytest.raises(QuantizationError, match="missing"):
-            run_fleet_layers(state, [LayerJob("no.such.tensor", 3)])
+            quantize_layers(state, [LayerJob("no.such.tensor", 3)], backend="process")
 
     @pytest.mark.parametrize(
         "env, name",

@@ -18,16 +18,22 @@ from pathlib import Path
 import pytest
 
 from repro.core.model_quantizer import quantize_state_dict
-from repro.core.parallel import LayerJob
-from repro.core.serialization import save_quantized_model
+from repro.core.parallel import LayerJob, quantize_layers
 from repro.errors import WorkerCrashError
-from repro.jobs.fleet import run_fleet_layers
-from repro.jobs.runner import durable_quantize_state_dict, job_status, render_status
+from repro.jobs.runner import DurableJob, job_status, render_status
+from repro.testing.faults import Fault, compose_injectors, injector_from_spec
 from repro.utils.rng import derive_rng
 
 FC_NAMES = tuple(f"layer{i}.weight" for i in range(6))
-FLEET_KW = dict(heartbeat_interval=0.05, heartbeat_timeout=5.0)
+JOBS = [LayerJob(name, 3) for name in FC_NAMES]
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+@pytest.fixture(autouse=True)
+def fast_supervision(monkeypatch):
+    """Fast supervision for tests: beat every 50 ms, declare death after 5 s."""
+    monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.05")
+    monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "5")
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +47,7 @@ def state():
 @pytest.fixture(scope="module")
 def reference(state):
     """Quantized tensors of the undisturbed single-thread run."""
-    jobs = [LayerJob(name, 3) for name in FC_NAMES]
-    from repro.core.parallel import quantize_layers
-
-    quantized, _, _ = quantize_layers(state, jobs)
+    quantized, _, _ = quantize_layers(state, JOBS)
     return quantized
 
 
@@ -55,29 +58,33 @@ def _assert_identical(quantized, reference):
 
 
 class TestWorkerDeath:
+    # A worker-targeted fault fires only if its worker leases a layer; the
+    # stall on every layer keeps a peer from draining the queue before the
+    # target worker has forked.
+
     def test_sigkilled_worker_costs_one_attempt(self, state, reference):
-        quantized, _, report = run_fleet_layers(
+        quantized, _, report = quantize_layers(
             state,
-            [LayerJob(name, 3) for name in FC_NAMES],
+            JOBS,
             workers=3,
-            fault_spec="kill-worker:1",
-            **FLEET_KW,
+            fault_injector=injector_from_spec("kill-worker:1,slow:0.2"),
+            backend="process",
         )
         assert report.worker_deaths == 1
         assert report.reassignments == 1
         assert not report.failures
         _assert_identical(quantized, reference)
 
-    def test_muted_worker_detected_and_replaced(self, state, reference):
+    def test_muted_worker_detected_and_replaced(self, state, reference, monkeypatch):
         # Worker 1 stops beating mid-layer; the liveness monitor must kill
         # and replace it well before the mute fault's 30 s harness bound.
-        quantized, _, report = run_fleet_layers(
+        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "0.4")
+        quantized, _, report = quantize_layers(
             state,
-            [LayerJob(name, 3) for name in FC_NAMES],
+            JOBS,
             workers=2,
-            fault_spec="mute-worker:1",
-            heartbeat_interval=0.05,
-            heartbeat_timeout=0.4,
+            fault_injector=injector_from_spec("mute-worker:1,slow:0.2"),
+            backend="process",
         )
         assert report.worker_deaths == 1
         assert report.reassignments == 1
@@ -86,15 +93,19 @@ class TestWorkerDeath:
     def test_hung_worker_is_a_timeout_not_a_death(self, state):
         # The stall checkpoints, so the *worker-local* watchdog converts it
         # into an ordinary timeout failure while heartbeats keep flowing:
-        # the worker survives and keeps taking tasks.
-        quantized, _, report = run_fleet_layers(
+        # the worker survives and keeps taking tasks.  The hang fires once
+        # (hang-worker would hang every layer worker 1 leases).
+        quantized, _, report = quantize_layers(
             state,
-            [LayerJob(name, 3) for name in FC_NAMES],
+            JOBS,
             workers=2,
             on_error="skip",
             layer_timeout=0.4,
-            fault_spec="hang-worker:1:10",
-            **FLEET_KW,
+            fault_injector=compose_injectors(
+                Fault("hang", worker=1, times=1, seconds=10),
+                Fault("slow", seconds=0.1),
+            ),
+            backend="process",
         )
         assert report.worker_deaths == 0
         assert len(report.failures) == 1
@@ -103,28 +114,59 @@ class TestWorkerDeath:
 
     def test_every_worker_dying_raises_worker_crash(self, state):
         with pytest.raises(WorkerCrashError, match="every fleet worker died"):
-            run_fleet_layers(
+            quantize_layers(
                 state,
-                [LayerJob(name, 3) for name in FC_NAMES],
+                JOBS,
                 workers=2,
-                fault_spec="kill-worker:0,kill-worker:1",
-                **FLEET_KW,
+                fault_injector=injector_from_spec("kill-worker:0,kill-worker:1"),
+                backend="process",
             )
+
+    @pytest.mark.parametrize(
+        "on_error", ["fp32-fallback", "retry-higher-bits", "skip", "fail"]
+    )
+    def test_death_past_reassignment_budget_goes_to_on_error(
+        self, state, reference, monkeypatch, on_error
+    ):
+        # No reassignment allowed: worker 1's crash resolves the layer it
+        # held through on_error, which never widens a crash.
+        monkeypatch.setenv("REPRO_MAX_REASSIGNMENTS", "0")
+        run = dict(
+            workers=2,
+            on_error=on_error,
+            fault_injector=injector_from_spec("kill-worker:1,slow:0.2"),
+            backend="process",
+        )
+        if on_error == "fail":
+            with pytest.raises(WorkerCrashError, match="died mid-layer"):
+                quantize_layers(state, JOBS, **run)
+            return
+        quantized, _, report = quantize_layers(state, JOBS, **run)
+        assert report.worker_deaths == 1 and report.reassignments == 0
+        [failure] = report.failures
+        assert failure.action == ("skip" if on_error == "skip" else "fp32-fallback")
+        assert failure.dropped == (on_error == "skip")
+        assert failure.error_type == "WorkerCrashError"
+        assert failure.attempts == (3,)
+        assert failure.transient_retries == 0
+        assert failure.name not in quantized
+        _assert_identical(
+            quantized, {n: t for n, t in reference.items() if n != failure.name}
+        )
 
 
 class TestDurableChaos:
     def test_death_is_journaled_and_visible_in_status(
-        self, state, reference, tmp_path, monkeypatch
+        self, state, reference, tmp_path
     ):
-        monkeypatch.setenv("REPRO_FAULTS", "kill-worker:0")
-        monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.05")
         job_dir = tmp_path / "job"
-        model = durable_quantize_state_dict(
+        model = quantize_state_dict(
             state,
             fc_names=FC_NAMES,
             workers=2,
+            fault_injector=injector_from_spec("kill-worker:0,slow:0.2"),
             backend="process",
-            job_dir=job_dir,
+            job=DurableJob(job_dir),
         )
         _assert_identical(model.quantized, reference)
         status = job_status(job_dir)

@@ -16,16 +16,20 @@ from repro.core.parallel import LayerJob, quantize_layers
 from repro.core.serialization import save_quantized_model
 from repro.errors import JobStateError
 from repro.jobs.runner import (
+    DurableJob,
     ShardCorruptionWarning,
-    durable_quantize_state_dict,
     job_fingerprint,
     job_status,
     load_shard,
     render_status,
-    run_durable_layers,
     save_shard,
 )
-from repro.testing.faults import Fault, InjectedFault, corrupt_bytes
+from repro.testing.faults import (
+    Fault,
+    InjectedFault,
+    corrupt_bytes,
+    injector_from_spec,
+)
 from repro.utils.rng import derive_rng
 
 FC_NAMES = tuple(f"layer{i}.weight" for i in range(5))
@@ -108,18 +112,18 @@ class TestResumeDeterminism:
         try:
             # "Kill" the first run mid-flight: a poisoned layer under
             # on_error=fail aborts the engine, but every layer that finished
-            # before the abort is already journaled (the hook is durable per
+            # before the abort is already journaled (the job is durable per
             # layer, not per run).
             with pytest.raises(InjectedFault):
-                durable_quantize_state_dict(
-                    state, fc_names=FC_NAMES, workers=workers,
-                    job_dir=job_dir, fault_injector=Fault("raise", target=FC_NAMES[3]),
+                quantize_state_dict(
+                    state, fc_names=FC_NAMES, workers=workers, job=DurableJob(job_dir),
+                    fault_injector=Fault("raise", target=FC_NAMES[3]),
                 )
             status = job_status(job_dir)
             assert status.pending, "the aborted run should leave pending layers"
-            resumed = durable_quantize_state_dict(
+            resumed = quantize_state_dict(
                 state, fc_names=FC_NAMES, workers=workers,
-                job_dir=job_dir, resume=True,
+                job=DurableJob(job_dir, resume=True),
             )
         finally:
             if traced:
@@ -134,21 +138,21 @@ class TestResumeDeterminism:
         baseline = _clean_archive(state, tmp_path / "clean.npz")
         job_dir = tmp_path / f"job-rw{resume_workers}"
         with pytest.raises(InjectedFault):
-            durable_quantize_state_dict(
-                state, fc_names=FC_NAMES, workers=2,
-                job_dir=job_dir, fault_injector=Fault("raise", target=FC_NAMES[2]),
+            quantize_state_dict(
+                state, fc_names=FC_NAMES, workers=2, job=DurableJob(job_dir),
+                fault_injector=Fault("raise", target=FC_NAMES[2]),
             )
-        resumed = durable_quantize_state_dict(
+        resumed = quantize_state_dict(
             state, fc_names=FC_NAMES, workers=resume_workers,
-            job_dir=job_dir, resume=True,
+            job=DurableJob(job_dir, resume=True),
         )
         save_quantized_model(resumed, tmp_path / "resumed.npz")
         assert (tmp_path / "resumed.npz").read_bytes() == baseline
 
     def test_fresh_durable_run_matches_plain_run(self, state, tmp_path):
         baseline = _clean_archive(state, tmp_path / "clean.npz")
-        model = durable_quantize_state_dict(
-            state, fc_names=FC_NAMES, workers=3, job_dir=tmp_path / "job"
+        model = quantize_state_dict(
+            state, fc_names=FC_NAMES, workers=3, job=DurableJob(tmp_path / "job")
         )
         save_quantized_model(model, tmp_path / "durable.npz")
         assert (tmp_path / "durable.npz").read_bytes() == baseline
@@ -157,50 +161,73 @@ class TestResumeDeterminism:
     def test_resume_of_complete_job_loads_everything(self, state, tmp_path):
         baseline = _clean_archive(state, tmp_path / "clean.npz")
         job_dir = tmp_path / "job"
-        durable_quantize_state_dict(state, fc_names=FC_NAMES, job_dir=job_dir)
+        quantize_state_dict(state, fc_names=FC_NAMES, job=DurableJob(job_dir))
         with obs.scope() as scoped:
-            model = durable_quantize_state_dict(
-                state, fc_names=FC_NAMES, job_dir=job_dir, resume=True
+            model = quantize_state_dict(
+                state, fc_names=FC_NAMES, job=DurableJob(job_dir, resume=True)
             )
         assert model.report.resumed_layers == len(FC_NAMES)
         assert scoped.snapshot().counter("job.resumed_layers") == len(FC_NAMES)
         save_quantized_model(model, tmp_path / "resumed.npz")
         assert (tmp_path / "resumed.npz").read_bytes() == baseline
 
+    def test_widened_layer_resumes_as_one_layer(self, state, tmp_path):
+        # retry-higher-bits journals a recovered layer twice (layer-done and
+        # layer-failed); a resume must still count it once.
+        jobs = [LayerJob(n, 3) for n in FC_NAMES[:4]]
+        _, _, first = quantize_layers(
+            state, jobs, on_error="retry-higher-bits",
+            fault_injector=injector_from_spec(f"transient-io:{FC_NAMES[1]}:1"),
+            job=DurableJob(tmp_path / "job"),
+        )
+        assert [f.recovered_bits for f in first.failures] == [4]
+        with obs.scope() as scoped:
+            quantized, _, resumed = quantize_layers(
+                state, jobs, on_error="retry-higher-bits",
+                job=DurableJob(tmp_path / "job", resume=True),
+            )
+        assert resumed.resumed_layers == len(jobs)
+        assert scoped.snapshot().counter("job.resumed_layers") == len(jobs)
+        assert resumed.failures == first.failures
+        assert set(quantized) == {job.name for job in jobs}
+
 
 class TestResumeSafety:
     def test_existing_journal_requires_resume_flag(self, state, tmp_path):
         jobs = [LayerJob(n, 3) for n in FC_NAMES]
-        run_durable_layers(state, jobs, job_dir=tmp_path / "job")
+        quantize_layers(state, jobs, job=DurableJob(tmp_path / "job"))
         with pytest.raises(JobStateError, match="resume"):
-            run_durable_layers(state, jobs, job_dir=tmp_path / "job")
+            quantize_layers(state, jobs, job=DurableJob(tmp_path / "job"))
 
     def test_fingerprint_mismatch_refused(self, state, tmp_path):
         jobs = [LayerJob(n, 3) for n in FC_NAMES]
-        run_durable_layers(state, jobs, job_dir=tmp_path / "job")
+        quantize_layers(state, jobs, job=DurableJob(tmp_path / "job"))
         with pytest.raises(JobStateError, match="fingerprint"):
-            run_durable_layers(state, jobs[:3], job_dir=tmp_path / "job", resume=True)
+            quantize_layers(
+                state, jobs[:3], job=DurableJob(tmp_path / "job", resume=True)
+            )
         with pytest.raises(JobStateError, match="fingerprint"):
-            run_durable_layers(
-                state, jobs, job_dir=tmp_path / "job", resume=True, method="kmeans"
+            quantize_layers(
+                state, jobs, method="kmeans",
+                job=DurableJob(tmp_path / "job", resume=True),
             )
 
     def test_duplicate_layer_names_rejected(self, state, tmp_path):
         jobs = [LayerJob(FC_NAMES[0], 3), LayerJob(FC_NAMES[0], 4)]
         with pytest.raises(JobStateError, match="unique"):
-            run_durable_layers(state, jobs, job_dir=tmp_path / "job")
+            quantize_layers(state, jobs, job=DurableJob(tmp_path / "job"))
 
     def test_corrupt_shard_requantizes_that_layer(self, state, tmp_path):
         baseline = _clean_archive(state, tmp_path / "clean.npz")
         job_dir = tmp_path / "job"
-        durable_quantize_state_dict(state, fc_names=FC_NAMES, job_dir=job_dir)
+        quantize_state_dict(state, fc_names=FC_NAMES, job=DurableJob(job_dir))
         status = job_status(job_dir)
         # Bit-rot one journaled shard; resume must notice, warn, and redo it.
         shard = next((job_dir / "shards").glob("*.npz"))
         corrupt_bytes(shard, shard.stat().st_size // 2)
         with obs.scope() as scoped, pytest.warns(ShardCorruptionWarning):
-            model = durable_quantize_state_dict(
-                state, fc_names=FC_NAMES, job_dir=job_dir, resume=True
+            model = quantize_state_dict(
+                state, fc_names=FC_NAMES, job=DurableJob(job_dir, resume=True)
             )
         assert scoped.snapshot().counter("job.shard_requantized") == 1
         assert model.report.resumed_layers == len(status.completed) - 1
@@ -211,16 +238,16 @@ class TestResumeSafety:
         baseline = _clean_archive(state, tmp_path / "clean.npz")
         job_dir = tmp_path / "job"
         with pytest.raises(InjectedFault):
-            durable_quantize_state_dict(
-                state, fc_names=FC_NAMES, job_dir=job_dir,
+            quantize_state_dict(
+                state, fc_names=FC_NAMES, job=DurableJob(job_dir),
                 fault_injector=Fault("raise", target=FC_NAMES[4]),
             )
         # Simulate SIGKILL mid-append: garbage bytes after the last record.
         with open(job_dir / "journal.jsonl", "ab") as handle:
             handle.write(b'{"r": {"type": "layer-do')
         assert not job_status(job_dir).intact
-        model = durable_quantize_state_dict(
-            state, fc_names=FC_NAMES, job_dir=job_dir, resume=True
+        model = quantize_state_dict(
+            state, fc_names=FC_NAMES, job=DurableJob(job_dir, resume=True)
         )
         save_quantized_model(model, tmp_path / "resumed.npz")
         assert (tmp_path / "resumed.npz").read_bytes() == baseline
@@ -228,15 +255,15 @@ class TestResumeSafety:
 
     def test_journaled_failures_are_final_on_resume(self, state, tmp_path):
         jobs = [LayerJob(n, 3) for n in FC_NAMES]
-        _, _, first = run_durable_layers(
-            state, jobs, job_dir=tmp_path / "job", on_error="fp32-fallback",
+        _, _, first = quantize_layers(
+            state, jobs, job=DurableJob(tmp_path / "job"), on_error="fp32-fallback",
             fault_injector=Fault("raise", target=FC_NAMES[1]),
         )
         assert [f.name for f in first.failures] == [FC_NAMES[1]]
         # Resume WITHOUT the fault injector: the journaled failure persists
         # rather than silently re-running the layer.
-        quantized, _, second = run_durable_layers(
-            state, jobs, job_dir=tmp_path / "job", resume=True,
+        quantized, _, second = quantize_layers(
+            state, jobs, job=DurableJob(tmp_path / "job", resume=True),
             on_error="fp32-fallback",
         )
         assert [f.name for f in second.failures] == [FC_NAMES[1]]
@@ -247,8 +274,8 @@ class TestStatus:
     def test_status_counts_and_render(self, state, tmp_path):
         job_dir = tmp_path / "job"
         with pytest.raises(InjectedFault):
-            durable_quantize_state_dict(
-                state, fc_names=FC_NAMES, job_dir=job_dir,
+            quantize_state_dict(
+                state, fc_names=FC_NAMES, job=DurableJob(job_dir),
                 fault_injector=Fault("raise", target=FC_NAMES[3]),
             )
         status = job_status(job_dir)

@@ -22,6 +22,7 @@ from repro.core.serialization import (
     verify_archive,
 )
 from repro.errors import DegenerateTensorError, NonFiniteWeightError
+from repro.jobs.runner import DurableJob
 from repro.models import attach_quantized_linears
 from repro.models.zoo import build_model
 from repro.quant.registry import available_specs, build_quantizer
@@ -225,6 +226,26 @@ class TestFaultPolicies:
         assert survivors <= set(quantized.quantized)
         failures = {f.name: f for f in quantized.report.failures}
         assert failures[target].action == "skip" and failures[target].dropped
+
+
+class TestDurability:
+    def test_zoo_method_resumes_byte_identically(self, state, selection, tmp_path):
+        # Q-BERT gives its embeddings their own tensor method, so the job's
+        # fingerprint carries per-layer method overrides.
+        spec = "qbert-3bit"
+        plain = archive_bytes(quantize_spec(spec, state, selection), tmp_path / "a.npz")
+        job_dir = tmp_path / "job"
+        target = selection.fc_names[len(selection.fc_names) // 2]
+        with pytest.raises(InjectedFault):
+            quantize_spec(
+                spec, state, selection,
+                fault_injector=Fault("raise", target=target), job=DurableJob(job_dir),
+            )
+        resumed = quantize_spec(
+            spec, state, selection, job=DurableJob(job_dir, resume=True)
+        )
+        assert resumed.report.resumed_layers > 0
+        assert archive_bytes(resumed, tmp_path / "b.npz") == plain
 
 
 @pytest.mark.parametrize("spec", SPECS)

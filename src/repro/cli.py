@@ -85,7 +85,7 @@ def _cmd_prewarm(_args: argparse.Namespace) -> int:
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.core.model_quantizer import quantize_model
+    from repro.core.model_quantizer import select_parameters
     from repro.core.serialization import save_quantized_model
     from repro.errors import ConfigError, JobStateError, QuantizationError
     from repro.jobs.signals import EXIT_INTERRUPTED, GracefulInterrupt
@@ -100,12 +100,12 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     # Legacy tensor-method names drive the default GOBO pipeline with the
     # --weight-bits/--embedding-bits flags; anything else is a registry spec
     # (its own bit widths travel inside the spec string).
-    spec_quantizer = None
+    quantizer = None
     if args.method not in ("gobo", "kmeans", "linear"):
         from repro.quant.registry import build_quantizer
 
         try:
-            spec_quantizer = build_quantizer(args.method)
+            quantizer = build_quantizer(args.method)
         except ConfigError as exc:
             print(exc, file=sys.stderr)
             return 2
@@ -123,6 +123,10 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
             print(f"--embedding-bits must be an int or 'none', got {args.embedding_bits!r}",
                   file=sys.stderr)
             return 2
+    if quantizer is None:
+        from repro.quant.gobo_adapter import GoboModelQuantizer
+
+        quantizer = GoboModelQuantizer(args.weight_bits, embedding_bits, args.method)
     if args.resume and not args.job_dir:
         print("--resume requires --job-dir", file=sys.stderr)
         return 2
@@ -154,40 +158,21 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
         obs.install(sink)
     try:
         with GracefulInterrupt() as interrupt:
-            if spec_quantizer is None:
-                quantized = quantize_model(
-                    model,
-                    weight_bits=args.weight_bits,
-                    embedding_bits=embedding_bits,
-                    method=args.method,
-                    workers=args.workers,
-                    on_error=args.on_error,
-                    validation=args.validation,
-                    fault_injector=fault_injector,
-                    layer_timeout=args.layer_timeout,
-                    transient_retries=args.transient_retries,
-                    cancel=interrupt.event,
-                    backend=args.backend,
-                    job=job,
-                )
-            else:
-                from repro.core.model_quantizer import select_parameters
-
-                selection = select_parameters(model)
-                quantized = spec_quantizer.quantize(
-                    model.state_dict(),
-                    selection.fc_names,
-                    selection.embedding_names,
-                    workers=args.workers,
-                    on_error=args.on_error,
-                    validation=args.validation,
-                    fault_injector=fault_injector,
-                    layer_timeout=args.layer_timeout,
-                    transient_retries=args.transient_retries,
-                    cancel=interrupt.event,
-                    backend=args.backend,
-                    job=job,
-                )
+            selection = select_parameters(model)
+            quantized = quantizer.quantize(
+                model.state_dict(),
+                selection.fc_names,
+                selection.embedding_names,
+                workers=args.workers,
+                on_error=args.on_error,
+                validation=args.validation,
+                fault_injector=fault_injector,
+                layer_timeout=args.layer_timeout,
+                transient_retries=args.transient_retries,
+                cancel=interrupt.event,
+                backend=args.backend,
+                job=job,
+            )
         report = quantized.report
         if not report.interrupted and args.out:
             archive_size = save_quantized_model(quantized, args.out)

@@ -1,25 +1,28 @@
-"""Zero-copy member access for the deterministic npz archives.
+"""The one npz parser: zero-copy member access over a memory map.
 
-The archives written by :func:`repro.utils.atomic.write_npz` are plain zip
-containers with **ZIP_STORED** (uncompressed) ``<name>.npy`` members, which
-makes them memory-mappable: each member's array data lives contiguously in
-the file, so a reader can hand out ``np.frombuffer`` views over one shared
-``mmap`` instead of copying every byte through ``np.load``.
+Every ``.npz`` the package reads — GOBO archives (eager and lazy loads),
+durable-job shards and cached checkpoints — goes through
+:class:`MmapNpzReader`.  The archives written by
+:func:`repro.utils.atomic.write_npz` hold **ZIP_STORED** ``<name>.npy``
+members, so each member's array data lives contiguously in the file and
+the reader hands out ``np.frombuffer`` views over one shared ``mmap``.
+Every member access is counted on the ``npzmap.bytes_mapped`` /
+``npzmap.members_read`` obs counters, so bytes-touched is observable.
 
-That is what serving straight from a compressed archive needs: a GOBO
-archive is dominated by the bit-packed codes, and a lazily loaded model
-should touch only the layers a forward pass actually uses.  Every member
-access is counted on ``npzmap.bytes_mapped`` / ``npzmap.members_read`` obs
-counters so bytes-touched is observable (the whole point of lazy loading —
-see ``tests/core/test_lazy_load.py``).
-
-:class:`MmapNpzReader` falls back to an eager ``zipfile`` read for members
-that are not stored uncompressed (e.g. a ``np.savez_compressed`` archive),
-so it can read any npz, just without the zero-copy property.
+``zipfile`` only parses the central directory: the reader owns the checks
+its decode path made, plus the end record's entry count and a stored
+member's two sizes.  A container ``zipfile`` cannot open, or a member that
+extends past the file, raises :class:`~repro.errors.TruncatedArchiveError`.
+A damaged directory entry (wrong count, a member that is not ``.npy``,
+encryption or patch flag bits, unequal stored sizes), a bad local header or
+name, and a CRC-32 mismatch raise :class:`~repro.errors.ChecksumMismatchError`.
+Members not stored uncompressed (``np.savez_compressed``) fall back to an
+eager ``zipfile`` read, where any failure is a ``ChecksumMismatchError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import struct
@@ -42,9 +45,20 @@ from repro.obs import recorder as obs
 #: Fixed portion of a zip local file header (PK\x03\x04 ... extra-len).
 _LOCAL_HEADER = struct.Struct("<4sHHHHHIIIHH")
 _LOCAL_MAGIC = b"PK\x03\x04"
+#: Flag bits: a UTF-8 (not cp437) name; encrypted, patched or strongly
+#: encrypted data, which zipfile refuses to read.
+_UTF8_NAME = 0x800
+_UNREADABLE_FLAGS = 0x01 | 0x20 | 0x40
 #: .npy member prefix: 6-byte magic + 2 version bytes.
 _NPY_MAGIC = b"\x93NUMPY"
 _NPY_MAGIC_LEN = len(_NPY_MAGIC) + 2
+
+
+@functools.lru_cache(maxsize=256)
+def _read_npy_header(read_header, header: bytes) -> tuple:
+    """numpy's npy header parse, memoized: archives repeat a few headers, and
+    the parse (a ``literal_eval``) dominates reading a small member."""
+    return read_header(BytesIO(header))
 
 
 class MmapNpzReader:
@@ -57,11 +71,9 @@ class MmapNpzReader:
     leaves the map open while views still reference it.
 
     With ``verify=True`` every member's bytes are checked against the zip
-    central directory's CRC-32 the first time it is read — the per-member
-    integrity check the mmap fast path otherwise bypasses (``zipfile``
-    verifies CRCs only on its own decode path).  A mismatch raises
-    :class:`~repro.errors.ChecksumMismatchError`, so bit rot in a lazily
-    served archive surfaces as an error instead of silently wrong logits.
+    central directory's CRC-32 the first time it is read, so bit rot
+    surfaces as :class:`~repro.errors.ChecksumMismatchError` instead of
+    silently wrong arrays.  The structural checks are made regardless.
     """
 
     def __init__(self, path: str | Path, verify: bool = False) -> None:
@@ -74,18 +86,40 @@ class MmapNpzReader:
         try:
             self._mmap = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
             self._zip = zipfile.ZipFile(self._file)
-        except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            # The end record zipfile itself parsed, for its entry count.
+            declared = zipfile._EndRecData(self._file)[zipfile._ECD_ENTRIES_TOTAL]
+        except (OSError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
             self._file.close()
             raise TruncatedArchiveError(
                 f"cannot map archive {self.path}: not a valid npz container ({exc})"
             ) from exc
-        self._members = {
-            info.filename[: -len(".npy")]: info
-            for info in self._zip.infolist()
-            if info.filename.endswith(".npy")
-        }
+        try:
+            self._members = self._check_directory(declared)
+        except ChecksumMismatchError:
+            self.close()
+            raise
         self.nbytes = self.path.stat().st_size
         obs.counter("npzmap.archives_mapped")
+
+    def _check_directory(self, declared: int) -> dict[str, zipfile.ZipInfo]:
+        """The ``.npy`` members by key, once the directory passes its checks."""
+        infos = self._zip.infolist()
+        if len(infos) != declared:
+            raise ChecksumMismatchError(
+                f"archive {self.path}: the central directory lists {len(infos)} "
+                f"entries but the end record declares {declared}"
+            )
+        for info in infos:
+            if not info.filename.endswith(".npy"):
+                problem = "is not an .npy member"
+            elif info.flag_bits & _UNREADABLE_FLAGS:
+                problem = f"has unreadable flag bits {info.flag_bits:#06x}"
+            elif info.compress_type == zipfile.ZIP_STORED and info.compress_size != info.file_size:
+                problem = "is stored with unequal compressed and uncompressed sizes"
+            else:
+                continue
+            raise ChecksumMismatchError(f"archive {self.path} member {info.filename!r} {problem}")
+        return {info.filename[: -len(".npy")]: info for info in infos}
 
     # ------------------------------------------------------------------ access
     def keys(self) -> list[str]:
@@ -108,8 +142,8 @@ class MmapNpzReader:
             # Compressed member: no contiguous bytes to map; decompress it
             # eagerly.  zipfile checks the member CRC itself on this path.
             try:
-                data = memoryview(self._zip.read(info.filename))
-            except zipfile.BadZipFile as exc:
+                data = memoryview(self._zip.read(info))
+            except Exception as exc:  # noqa: BLE001 — every zipfile decode failure
                 raise ChecksumMismatchError(
                     f"archive {self.path} member {info.filename!r} is corrupt ({exc})"
                 ) from exc
@@ -121,20 +155,26 @@ class MmapNpzReader:
     def _member_data(self, info: zipfile.ZipInfo) -> memoryview:
         """The raw stored bytes of ``info`` as a view over the map.
 
-        The central directory records where the member's *local header*
-        starts; the data offset follows the local header, whose name/extra
+        The data follows the member's *local header*, whose name/extra
         lengths can differ from the central directory's, so they are read
-        from the local header itself.
+        from the local header itself, which (as zipfile requires) must carry
+        the signature and the directory's name.
         """
         start = info.header_offset
         header = self._mmap[start : start + _LOCAL_HEADER.size]
         if len(header) < _LOCAL_HEADER.size or header[:4] != _LOCAL_MAGIC:
-            raise TruncatedArchiveError(
+            raise ChecksumMismatchError(
                 f"archive {self.path}: bad local header for {info.filename!r}"
             )
-        fields = _LOCAL_HEADER.unpack(header)
-        name_len, extra_len = fields[9], fields[10]
-        data_start = start + _LOCAL_HEADER.size + name_len + extra_len
+        _, _, flags, *_, name_len, extra_len = _LOCAL_HEADER.unpack(header)
+        name_start = start + _LOCAL_HEADER.size
+        name = self._mmap[name_start : name_start + name_len]
+        if name.decode("utf-8" if flags & _UTF8_NAME else "cp437", "replace") != info.orig_filename:
+            raise ChecksumMismatchError(
+                f"archive {self.path}: member {info.filename!r} is named {name!r} "
+                f"in its local header"
+            )
+        data_start = name_start + name_len + extra_len
         data = memoryview(self._mmap)[data_start : data_start + info.file_size]
         if len(data) < info.file_size:
             raise TruncatedArchiveError(
@@ -194,9 +234,10 @@ class MmapNpzReader:
                 f"archive member {name!r} declares a {header_len}-byte "
                 f"header but only {len(data)} bytes are stored"
             )
-        header = BytesIO(bytes(data[_NPY_MAGIC_LEN:header_end]))
         try:
-            shape, fortran_order, dtype = read_header(header)
+            shape, fortran_order, dtype = _read_npy_header(
+                read_header, bytes(data[_NPY_MAGIC_LEN:header_end])
+            )
         except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
             raise SerializationError(
                 f"archive member {name!r} has a malformed npy header ({exc})"

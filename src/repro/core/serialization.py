@@ -17,8 +17,8 @@ Pass-through FP32 parameters are stored under ``fp32::<name>`` as float32
 (the paper's decode target precision; note the in-memory substrate computes
 in float64).  The ``index::fc`` / ``index::embeddings`` name lists are
 fixed-width unicode arrays and ``index::version`` tags the layout, so the
-archive contains **no object arrays**: it loads with numpy's default
-``allow_pickle=False`` and is safe to read from untrusted sources.
+archive contains **no object arrays** (the reader refuses them) and is safe
+to read from untrusted sources.
 
 Guarantees:
 
@@ -31,24 +31,25 @@ Guarantees:
 * **Checksummed contents.** Version-3 archives carry a SHA-256 digest over
   every stored array (``index::checksum``); :func:`load_quantized_model`
   verifies it and raises :class:`~repro.errors.ChecksumMismatchError` on bit
-  rot.  :func:`verify_archive` classifies an archive as intact / missing /
-  truncated / checksum-mismatched / version-unknown without constructing a
-  model.
+  rot, as it does for a member CRC-32 mismatch or a member outside the
+  layout.  :func:`verify_archive` classifies an eager load's typed error as
+  missing / truncated / checksum-mismatched / version-unknown.
+* **One reader, one load body.**  Eager and lazy loads both parse the
+  archive with :class:`~repro.core.npzmap.MmapNpzReader` in :func:`_load`;
+  an eager load adds a full read, a copy of the codes and a close.
 * The clustering iteration counts (``QuantizedModel.iterations``) survive
   the round-trip, so per-layer reports can be regenerated after a reload.
 * Version-1 archives (no iteration counts in ``meta``) and version-2
-  archives (no checksum) still load; the checksum verification is simply
-  skipped for them.
+  archives (no checksum) still load, without the SHA-256 verification.
 """
 
 from __future__ import annotations
 
 import hashlib
-import zipfile
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from repro.core.npzmap import MmapNpzReader
 from repro.core.quantizer import GoboQuantizedTensor
 from repro.errors import (
     ChecksumMismatchError,
+    FormatVersionError,
     SerializationError,
     TruncatedArchiveError,
 )
@@ -65,6 +67,11 @@ from repro.utils.atomic import atomic_savez
 
 FORMAT_VERSION = 3
 CHECKSUM_KEY = "index::checksum"
+#: The members of each quantized tensor: ``gobo::<name>::<field>``.
+TENSOR_FIELDS = ("codes", "centroids", "positions", "outliers", "meta")
+#: The other members every archive has, besides its ``fp32::<name>`` ones;
+#: v2 adds ``index::version`` and v3 :data:`CHECKSUM_KEY`.
+INDEX_KEYS = ("index::fc", "index::embeddings")
 
 
 def _normalize_path(path: str | Path) -> Path:
@@ -123,53 +130,33 @@ def save_quantized_model(model: QuantizedModel, path: str | Path) -> int:
     return size
 
 
-def _read_archive(path: Path) -> dict[str, np.ndarray]:
-    """Eagerly read every array of the archive at ``path``.
-
-    Distinguishes a container that cannot be opened (missing / truncated /
-    not a zip → :class:`TruncatedArchiveError`) from one that opens but
-    whose members fail to decode (zip-CRC failure on a flipped bit →
-    :class:`ChecksumMismatchError`).
-    """
-    if not path.exists():
-        raise SerializationError(f"no such archive: {path}")
-    try:
-        archive = np.load(path)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise TruncatedArchiveError(
-            f"cannot read archive {path}: not a valid npz container ({exc})"
-        ) from exc
-    with archive:
-        try:
-            return {key: archive[key] for key in archive.files}
-        except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile) as exc:
-            raise ChecksumMismatchError(
-                f"archive {path} is corrupt: a stored array failed to decode ({exc})"
-            ) from exc
-
-
-def _archive_version(arrays: Mapping[str, np.ndarray], path: Path) -> int:
-    version = 1
-    if "index::version" in arrays:
-        version = int(arrays["index::version"][0])
-    if not 1 <= version <= FORMAT_VERSION:
-        raise SerializationError(
-            f"archive {path} has format version {version}; "
-            f"this reader supports 1..{FORMAT_VERSION}"
-        )
-    return version
-
-
-def _verify_checksum(arrays: Mapping[str, np.ndarray], path: Path) -> None:
-    if CHECKSUM_KEY not in arrays:
+def _tensor_names(reader: MmapNpzReader) -> list[str]:
+    """The quantized tensors in ``reader``, once every member fits the layout:
+    a stray member or a tensor short of a member is a damaged directory (a
+    flipped name byte), not a smaller model."""
+    keys = set(reader.keys())
+    names = {key[len("gobo::"):].rpartition("::")[0] for key in keys if key.startswith("gobo::")}
+    expected = {f"gobo::{name}::{field}" for name in names for field in TENSOR_FIELDS}
+    expected.update(INDEX_KEYS)
+    misfits = {key for key in keys ^ expected if not key.startswith("fp32::")}
+    misfits -= {"index::version", CHECKSUM_KEY}
+    if misfits:
         raise ChecksumMismatchError(
-            f"archive {path} declares format version >= 3 but carries no checksum"
+            f"archive {reader.path} does not fit the format layout: {sorted(misfits)}"
         )
+    return sorted(names)
+
+
+def verify_payload(arrays: Mapping[str, np.ndarray], source: str) -> None:
+    """Raise :class:`ChecksumMismatchError` unless ``arrays`` (an archive or
+    shard, named by ``source``) carries its own valid :data:`CHECKSUM_KEY`."""
+    if CHECKSUM_KEY not in arrays:
+        raise ChecksumMismatchError(f"{source} carries no checksum")
     recorded = bytes(np.asarray(arrays[CHECKSUM_KEY], dtype=np.uint8).tobytes())
     actual = payload_checksum(arrays)
     if recorded != actual:
         raise ChecksumMismatchError(
-            f"archive {path} failed checksum verification: "
+            f"{source} failed checksum verification: "
             f"recorded {recorded.hex()[:16]}…, computed {actual.hex()[:16]}…"
         )
 
@@ -179,6 +166,20 @@ def _parse_meta(meta: np.ndarray, version: int) -> tuple[int, int, tuple[int, ..
     if version >= 2:
         return int(meta[0]), int(meta[1]), tuple(int(d) for d in meta[2:])
     return int(meta[0]), 0, tuple(int(d) for d in meta[1:])
+
+
+def _decode(read: Callable[[str], np.ndarray], name: str, meta: tuple, own: bool):
+    """Tensor ``name`` from its members; the codes stay a view unless ``own``."""
+    bits, _, shape = meta
+    codes = read(f"gobo::{name}::codes")
+    return GoboQuantizedTensor(
+        shape=shape,
+        bits=bits,
+        centroids=read(f"gobo::{name}::centroids").astype(np.float64),
+        packed_codes=codes.tobytes() if own else codes,
+        outlier_positions=read(f"gobo::{name}::positions").astype(np.int64),
+        outlier_values=read(f"gobo::{name}::outliers").astype(np.float64),
+    )
 
 
 class LazyQuantizedTensors(MappingABC):
@@ -192,10 +193,9 @@ class LazyQuantizedTensors(MappingABC):
     span and the ``npzmap.bytes_mapped`` counter.
     """
 
-    def __init__(self, reader: MmapNpzReader, metas: dict[str, np.ndarray], version: int) -> None:
+    def __init__(self, reader: MmapNpzReader, metas: dict[str, tuple]) -> None:
         self._reader = reader
         self._metas = metas
-        self._version = version
         self._cache: dict[str, GoboQuantizedTensor] = {}
 
     def __getitem__(self, name: str) -> GoboQuantizedTensor:
@@ -204,18 +204,7 @@ class LazyQuantizedTensors(MappingABC):
         if name not in self._metas:
             raise KeyError(name)
         with obs.span("serialization.lazy_layer", layer=name):
-            bits, _, shape = _parse_meta(self._metas[name], self._version)
-            try:
-                tensor = GoboQuantizedTensor(
-                    shape=shape,
-                    bits=bits,
-                    centroids=self._reader.read(f"gobo::{name}::centroids").astype(np.float64),
-                    packed_codes=self._reader.read(f"gobo::{name}::codes"),
-                    outlier_positions=self._reader.read(f"gobo::{name}::positions").astype(np.int64),
-                    outlier_values=self._reader.read(f"gobo::{name}::outliers").astype(np.float64),
-                )
-            except KeyError as exc:
-                raise SerializationError(f"archive missing field for {name}: {exc}") from exc
+            tensor = _decode(self._reader.read, name, self._metas[name], own=False)
         obs.counter("serialization.lazy_layers_decoded")
         self._cache[name] = tensor
         return tensor
@@ -238,63 +227,52 @@ class LazyQuantizedTensors(MappingABC):
         self._reader.close()
 
 
-def _load_lazy(path: Path, verify: str) -> QuantizedModel:
-    """The ``lazy=True`` body of :func:`load_quantized_model`."""
-    reader = MmapNpzReader(path, verify=(verify == "lazy"))
-    obs.counter("serialization.archives_read_lazy")
-    keys = set(reader.keys())
-    version = 1
-    if "index::version" in keys:
-        version = int(reader.read("index::version")[0])
-    if not 1 <= version <= FORMAT_VERSION:
-        raise SerializationError(
-            f"archive {path} has format version {version}; "
-            f"this reader supports 1..{FORMAT_VERSION}"
-        )
-    if verify == "full":
-        # Every byte is read and digested before anything is served — the
-        # eager guarantee at the eager cost, but codes still stay views.
-        arrays = {key: reader.read(key) for key in keys}
-        if version >= 3:
-            _verify_checksum(arrays, path)
-    # With verify="none" the version-3 content checksum is NOT verified —
-    # verifying would read every byte of the archive, which is exactly what
-    # lazy loading exists to avoid — and zip per-member CRCs are likewise
-    # bypassed by the mmap views.  verify="lazy" (the serving default)
-    # closes that gap per member: each member's bytes are CRC-checked on
-    # first access, so bit rot surfaces as ChecksumMismatchError at the
-    # first touch instead of as silently wrong logits.
-    names = {
-        key.split("::", 2)[1]
-        for key in keys
-        if key.startswith("gobo::") and key.endswith("::meta")
-    }
-    metas = {name: np.asarray(reader.read(f"gobo::{name}::meta")) for name in names}
-    iterations = {}
-    for name, meta in metas.items():
-        _, layer_iterations, _ = _parse_meta(meta, version)
-        if layer_iterations > 0:
-            iterations[name] = layer_iterations
-    # Pass-through FP32 params (biases, LayerNorm, fallback layers) are
-    # copied eagerly: they are needed in full by any load target, and they
-    # are the small remainder once the weights are bit-packed.
-    fp32 = {
-        key[len("fp32::"):]: reader.read(key).astype(np.float64)
-        for key in keys
-        if key.startswith("fp32::")
-    }
+def _load(path: Path, lazy: bool, verify: str) -> tuple[QuantizedModel, int]:
+    """The model at ``path`` and its format version: the one load body.
+
+    An eager load (or ``verify="full"``) first reads every member, so each
+    is CRC-checked, and verifies the v3 SHA-256 unless ``verify="none"``;
+    an eager load then copies the codes out and closes the reader, so its
+    result holds no view of the map.
+    """
+    reader = MmapNpzReader(path, verify=not lazy or verify != "none")
     try:
-        fc_names = tuple(str(n) for n in reader.read("index::fc"))
-        embedding_names = tuple(str(n) for n in reader.read("index::embeddings"))
-    except KeyError as exc:
-        raise SerializationError(f"archive missing index: {exc}") from exc
-    return QuantizedModel(
-        quantized=LazyQuantizedTensors(reader, metas, version),
-        fp32=fp32,
-        fc_names=fc_names,
-        embedding_names=embedding_names,
-        iterations=iterations,
-    )
+        version = int(reader.read("index::version")[0]) if "index::version" in reader else 1
+        if not 1 <= version <= FORMAT_VERSION:
+            raise FormatVersionError(
+                f"archive {path} has format version {version}; "
+                f"this reader supports 1..{FORMAT_VERSION}",
+                version,
+            )
+        names = _tensor_names(reader)
+        read = reader.read
+        if not lazy or verify == "full":
+            # Every member is read, so CRC-checked, before anything is built.
+            arrays = {key: reader.read(key) for key in reader.keys()}
+            if version >= 3 and verify != "none":
+                verify_payload(arrays, f"archive {path}")
+            read = arrays.__getitem__
+        metas = {name: _parse_meta(read(f"gobo::{name}::meta"), version) for name in names}
+        # Pass-through FP32 params (biases, LayerNorm, fallback layers) are
+        # copied eagerly: they are needed in full by any load target, and they
+        # are the small remainder once the weights are bit-packed.
+        fp32 = {
+            key[len("fp32::"):]: read(key).astype(np.float64)
+            for key in reader.keys()
+            if key.startswith("fp32::")
+        }
+        fc_names = tuple(str(n) for n in read("index::fc"))
+        embedding_names = tuple(str(n) for n in read("index::embeddings"))
+        if lazy:
+            quantized = LazyQuantizedTensors(reader, metas)
+        else:
+            quantized = {name: _decode(read, name, metas[name], own=True) for name in names}
+            reader.close()
+    except BaseException:
+        reader.close()
+        raise
+    iterations = {name: meta[1] for name, meta in metas.items() if meta[1] > 0}
+    return QuantizedModel(quantized, fp32, fc_names, embedding_names, iterations), version
 
 
 def load_quantized_model(
@@ -302,12 +280,12 @@ def load_quantized_model(
 ) -> QuantizedModel:
     """Read a :class:`QuantizedModel` written by :func:`save_quantized_model`.
 
-    Archives are loaded with ``allow_pickle=False`` (the format stores no
-    object arrays), version-3 archives are checksum-verified before any
-    tensor is reconstructed, and the per-layer iteration counts recorded at
-    quantization time are restored.
+    Object arrays are never read (the format stores none), version-3
+    archives are checksum-verified before any tensor is reconstructed, and
+    the per-layer iteration counts recorded at quantization time are
+    restored.  Every parse failure is a :class:`~repro.errors.SerializationError`.
 
-    With ``lazy=True`` the archive is memory-mapped instead of read:
+    With ``lazy=True`` the archive stays memory-mapped instead of read:
     indexes and per-layer metadata load eagerly (a few hundred bytes), but
     each quantized tensor is constructed on first access with its packed
     codes left as zero-copy views into the map (see
@@ -317,70 +295,30 @@ def load_quantized_model(
 
     ``verify`` selects the integrity level:
 
-    * ``"full"`` — the whole-archive SHA-256 content checksum is verified
-      up front (reads every byte).  Default for eager loads.
+    * ``"full"`` — every member's CRC-32 and the whole-archive SHA-256
+      checksum are verified up front (reads every byte).  Default for eager
+      loads.
     * ``"lazy"`` — each member's bytes are checked against the zip CRC-32
       on first access, so a lazy load stays proportional to the layers
       touched but bit rot still raises
       :class:`~repro.errors.ChecksumMismatchError` instead of producing
       silently wrong logits.  Default for lazy loads.
-    * ``"none"`` — no verification.  Opt-in only: an unverified load can
-      serve silently wrong logits from a bit-rotted archive.
+    * ``"none"`` — no verification (an eager load still checks CRC-32s).
+      Opt-in only: an unverified load can serve silently wrong logits from
+      a bit-rotted archive.
     """
     path = Path(path)
     if verify is None:
         verify = "lazy" if lazy else "full"
     if verify not in ("none", "lazy", "full"):
         raise ValueError(f"verify must be 'none', 'lazy' or 'full', got {verify!r}")
+    model, _ = _load(path, lazy, verify)
     if lazy:
-        return _load_lazy(path, verify)
-    arrays = _read_archive(path)
-    obs.counter("serialization.archives_read")
-    obs.counter("serialization.bytes_read", path.stat().st_size)
-    version = _archive_version(arrays, path)
-    if version >= 3 and verify != "none":
-        # Everything is in memory already, so "lazy" degenerates to "full".
-        _verify_checksum(arrays, path)
-    names = {
-        key.split("::", 2)[1]
-        for key in arrays
-        if key.startswith("gobo::") and key.endswith("::meta")
-    }
-    quantized: dict[str, GoboQuantizedTensor] = {}
-    iterations: dict[str, int] = {}
-    for name in names:
-        try:
-            bits, layer_iterations, shape = _parse_meta(arrays[f"gobo::{name}::meta"], version)
-            tensor = GoboQuantizedTensor(
-                shape=shape,
-                bits=bits,
-                centroids=arrays[f"gobo::{name}::centroids"].astype(np.float64),
-                packed_codes=arrays[f"gobo::{name}::codes"].tobytes(),
-                outlier_positions=arrays[f"gobo::{name}::positions"].astype(np.int64),
-                outlier_values=arrays[f"gobo::{name}::outliers"].astype(np.float64),
-            )
-        except KeyError as exc:
-            raise SerializationError(f"archive missing field for {name}: {exc}") from exc
-        quantized[name] = tensor
-        if layer_iterations > 0:
-            iterations[name] = layer_iterations
-    fp32 = {
-        key[len("fp32::"):]: arrays[key].astype(np.float64)
-        for key in arrays
-        if key.startswith("fp32::")
-    }
-    try:
-        fc_names = tuple(str(n) for n in arrays["index::fc"])
-        embedding_names = tuple(str(n) for n in arrays["index::embeddings"])
-    except KeyError as exc:
-        raise SerializationError(f"archive missing index: {exc}") from exc
-    return QuantizedModel(
-        quantized=quantized,
-        fp32=fp32,
-        fc_names=fc_names,
-        embedding_names=embedding_names,
-        iterations=iterations,
-    )
+        obs.counter("serialization.archives_read_lazy")
+    else:
+        obs.counter("serialization.archives_read")
+        obs.counter("serialization.bytes_read", path.stat().st_size)
+    return model
 
 
 @dataclass(frozen=True)
@@ -404,38 +342,32 @@ class ArchiveCheck:
 
 
 def verify_archive(path: str | Path) -> ArchiveCheck:
-    """Classify the archive at ``path`` without constructing a model.
+    """Classify the archive at ``path`` by the typed error of an eager load.
 
     Distinguishes the four failure modes a durable store must tell apart:
     the file is absent, the container is truncated or not a zip at all, the
-    contents fail checksum verification (bit flips), or the format version
-    is newer than this reader.
+    contents fail verification (bit flips in data or directory), or the
+    format version is newer than this reader.  ``ok`` holds exactly when
+    :func:`load_quantized_model` would return the model.
     """
     path = Path(path)
     if not path.exists():
         return ArchiveCheck(path, "missing", None, "file does not exist")
     try:
-        arrays = _read_archive(path)
+        model, version = _load(path, lazy=False, verify="full")
     except TruncatedArchiveError as exc:
         return ArchiveCheck(path, "truncated", None, str(exc))
-    except ChecksumMismatchError as exc:
-        return ArchiveCheck(path, "checksum-mismatch", None, str(exc))
-    raw_version = int(arrays["index::version"][0]) if "index::version" in arrays else 1
-    try:
-        version = _archive_version(arrays, path)
+    except FormatVersionError as exc:
+        return ArchiveCheck(path, "version-unknown", exc.version, str(exc))
     except SerializationError as exc:
-        return ArchiveCheck(path, "version-unknown", raw_version, str(exc))
+        return ArchiveCheck(path, "checksum-mismatch", None, str(exc))
     if version < 3:
         return ArchiveCheck(
             path, "ok-unchecksummed", version,
             f"readable legacy archive (format version {version} has no checksum)",
         )
-    try:
-        _verify_checksum(arrays, path)
-    except ChecksumMismatchError as exc:
-        return ArchiveCheck(path, "checksum-mismatch", version, str(exc))
-    tensors = sum(1 for key in arrays if key.endswith("::meta"))
     return ArchiveCheck(
         path, "ok", version,
-        f"checksum verified over {len(arrays)} arrays ({tensors} quantized tensors)",
+        f"checksum verified over {len(model.quantized)} quantized tensors and "
+        f"{len(model.fp32)} FP32 parameters",
     )

@@ -103,6 +103,14 @@ class ChecksumMismatchError(SerializationError):
     partial overwrite, or tampering)."""
 
 
+class FormatVersionError(SerializationError):
+    """An archive declares a format ``version`` this reader does not support."""
+
+    def __init__(self, message: str, version: int | None = None):
+        super().__init__(message)
+        self.version = version
+
+
 class ServeError(ReproError):
     """Base class for errors raised by the serving layer."""
 

@@ -8,9 +8,11 @@ directory (override with the ``REPRO_CACHE_DIR`` environment variable).
 
 Durability: checkpoints are written atomically (tmp + fsync + rename via
 :func:`repro.utils.atomic.atomic_savez`), so a crash mid-save can no longer
-leave a truncated archive behind.  On load, *missing* and *corrupt* are
-distinct outcomes: a missing checkpoint is the normal cold-cache case and
-returns ``None`` silently, while a corrupt one emits a
+leave a truncated archive behind.  Loads read through
+:class:`~repro.core.npzmap.MmapNpzReader` with member CRCs checked, and copy
+the arrays out.  *Missing* and *corrupt* are distinct outcomes: a missing
+checkpoint is the normal cold-cache case and returns ``None`` silently,
+while a corrupt one (any typed read error) emits a
 :class:`CacheCorruptionWarning` and is deleted so the next run re-fine-tunes
 instead of re-hitting the same broken file forever.
 """
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 import os
 import warnings
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.npzmap import MmapNpzReader
 from repro.errors import SerializationError
 from repro.obs import recorder as obs
 from repro.utils.atomic import atomic_savez
@@ -94,33 +96,22 @@ def load_state(key: str) -> tuple[dict[str, np.ndarray], dict[str, float]] | Non
     # nothing else, so hit-rate and read-volume metrics never include bytes
     # that were thrown away.
     try:
-        with np.load(path) as archive:
+        with MmapNpzReader(path, verify=True) as reader:
             state = {
-                name[len("param::"):]: archive[name]
-                for name in archive.files
-                if name.startswith("param::")
+                key[len("param::"):]: np.array(reader.read(key))
+                for key in reader.keys()
+                if key.startswith("param::")
             }
             scores = {
-                name[len("score::"):]: float(archive[name])
-                for name in archive.files
-                if name.startswith("score::")
+                key[len("score::"):]: float(reader.read(key))
+                for key in reader.keys()
+                if key.startswith("score::")
             }
         if not state:
             raise SerializationError("archive holds no parameters")
         size = path.stat().st_size
-    except (
-        OSError,
-        ValueError,
-        KeyError,
-        TypeError,
-        EOFError,
-        zipfile.BadZipFile,
-        SerializationError,
-    ) as exc:
-        reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-        if isinstance(exc, SerializationError):
-            reason = str(exc)
-        _discard_corrupt(path, reason)
+    except (OSError, SerializationError) as exc:
+        _discard_corrupt(path, str(exc))
         obs.counter("cache.corrupt_evict")
         return None
     obs.counter("cache.hit")

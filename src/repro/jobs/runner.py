@@ -15,12 +15,13 @@ moment the layer finishes; the job
 
 On ``resume=True`` the journal is recovered (a torn tail from SIGKILL costs
 at most one record), every journaled layer is loaded back from its shard —
-checksum-verified twice: the journaled SHA-256 of the shard file, then the
-archive's own content checksum — and only the remaining layers go through
-the engine.  Because each layer is a pure function of its inputs and shards
-store full float64 precision, the merged result is **bit-identical** to an
-uninterrupted run at any worker count: the engine's determinism guarantee
-extended across process lifetimes.
+checksum-verified twice: the journaled SHA-256 of the shard file, then,
+read through :class:`~repro.core.npzmap.MmapNpzReader` with member CRCs
+checked, the shard's own content checksum — and only the remaining layers
+go through the engine.  Because each layer is a pure function of its
+inputs and shards store full float64 precision, the merged result is
+**bit-identical** to an uninterrupted run at any worker count: the
+engine's determinism guarantee extended across process lifetimes.
 
 Resume is refused (:class:`~repro.errors.JobStateError`) when the job
 directory's fingerprint — jobs, method, threshold, validation, ``on_error``
@@ -48,8 +49,9 @@ from repro.core.parallel import (
     LayerRecord,
     QuantizationReport,
 )
+from repro.core.npzmap import MmapNpzReader
 from repro.core.quantizer import GoboQuantizedTensor
-from repro.core.serialization import CHECKSUM_KEY, payload_checksum
+from repro.core.serialization import CHECKSUM_KEY, payload_checksum, verify_payload
 from repro.errors import ChecksumMismatchError, JobStateError, SerializationError
 from repro.jobs.journal import JobJournal, canonical_record, read_journal
 from repro.obs import recorder as obs
@@ -110,34 +112,26 @@ def save_shard(
 
 def load_shard(path: Path) -> tuple[str, GoboQuantizedTensor, int]:
     """Load and checksum-verify one shard; returns (name, tensor, iterations)."""
-    try:
-        with np.load(path) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-    except Exception as exc:  # noqa: BLE001 — any unreadable shard is corrupt
-        raise SerializationError(f"cannot read shard {path}: {exc}") from exc
-    if CHECKSUM_KEY not in arrays:
-        raise ChecksumMismatchError(f"shard {path} carries no checksum")
-    recorded = bytes(np.asarray(arrays[CHECKSUM_KEY], dtype=np.uint8).tobytes())
-    actual = payload_checksum(arrays)
-    if recorded != actual:
-        raise ChecksumMismatchError(f"shard {path} failed checksum verification")
-    meta = arrays["meta"]
-    version, bits, iterations, shape = (
-        int(meta[0]), int(meta[1]), int(meta[2]), tuple(int(d) for d in meta[3:]),
-    )
-    if version != SHARD_VERSION:
-        raise SerializationError(
-            f"shard {path} has version {version}; this reader supports {SHARD_VERSION}"
+    with MmapNpzReader(path, verify=True) as reader:
+        arrays = {key: reader.read(key) for key in reader.keys()}
+        verify_payload(arrays, f"shard {path}")
+        meta = arrays["meta"]
+        version, bits, iterations, shape = (
+            int(meta[0]), int(meta[1]), int(meta[2]), tuple(int(d) for d in meta[3:]),
         )
-    tensor = GoboQuantizedTensor(
-        shape=shape,
-        bits=bits,
-        centroids=arrays["centroids"].astype(np.float64),
-        packed_codes=arrays["codes"].tobytes(),
-        outlier_positions=arrays["positions"].astype(np.int64),
-        outlier_values=arrays["outliers"].astype(np.float64),
-    )
-    return str(arrays["name"][0]), tensor, iterations
+        if version != SHARD_VERSION:
+            raise SerializationError(
+                f"shard {path} has version {version}; this reader supports {SHARD_VERSION}"
+            )
+        tensor = GoboQuantizedTensor(
+            shape=shape,
+            bits=bits,
+            centroids=arrays["centroids"].astype(np.float64),
+            packed_codes=arrays["codes"].tobytes(),
+            outlier_positions=arrays["positions"].astype(np.int64),
+            outlier_values=arrays["outliers"].astype(np.float64),
+        )
+        return str(arrays["name"][0]), tensor, iterations
 
 
 # ---------------------------------------------------------------- fingerprint

@@ -1,8 +1,12 @@
 """Tests for durable storage: atomic writes, checksums, verify_archive."""
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.model_quantizer import quantize_model
 from repro.core.serialization import (
     CHECKSUM_KEY,
@@ -178,3 +182,51 @@ class TestLoadRejectsCorruption:
         np.testing.assert_array_equal(
             loaded.quantized[name].codes(), quantized.quantized[name].codes()
         )
+
+
+class TestEagerLoadOwnsItsBytes:
+    """An eager load reads through the same memory map as a lazy one, then
+    copies what it keeps and closes the reader."""
+
+    def test_result_holds_no_view_of_the_map(self, archive):
+        model = load_quantized_model(archive)
+        for tensor in model.quantized.values():
+            assert type(tensor.packed_codes) is bytes
+            for array in (tensor.centroids, tensor.outlier_positions, tensor.outlier_values):
+                assert array.flags.owndata
+        assert all(value.flags.owndata for value in model.fp32.values())
+
+    def test_file_rewritten_then_truncated_after_the_load(self, archive):
+        """A view into the map would read the rewritten bytes (checked
+        first), and would take a SIGBUS once the file is truncated."""
+        model = load_quantized_model(archive)
+        before = model.state_dict()
+        with open(archive, "r+b") as handle:
+            data = handle.read()
+            handle.seek(0)
+            handle.write(bytes(b ^ 0xFF for b in data))
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+        with open(archive, "r+b") as handle:
+            handle.truncate(0)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc (Linux)")
+    def test_loads_and_verifies_leave_no_descriptor_open(self, archive):
+        gc.collect()
+        baseline = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            load_quantized_model(archive)
+            assert verify_archive(archive).ok
+        assert len(os.listdir("/proc/self/fd")) <= baseline
+
+    def test_counts_npzmap_reads_and_no_lazy_decodes(self, archive):
+        with obs.scope() as scoped:
+            load_quantized_model(archive)
+        snapshot = scoped.snapshot()
+        assert snapshot.counter("serialization.archives_read") == 1
+        assert snapshot.counter("serialization.bytes_read") == archive.stat().st_size
+        assert snapshot.counter("npzmap.members_read") > 0
+        assert snapshot.counter("serialization.lazy_layers_decoded") == 0
+        assert not [e for e in scoped.events if e["name"] == "serialization.lazy_layer"]

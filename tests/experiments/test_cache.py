@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import cache
+from repro.testing.faults import corrupt_bytes
 
 
 @pytest.fixture(autouse=True)
@@ -22,6 +23,19 @@ class TestCache:
         assert set(loaded) == {"a.weight", "b"}
         np.testing.assert_array_equal(loaded["a.weight"], state["a.weight"])
         assert scores["baseline"] == 0.9
+
+    def test_loaded_arrays_are_copies_not_map_views(self, rng):
+        cache.save_state("owned", {"x": rng.normal(size=(4, 4))})
+        loaded, _ = cache.load_state("owned")
+        assert loaded["x"].flags.writeable  # a view of the read-only map is not
+
+    def test_flipped_data_byte_fails_its_crc(self, rng):
+        cache.save_state("rot", {"x": rng.normal(size=64)})
+        path = cache.checkpoint_path("rot")
+        corrupt_bytes(path, path.stat().st_size // 4)
+        with pytest.warns(cache.CacheCorruptionWarning, match="CRC"):
+            assert cache.load_state("rot") is None
+        assert not path.exists()
 
     def test_missing_returns_none(self):
         assert cache.load_state("never-saved") is None

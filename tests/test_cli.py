@@ -212,7 +212,7 @@ class TestTraceAndProfile:
         def explode(*_args, **_kwargs):
             raise QuantizationError("injected")
 
-        monkeypatch.setattr("repro.core.model_quantizer.quantize_model", explode)
+        monkeypatch.setattr("repro.core.model_quantizer.quantize_state_dict", explode)
         assert main([
             "quantize", "--embedding-bits", "none",
             "--trace", str(tmp_path / "t.jsonl"),

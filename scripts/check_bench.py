@@ -22,12 +22,6 @@ The record's ``schema`` field selects the contract:
   never fused concurrent requests (max batch size 1) or fused beyond its
   configured bound.  Absolute request rates are recorded, not gated —
   they are hardware-dependent; fusion is a correctness property.
-* ``bench-jobs/v1`` — thread pool vs supervised process fleet; always
-  fails unless the two backends produced byte-identical quantized tensors
-  (crash isolation must be free in output).  The
-  ``speedup_process_vs_thread >= 1.0`` gate applies only to non-smoke
-  records from multi-core hosts — on one CPU the fleet's fork+IPC
-  overhead is unamortizable and the honest number is below 1.
 * ``bench-methods/v1`` — the method zoo: one entry per registered spec
   (at least 8).  Fails if any spec's archives differ across worker counts,
   if a timing/ratio is non-positive or non-finite, or if the full-scale
@@ -45,12 +39,10 @@ from pathlib import Path
 
 SCHEMA = "bench-kernels/v1"
 SERVE_SCHEMA = "bench-serve/v1"
-JOBS_SCHEMA = "bench-jobs/v1"
 METHODS_SCHEMA = "bench-methods/v1"
 GATE_SPEEDUP_BATCH1 = 1.0
 GATE_SPEEDUP_BATCH8 = 1.0
 GATE_LOOKUP_OVER_BLAS_BATCH8 = 2.0
-GATE_SPEEDUP_FLEET = 1.0
 
 REQUIRED_MEASUREMENTS = (
     "lookup_matmul_batch1_seconds",
@@ -86,15 +78,6 @@ REQUIRED_SERVE_MEASUREMENTS = (
 REQUIRED_SERVE_CONFIG = (
     "model", "clients", "requests_per_client", "batch_window_ms", "max_batch",
 )
-
-REQUIRED_JOBS_MEASUREMENTS = (
-    "thread_seconds",
-    "process_seconds",
-    "speedup_process_vs_thread",
-    "thread_layers_per_second",
-    "process_layers_per_second",
-)
-REQUIRED_JOBS_CONFIG = ("layers", "shape", "workers", "repeats", "cpu_count")
 
 REQUIRED_METHODS_SPEC_MEASUREMENTS = (
     "seconds",
@@ -133,13 +116,11 @@ def check(path: Path) -> int:
     schema = record.get("schema")
     if schema == SERVE_SCHEMA:
         return check_serve(record, path)
-    if schema == JOBS_SCHEMA:
-        return check_jobs(record, path)
     if schema == METHODS_SCHEMA:
         return check_methods(record, path)
     if schema != SCHEMA:
-        fail(f"schema mismatch: expected {SCHEMA!r}, {SERVE_SCHEMA!r}, "
-             f"{JOBS_SCHEMA!r} or {METHODS_SCHEMA!r}, got {schema!r}")
+        fail(f"schema mismatch: expected {SCHEMA!r}, {SERVE_SCHEMA!r} "
+             f"or {METHODS_SCHEMA!r}, got {schema!r}")
     if not isinstance(record.get("smoke"), bool):
         fail("missing boolean 'smoke' field")
     config = record.get("config")
@@ -225,46 +206,6 @@ def check_serve(record: dict, path: Path) -> int:
         f"(max {max_batch:g}), sequential "
         f"{measurements['sequential_request_seconds'] * 1000:.1f}ms, reload "
         f"{measurements['reload_seconds'] * 1000:.0f}ms"
-    )
-    return 0
-
-
-def check_jobs(record: dict, path: Path) -> int:
-    if not isinstance(record.get("smoke"), bool):
-        fail("missing boolean 'smoke' field")
-    config = record.get("config")
-    if not isinstance(config, dict):
-        fail("missing 'config' object")
-    for key in REQUIRED_JOBS_CONFIG:
-        if key not in config:
-            fail(f"config.{key} missing")
-    measurements = record.get("measurements")
-    if not isinstance(measurements, dict):
-        fail("missing 'measurements' object")
-    for key in REQUIRED_JOBS_MEASUREMENTS:
-        positive_number(measurements, key, "measurements")
-
-    if measurements.get("byte_identical") is not True:
-        fail("process backend was not byte-identical to the thread backend")
-
-    speedup = measurements["speedup_process_vs_thread"]
-    cpus = config["cpu_count"]
-    gated = not record["smoke"] and isinstance(cpus, int) and cpus >= 2
-    if gated and speedup < GATE_SPEEDUP_FLEET:
-        fail(
-            f"process fleet below {GATE_SPEEDUP_FLEET:.1f}x the thread pool "
-            f"at {config['workers']} workers on {cpus} CPUs: {speedup:.3f}x"
-        )
-    shape = "x".join(str(d) for d in config["shape"])
-    note = "gated" if gated else (
-        f"gate waived: {'smoke record' if record['smoke'] else 'single CPU'}"
-    )
-    print(
-        f"check_bench: OK: {path} ({config['layers']}x{shape}, "
-        f"smoke={record['smoke']}) — thread "
-        f"{measurements['thread_seconds'] * 1000:.0f}ms, process "
-        f"{measurements['process_seconds'] * 1000:.0f}ms "
-        f"({speedup:.2f}x, {note}), byte-identical"
     )
     return 0
 

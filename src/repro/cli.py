@@ -11,7 +11,6 @@ Subcommands::
     python -m repro quantize --trace run.jsonl      # export an obs trace
     python -m repro quantize --job-dir jobs/run1    # durable: journal + shards
     python -m repro quantize --job-dir jobs/run1 --resume   # continue after a kill
-    python -m repro quantize --backend process --workers 4  # crash-isolated fleet
     python -m repro jobs status jobs/run1     # completed / failed / pending
     python -m repro verify-archive a.npz b.npz      # classify archives on disk
     python -m repro profile run.jsonl         # replay a trace as tables
@@ -170,7 +169,6 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
                 layer_timeout=args.layer_timeout,
                 transient_retries=args.transient_retries,
                 cancel=interrupt.event,
-                backend=args.backend,
                 job=job,
             )
         report = quantized.report
@@ -375,12 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     quantize.add_argument(
         "--workers", type=int, default=None,
         help="engine workers: N, 0 for all cores; default REPRO_WORKERS or 1",
-    )
-    quantize.add_argument(
-        "--backend", default=None, choices=("thread", "process"),
-        help="fan-out mechanism: threads in-process, or a supervised worker "
-             "fleet (crash-isolated, heartbeat-monitored); default "
-             "REPRO_BACKEND or thread",
     )
     quantize.add_argument(
         "--report", action="store_true", help="print the per-layer timing report"

@@ -46,6 +46,10 @@ def equal_population_centroids_sorted(ordered: np.ndarray, num_bins: int) -> np.
             # division), without its per-call overhead.
             previous = ordered[lo:hi].sum() / (hi - lo)
         centroids[b] = previous
+    # Bins of tied values can round out of order (two 0.7s average to 0.7,
+    # the next three to 0.6999999999999998); nearest-centroid assignment
+    # needs ascending centroids.
+    centroids.sort()
     return centroids
 
 

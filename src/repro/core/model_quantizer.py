@@ -155,7 +155,6 @@ def quantize_state_dict(
     layer_timeout: float | None = None,
     transient_retries: int | None = None,
     cancel=None,
-    backend: str | None = None,
     job: DurableJob | None = None,
     embedding_method: str | None = None,
     aux: dict[str, np.ndarray] | None = None,
@@ -176,14 +175,10 @@ def quantize_state_dict(
     ``layer_timeout``/``transient_retries``/``cancel`` configure the
     engine's per-layer watchdog, transient-retry budget, and cooperative
     cancellation (None defers to ``REPRO_LAYER_TIMEOUT`` /
-    ``REPRO_TRANSIENT_RETRIES``).  ``backend`` picks the fan-out mechanism
-    (``"thread"``/``"process"``, None = ``REPRO_BACKEND``): the process
-    backend runs layers in supervised worker processes
-    (:mod:`repro.jobs.fleet`) so a worker crash costs one in-flight attempt
-    instead of the run, with byte-identical output.  ``job`` (a
+    ``REPRO_TRANSIENT_RETRIES``).  ``job`` (a
     :class:`repro.jobs.runner.DurableJob`) journals every finished layer to
     its job directory and, on resume, quantizes only the layers it has not
-    journaled — checkpoint/resume durability on either backend.
+    journaled — so a crash of the process costs only its in-flight layers.
 
     ``on_error``/``validation``/``fault_injector`` are forwarded to the
     engine (see :mod:`repro.core.parallel`).  A layer resolved by
@@ -221,7 +216,6 @@ def quantize_state_dict(
         layer_timeout=layer_timeout,
         transient_retries=transient_retries,
         cancel=cancel,
-        backend=backend,
         aux=aux,
         job=job,
     )
@@ -271,7 +265,15 @@ def quantize_model(
     Set ``quantize_weights=False`` for the Figure 4 embedding-only scenario.
     ``workers``, ``on_error``, ``validation``, ``fault_injector`` and ``job``
     are forwarded to the layer-parallel engine (see :func:`quantize_state_dict`).
+    ``backend`` accepts only None or ``"thread"``, the one backend.
     """
+    # The keyword outlives the process backend only because the benchmark's
+    # workloads (bench/workloads.py) pass backend="thread"; the next change
+    # to the benchmark drops that argument, and this keyword with it.
+    if backend not in (None, "thread"):
+        raise QuantizationError(
+            f"unknown backend {backend!r}; layers run on threads only"
+        )
     selection = select_parameters(model)
     return quantize_state_dict(
         model.state_dict(),
@@ -288,6 +290,5 @@ def quantize_model(
         layer_timeout=layer_timeout,
         transient_retries=transient_retries,
         cancel=cancel,
-        backend=backend,
         job=job,
     )

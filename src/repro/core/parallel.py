@@ -13,23 +13,19 @@ All timings come from :mod:`repro.obs` spans (``engine.run``, one
 even when no trace sink is installed; span context is propagated into the
 pool workers so traces nest identically at any worker count (DESIGN.md §5c).
 
-Two backends (``backend=`` / ``REPRO_BACKEND``):
-
-* ``"thread"`` (default): a layer's O(n) work (the sort of its G group,
-  the outlier split, one nearest-centroid assignment, bit packing) is numpy
-  calls that release the GIL, while each clustering iteration costs only
-  O(k log n) (:mod:`repro.core.clustering`).  A thread pool shares the
-  weight arrays with zero copies, and ``workers=1`` runs the plain serial
-  loop with no executor at all, preserving the historical path exactly.
-* ``"process"``: a supervised worker fleet (:mod:`repro.jobs.fleet`) —
-  crash-isolated worker *processes* with heartbeats, layer leases and
-  work reassignment, so a worker SIGKILLed mid-layer costs only that
-  layer's in-flight attempt, never the run.  The GIL-bound Python parts
-  of each layer also genuinely parallelize.
+Threads, not processes: a layer's O(n) work (the sort of its G group, the
+outlier split, one nearest-centroid assignment, bit packing) is numpy calls
+that release the GIL, while each clustering iteration costs only
+O(k log n) (:mod:`repro.core.clustering`).  A thread pool shares the weight
+arrays with zero copies, and ``workers=1`` runs the plain serial loop with
+no executor at all, preserving the historical path exactly.  A crash of
+the process is recovered by the durable journal (``job=``,
+:mod:`repro.jobs.runner`): ``--resume`` redoes only the layers that were in
+flight.
 
 Because :func:`quantize_tensor` is a pure function of its inputs, the result
-is **bit-for-bit identical** for any worker count *and* either backend —
-the per-job logic lives in one :class:`JobRunner` shared by both.
+is **bit-for-bit identical** for any worker count — the per-job logic lives
+in one :class:`JobRunner`.
 
 Worker resolution:
 
@@ -104,9 +100,7 @@ WORKERS_ENV = "REPRO_WORKERS"
 ON_ERROR_ENV = "REPRO_ON_ERROR"
 LAYER_TIMEOUT_ENV = "REPRO_LAYER_TIMEOUT"
 TRANSIENT_RETRIES_ENV = "REPRO_TRANSIENT_RETRIES"
-BACKEND_ENV = "REPRO_BACKEND"
 ON_ERROR_POLICIES = ("fail", "skip", "fp32-fallback", "retry-higher-bits")
-BACKENDS = ("thread", "process")
 MAX_RETRY_BITS = 8
 
 # A fault injector is called as ``fault("layer", (index, job.name), weights)``
@@ -209,9 +203,6 @@ class QuantizationReport:
     interrupted: bool = False
     pending: list[str] = field(default_factory=list)
     resumed_layers: int = 0
-    backend: str = "thread"
-    worker_deaths: int = 0
-    reassignments: int = 0
 
     @property
     def ok(self) -> bool:
@@ -272,13 +263,6 @@ class QuantizationReport:
             f"(effective parallelism {self.effective_parallelism:.2f}x) "
             f"CR={self.compression_ratio:.2f}x"
         )
-        if self.backend != "thread":
-            footer += f" backend={self.backend}"
-            if self.worker_deaths:
-                footer += (
-                    f" worker-deaths={self.worker_deaths}"
-                    f" reassigned={self.reassignments}"
-                )
         if self.resumed_layers:
             footer += f" resumed={self.resumed_layers}"
         if self.interrupted:
@@ -312,13 +296,9 @@ class QuantizationReport:
 #: for ``workers``, 0 means every core) or ``float`` (seconds > 0).
 SETTINGS = {
     "workers": (WORKERS_ENV, 1, int),
-    "backend": (BACKEND_ENV, "thread", BACKENDS),
     "on_error": (ON_ERROR_ENV, "fail", ON_ERROR_POLICIES),
     "layer_timeout": (LAYER_TIMEOUT_ENV, None, float),
     "transient_retries": (TRANSIENT_RETRIES_ENV, 0, int),
-    "heartbeat_interval": ("REPRO_HEARTBEAT_INTERVAL", 0.2, float),
-    "heartbeat_timeout": ("REPRO_HEARTBEAT_TIMEOUT", 10.0, float),
-    "max_reassignments": ("REPRO_MAX_REASSIGNMENTS", 3, int),
 }
 
 
@@ -385,16 +365,15 @@ class LayerOutcome:
 
 @dataclass
 class JobRunner:
-    """Per-job attempt/retry/policy logic, shared by every backend.
+    """Per-job attempt/retry/policy logic.
 
     One runner holds everything a single :class:`LayerJob` needs to reach
     its final :class:`LayerOutcome`: the weight state, the quantization
     parameters, the ``on_error`` policy, the per-attempt deadline and the
     in-place transient-retry loop.  :func:`quantize_layers` builds one per
-    run; the thread backend calls :meth:`run` from its pool threads and the
-    process backend (:mod:`repro.jobs.fleet`) hands the same runner to each
-    worker process — so a layer's disposition, and the exact bytes it
-    produces, follow the same code path on every backend.
+    run and calls :meth:`run` from the serial loop or its pool threads — so
+    a layer's disposition, and the exact bytes it produces, follow the same
+    code path at every worker count.
 
     Fields must be *resolved* concrete values (use :func:`resolve` first);
     the runner does no environment fallback of its own.
@@ -529,7 +508,7 @@ class JobRunner:
         exc: BaseException,
         attempts: Iterable[int],
         retries: int,
-        action: str | None = None,
+        action: str,
         *,
         tensor: GoboQuantizedTensor | None = None,
         record: LayerRecord | None = None,
@@ -538,22 +517,17 @@ class JobRunner:
         """The final outcome of ``job`` after ``exc`` stuck.
 
         ``attempts`` lists every bit width tried and ``retries`` counts the
-        in-place transient retries consumed.  A failure that is never
-        retried — a timeout (``action="timeout"``) or a worker crash past
-        its reassignment budget (``action=None``) — is resolved here by
-        ``on_error``: ``"fail"`` raises ``exc``, ``"skip"`` drops the layer
-        and any other policy ships it FP32.  A timeout records that
-        resolution next to its action; a crash records it as the action.
-        A layer recovered wider passes its ``tensor``, ``record`` and
-        ``recovered_bits``.
+        in-place transient retries consumed.  A timeout is never retried;
+        it is resolved here by ``on_error``: ``"fail"`` raises ``exc``,
+        ``"skip"`` drops the layer and any other policy ships it FP32, and
+        that resolution is recorded next to the action.  A layer recovered
+        wider passes its ``tensor``, ``record`` and ``recovered_bits``.
         """
         resolution = ""
-        if action in (None, "timeout"):
+        if action == "timeout":
             if self.on_error == "fail":
                 raise exc
             resolution = "skip" if self.on_error == "skip" else "fp32-fallback"
-            if action is None:  # a crash records the resolution as its action
-                action, resolution = resolution, ""
         return LayerOutcome(
             job=job,
             tensor=tensor,
@@ -586,11 +560,10 @@ def quantize_layers(
     transient_retries: int | None = None,
     transient_backoff: float = DEFAULT_BACKOFF_BASE,
     cancel: "threading.Event | None" = None,
-    backend: str | None = None,
     aux: Mapping[str, np.ndarray] | None = None,
     job: DurableJob | None = None,
 ) -> tuple[dict[str, GoboQuantizedTensor], dict[str, int], QuantizationReport]:
-    """Quantize every job's tensor, optionally fanning out over workers.
+    """Quantize every job's tensor, optionally fanning out over threads.
 
     Results are keyed in job order regardless of completion order, and each
     job is an independent pure computation, so the output is bit-for-bit
@@ -605,15 +578,9 @@ def quantize_layers(
     and ``cancel`` drains the run leaving unstarted jobs in
     ``report.pending``.
 
-    ``backend`` selects the fan-out mechanism: ``"thread"`` (default) runs
-    jobs on a :class:`ThreadPoolExecutor` in this process; ``"process"``
-    hands the run's :class:`JobRunner` to the supervised worker fleet
-    (:func:`repro.jobs.fleet.run_fleet`) for crash isolation.  Both
-    produce bit-identical archives; ``None`` consults ``REPRO_BACKEND``.
-
     ``aux`` maps layer names to per-layer side data handed to the tensor
     method (e.g. GWQ's precomputed saliency outlier masks); layers without
-    an entry receive ``None``.  Both backends deliver it identically.
+    an entry receive ``None``.
 
     ``job`` (a :class:`repro.jobs.runner.DurableJob`) makes the run durable:
     layers it has journaled are taken from their shards instead of being
@@ -628,7 +595,6 @@ def quantize_layers(
     missing = [layer.name for layer in jobs if layer.name not in state]
     if missing:
         raise QuantizationError(f"state dict is missing tensors: {missing}")
-    backend = resolve("backend", backend)
     workers = resolve("workers", workers)
     runner = JobRunner(
         state=state,
@@ -647,7 +613,6 @@ def quantize_layers(
     # Journaled layers are not run again; the rest are numbered afresh.
     indexed = list(enumerate(layer for layer in jobs if layer.name not in done))
     record_lock = threading.Lock()
-    worker_deaths = reassignments = 0
 
     with obs.scope() as scoped:
         # The workers gauge is the one event whose payload legitimately
@@ -670,15 +635,7 @@ def quantize_layers(
                             job.record(outcome)
                     return outcome
 
-            if backend == "process" and indexed:
-                # Lazy import: the fleet pulls in multiprocessing machinery
-                # the thread path never needs.
-                from repro.jobs.fleet import run_fleet
-
-                outcomes, worker_deaths, reassignments = run_fleet(
-                    runner, indexed, workers, cancel=cancel, job=job
-                )
-            elif workers == 1 or len(indexed) <= 1:
+            if workers == 1 or len(indexed) <= 1:
                 outcomes = [run_in_context(item) for item in indexed]
             else:
                 with ThreadPoolExecutor(max_workers=min(workers, len(indexed))) as pool:
@@ -690,9 +647,6 @@ def quantize_layers(
             on_error=runner.on_error,
             layer_timeout=runner.layer_timeout,
             resumed_layers=len(done),
-            backend=backend,
-            worker_deaths=worker_deaths,
-            reassignments=reassignments,
         )
         # Merge journaled layers back in job order, so the assembled dicts —
         # and therefore an archive's member order and bytes — match an

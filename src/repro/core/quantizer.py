@@ -167,9 +167,7 @@ class TensorMethodResult:
 TensorMethod = Callable[[np.ndarray, TensorMethodContext], TensorMethodResult]
 
 #: Methods that live in optional plug-in modules, imported on first use so
-#: that ``repro.core`` never depends on ``repro.quant`` at import time (and
-#: so fleet worker processes resolve methods by name without pickling
-#: callables).
+#: that ``repro.core`` never depends on ``repro.quant`` at import time.
 _PLUGIN_MODULES: dict[str, str] = {
     "zeroshot": "repro.quant.zeroshot",
     "gwq": "repro.quant.gwq",

@@ -15,12 +15,18 @@ class FaultSpecError(ConfigError, ValueError):
     """A ``REPRO_FAULTS`` fault-injection spec is malformed: an unknown
     kind, a wrong argument count, or a value the fault could never act on
     (negative or non-finite seconds, a call count below 1, a negative
-    worker index, an unknown poison mode).
+    layer index, an unknown poison mode).
 
     Raised when the spec is parsed, not when the fault fires.  Subclasses
     :class:`ValueError` as well, so callers that catch the generic
     ``ValueError`` the parsers raised before keep working.
     """
+
+
+class TraceFormatError(ReproError, ValueError):
+    """A trace file or event violates the documented JSONL schema
+    (:mod:`repro.obs.events`).  Subclasses :class:`ValueError` as well, so
+    callers that catch the generic ``ValueError`` keep working."""
 
 
 class ShapeError(ReproError):
@@ -66,17 +72,6 @@ class LayerTimeoutError(QuantizationError):
     :class:`~repro.jobs.watchdog.Deadline` expires.  The layer-parallel
     engine converts it into a :class:`~repro.core.parallel.LayerFailure`
     with ``action="timeout"`` under every non-``fail`` ``on_error`` policy.
-    """
-
-
-class WorkerCrashError(QuantizationError):
-    """A fleet worker process died (or went heartbeat-silent) mid-layer.
-
-    Raised supervisor-side by :mod:`repro.jobs.fleet` when a worker's pipe
-    breaks, its process sentinel fires, or its heartbeats stop.  Classified
-    as *transient* by :func:`repro.jobs.retry.is_transient`: the layer it
-    was leasing is reassigned to a surviving worker before any ``on_error``
-    degradation policy fires — process death says nothing about the tensor.
     """
 
 

@@ -17,19 +17,18 @@ supervised, resumable run:
 * :mod:`repro.jobs.watchdog` — per-layer deadlines: a cooperative
   :class:`Deadline` checked inside the clustering iteration loop, converting
   a hung layer into a ``LayerFailure(action="timeout")`` instead of a
-  stalled run, plus the :class:`DeadlineLedger` the fleet and the serving
-  batcher supervise with.
+  stalled run, plus the :class:`DeadlineLedger` the serving batcher
+  supervises its in-flight forward with.
 * :mod:`repro.jobs.retry` — transient-error classification and exponential
   backoff used by the engine to retry I/O-flavoured failures in place
   before any ``on_error`` policy fires.
 * :mod:`repro.jobs.signals` — SIGINT/SIGTERM handling that drains in-flight
   layers, flushes the journal, and exits with :data:`EXIT_INTERRUPTED`
   (a second signal hard-exits immediately).
-* :mod:`repro.jobs.fleet` — the ``backend="process"`` map: a supervisor
-  hands the run's job runner to N worker processes, leases them layers over
-  per-worker pipes, monitors heartbeats, SIGKILLs wedged workers and
-  reassigns their leased layers to survivors — crash isolation the thread
-  backend cannot offer, with byte-identical archives.
+
+The journal is the one crash-recovery mechanism: a run killed outright
+(SIGKILL, OOM, power loss) loses only its in-flight layers, and
+``--resume`` rebuilds a byte-identical archive.
 
 Exports are resolved lazily (PEP 562) so that low-level modules —
 ``repro.core.clustering`` imports the deadline checkpoint,
@@ -46,8 +45,6 @@ _EXPORTS = {
     "checkpoint": "repro.jobs.watchdog",
     "current_deadline": "repro.jobs.watchdog",
     "deadline_scope": "repro.jobs.watchdog",
-    "current_worker_id": "repro.jobs.fleet",
-    "mute_heartbeat": "repro.jobs.fleet",
     "JobJournal": "repro.jobs.journal",
     "JournalReadResult": "repro.jobs.journal",
     "read_journal": "repro.jobs.journal",

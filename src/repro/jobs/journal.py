@@ -7,7 +7,7 @@ One journal line per event, append-only, fsynced per append
 
 The checksum covers the *canonical* JSON encoding of the record (sorted
 keys, no whitespace), so the digest is stable regardless of how the line
-itself was serialized.  Record types written by the runner:
+itself was serialized.  Record types:
 
 ``job-meta``
     First line of a fresh journal: the job fingerprint, the ordered
@@ -24,13 +24,14 @@ itself was serialized.  Record types written by the runner:
 ``interrupted`` / ``complete``
     Run lifecycle markers; ``interrupted`` lists the still-pending layers.
 ``lease`` / ``lease-broken``
-    Fleet supervision markers (:mod:`repro.jobs.fleet`): a ``lease`` records
-    which worker process (owner pid + heartbeat deadline) a layer was handed
-    to; ``lease-broken`` records that the worker died or went silent and how
-    the layer was disposed of (reassigned to a survivor, or resolved by the
-    ``on_error`` policy).  Both are informational — resume derives state from
-    ``layer-done``/``layer-failed`` alone — but ``repro jobs status`` renders
-    them as the fleet view.
+    Written only by the process backend of earlier versions, which put a
+    ``lease`` (worker id, pid, deadline) before every ``layer-done`` and a
+    ``lease-broken`` after a worker death.  Nothing writes them now, and
+    resume derives state from ``layer-done``/``layer-failed`` alone; they
+    stay readable because :func:`decode_line` treats an unknown type as the
+    end of the trusted prefix, so such a journal would otherwise read as
+    its ``job-meta`` line and a resume would redo, and truncate, every
+    journaled layer.
 
 Reading is prefix-safe: :func:`read_journal` returns every record up to the
 first unparseable or checksum-failing line and reports how many valid bytes
@@ -62,6 +63,8 @@ RECORD_TYPES = (
     "layer-failed",
     "interrupted",
     "complete",
+    # Read, never written: journals of the former process backend hold
+    # them (module docstring).
     "lease",
     "lease-broken",
 )

@@ -18,17 +18,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.errors import LayerTimeoutError, WorkerCrashError
-
-#: Exception types retried in place before ``on_error`` applies.  ``OSError``
-#: covers I/O errors (including the injected ``InjectedIOError``);
-#: ``ConnectionError``/``InterruptedError`` are OSError subclasses already.
-#: :class:`~repro.errors.WorkerCrashError` — a fleet worker process dying
-#: mid-layer (SIGKILLed, OOM-killed, ``BrokenProcessPool``-style death, or
-#: an injected I/O error that took the child down) — is transient in the
-#: same sense: the layer is retried on a *surviving* worker before any
-#: ``on_error`` degradation policy fires.
-TRANSIENT_EXCEPTIONS: tuple[type[BaseException], ...] = (OSError, WorkerCrashError)
+from repro.errors import LayerTimeoutError
 
 #: Default backoff parameters (seconds).
 DEFAULT_BACKOFF_BASE = 0.05
@@ -36,15 +26,19 @@ DEFAULT_BACKOFF_CAP = 2.0
 
 
 def is_transient(exc: BaseException) -> bool:
-    """True when ``exc`` should be retried in place.
+    """True when ``exc`` should be retried in place: an ``OSError``, which
+    covers I/O errors (including the injected ``InjectedIOError``;
+    ``ConnectionError``/``InterruptedError`` are OSError subclasses).
 
     A :class:`~repro.errors.LayerTimeoutError` is never transient — the
     layer already consumed its whole deadline, so retrying it in place
-    would just stall the run again.
+    would just stall the run again.  Nor is a crash of the whole process:
+    the durable journal and ``--resume`` recover from it
+    (:mod:`repro.jobs.runner`).
     """
     if isinstance(exc, LayerTimeoutError):
         return False
-    return isinstance(exc, TRANSIENT_EXCEPTIONS)
+    return isinstance(exc, OSError)
 
 
 def backoff_delay(

@@ -25,9 +25,9 @@ engine's determinism guarantee extended across process lifetimes.
 
 Resume is refused (:class:`~repro.errors.JobStateError`) when the job
 directory's fingerprint — jobs, method, threshold, validation, ``on_error``
-— does not match the requested run; worker count, backend and supervision
-knobs (timeout, retries) are deliberately *not* fingerprinted, so a run may
-be resumed with different parallelism or stricter deadlines.
+— does not match the requested run; worker count and supervision knobs
+(timeout, retries) are deliberately *not* fingerprinted, so a run may be
+resumed with different parallelism or stricter deadlines.
 """
 
 from __future__ import annotations
@@ -233,8 +233,7 @@ class DurableJob:
     once its settings are resolved, :meth:`record` with each finished
     layer, and :meth:`close` when the run returns.  ``fingerprint_extra``
     folds caller context (e.g. the CLI's model config and seed) into the
-    fingerprint.  The process backend journals its leases here too and
-    keeps worker traces under ``<job_dir>/obs/``.
+    fingerprint.
     """
 
     def __init__(
@@ -402,14 +401,6 @@ class JobStatus:
     intact: bool = True
     journal_bytes: int = 0
     records: int = 0
-    #: Fleet view (``backend="process"`` runs): layer name -> the lease
-    #: still outstanding for it ({"worker", "pid", "attempt"}); leases are
-    #: cleared by layer-done/layer-failed/lease-broken records in journal
-    #: order, so anything left here was in flight when the journal ends —
-    #: in-flight right now, or lost to a dead supervisor.
-    active_leases: dict[str, dict] = field(default_factory=dict)
-    broken_leases: int = 0
-    worker_deaths: int = 0
 
     @property
     def pending(self) -> list[str]:
@@ -433,7 +424,7 @@ def job_status(job_dir: str | Path) -> JobStatus:
         raise JobStateError(f"no journal at {journal_path}; not a job directory?")
     result = read_journal(journal_path)
     meta = result.meta
-    status = JobStatus(
+    return JobStatus(
         job_dir=job_dir,
         fingerprint=None if meta is None else meta.get("fingerprint"),
         jobs=[(name, int(bits)) for name, bits, *_ in (meta or {}).get("jobs", [])],
@@ -448,27 +439,6 @@ def job_status(job_dir: str | Path) -> JobStatus:
         journal_bytes=journal_path.stat().st_size,
         records=len(result.records),
     )
-    # Replay fleet supervision markers in journal order: a lease is active
-    # until the layer resolves or the lease is declared broken.
-    dead_workers: set[tuple] = set()
-    for record in result.records:
-        kind = record.get("type")
-        if kind == "lease":
-            status.active_leases[record["name"]] = {
-                "worker": record.get("worker"),
-                "pid": record.get("pid"),
-                "attempt": record.get("attempt", 0),
-            }
-        elif kind == "lease-broken":
-            status.active_leases.pop(record.get("name"), None)
-            status.broken_leases += 1
-            dead_workers.add((record.get("worker"), record.get("pid")))
-        elif kind == "layer-done":
-            status.active_leases.pop(record.get("name"), None)
-        elif kind == "layer-failed":
-            status.active_leases.pop(record.get("failure", {}).get("name"), None)
-    status.worker_deaths = len(dead_workers)
-    return status
 
 
 def render_status(status: JobStatus) -> str:
@@ -492,18 +462,4 @@ def render_status(status: JobStatus) -> str:
         shown = status.pending[:8]
         suffix = "" if len(status.pending) <= 8 else f", … +{len(status.pending) - 8}"
         lines.append("pending:    " + ", ".join(shown) + suffix)
-    if status.broken_leases or status.active_leases:
-        lines.append(
-            f"fleet:      {status.worker_deaths} worker death(s), "
-            f"{status.broken_leases} broken lease(s)"
-        )
-    if status.active_leases:
-        leased = [
-            f"{name} → worker {lease['worker']} (pid {lease['pid']})"
-            for name, lease in list(status.active_leases.items())[:8]
-        ]
-        more = len(status.active_leases) - len(leased)
-        lines.append(
-            "leased:     " + ", ".join(leased) + ("" if more <= 0 else f", … +{more}")
-        )
     return "\n".join(lines)

@@ -14,17 +14,15 @@ the outside; what *can* be done is cooperative cancellation:
 The guarantee is therefore *bounded grace*, not preemption: a layer that
 times out is surfaced within ``layer_timeout`` plus the time to its next
 checkpoint.  Code that never reaches a checkpoint (a true C-level hang)
-cannot be interrupted in the thread backend; in the process backend the
-fleet's heartbeats catch it.  See DESIGN.md §5d for the semantics.
+cannot be interrupted: the run stalls until it is killed, and ``--resume``
+then redoes only the layers in flight.  See DESIGN.md §5d for the
+semantics.
 
-:class:`DeadlineLedger` is the supervisors' half: keys armed with expiry
-times behind one lock.  The fleet supervisor (:mod:`repro.jobs.fleet`,
-DESIGN.md §5g) re-arms a worker's key on every message it hears from the
-worker and reaps the silent ones; unlike a thread, a wedged process *can*
-be killed, so the supervisor SIGKILLs it and reassigns its leased layer.
-The serving batcher (:mod:`repro.serve.batcher`, DESIGN.md §5i) arms its
-in-flight forward and reaps it on a timeout.  Every removal happens under
-the lock, so whoever removes an entry owns what it stands for.
+:class:`DeadlineLedger` is the supervisor's half: keys armed with expiry
+times behind one lock.  The serving batcher (:mod:`repro.serve.batcher`,
+DESIGN.md §5i) arms its in-flight forward and reaps it on a timeout.
+Every removal happens under the lock, so whoever removes an entry owns
+what it stands for.
 """
 
 from __future__ import annotations

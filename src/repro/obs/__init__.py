@@ -30,7 +30,6 @@ from repro.obs.events import (
     canonical_event,
     canonical_events,
     read_trace,
-    read_trace_lenient,
     validate_event,
     validate_events,
     validate_trace_file,
@@ -55,8 +54,6 @@ from repro.obs.recorder import (
     installed_sinks,
     recording,
     recording_active,
-    replay,
-    reset,
     scope,
     span,
     trace_event,
@@ -72,7 +69,6 @@ __all__ = [
     "canonical_event",
     "canonical_events",
     "read_trace",
-    "read_trace_lenient",
     "validate_event",
     "validate_events",
     "validate_trace_file",
@@ -96,8 +92,6 @@ __all__ = [
     "installed_sinks",
     "recording",
     "recording_active",
-    "replay",
-    "reset",
     "scope",
     "span",
     "trace_event",

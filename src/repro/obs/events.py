@@ -34,16 +34,14 @@ import json
 import math
 from typing import Iterable
 
+from repro.errors import TraceFormatError
+
 SCHEMA_VERSION = 1
 EVENT_TYPES = ("span", "counter", "gauge", "histogram", "trace")
 #: Fields whose values legitimately differ between two identical runs.
 VOLATILE_FIELDS = ("ts", "duration")
 
 _ATTR_TYPES = (str, bool, int, float, type(None))
-
-
-class TraceFormatError(ValueError):
-    """A trace file or event violates the documented JSONL schema."""
 
 
 def _is_number(value: object) -> bool:
@@ -120,67 +118,43 @@ def validate_events(events: Iterable[object]) -> list[str]:
     return errors
 
 
-def validate_trace_file(path) -> list[str]:
-    """Validate a JSONL trace on disk; violations are prefixed ``line N:``."""
+def _scan_trace_file(path) -> tuple[list[dict], list[str]]:
+    """Every parsed event of a JSONL trace, and its violations (``line N:``).
+
+    Any bytes at all give an event or a violation: ``ValueError`` covers bad
+    UTF-8, bad JSON and integers past the interpreter's digit limit, and
+    ``RecursionError`` covers nesting deeper than the parser's stack.
+    """
+    events: list[dict] = []
     errors: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
+                event = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
                 errors.append(f"line {number}: not valid JSON ({exc})")
                 continue
             errors.extend(f"line {number}: {problem}" for problem in validate_event(event))
-    return errors
+            events.append(event)
+    return events, errors
+
+
+def validate_trace_file(path) -> list[str]:
+    """Validate a JSONL trace on disk; violations are prefixed ``line N:``."""
+    return _scan_trace_file(path)[1]
 
 
 def read_trace(path) -> list[dict]:
     """Load a JSONL trace, raising :class:`TraceFormatError` on violations."""
-    errors = validate_trace_file(path)
+    events, errors = _scan_trace_file(path)
     if errors:
         preview = "; ".join(errors[:3])
         raise TraceFormatError(
             f"{path}: {len(errors)} schema violation(s): {preview}"
         )
-    events = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
     return events
-
-
-def read_trace_lenient(path) -> tuple[list[dict], int]:
-    """Load the schema-valid prefix-tolerant view of a JSONL trace.
-
-    Unlike :func:`read_trace`, a malformed line does not raise: it is
-    skipped and counted.  This is the reader for worker-local traces of a
-    process fleet — a SIGKILLed worker legitimately leaves a torn final
-    line (each line is flushed whole, so at most the tail is damaged), and
-    the supervisor still wants every intact event before it.  Returns
-    ``(events, skipped_lines)``.
-    """
-    events: list[dict] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if validate_event(event):
-                skipped += 1
-                continue
-            events.append(event)
-    return events, skipped
 
 
 def canonical_event(event: dict) -> dict:

@@ -107,43 +107,6 @@ def _record(event: dict) -> None:
             collector.emit(event)
 
 
-def replay(events) -> int:
-    """Feed prebuilt event dicts to every installed sink and active scope.
-
-    The merge path for multi-process runs: fleet workers record to
-    worker-local JSONL files (their sinks live in another process), and the
-    supervisor replays the recovered events into its own recorder so one
-    trace — and one :class:`~repro.obs.metrics.MetricsSnapshot` — covers the
-    whole run.  Events are forwarded verbatim (timestamps included); callers
-    are expected to pass schema-valid events, e.g. from
-    :func:`repro.obs.events.read_trace_lenient`.  Returns the number of
-    events forwarded (0 when the recorder is inactive).
-    """
-    if not recording_active():
-        return 0
-    count = 0
-    for event in events:
-        _record(event)
-        count += 1
-    return count
-
-
-def reset() -> None:
-    """Detach every sink and scope and clear this thread's span stack.
-
-    For forked worker processes (:mod:`repro.jobs.fleet`): a fork inherits
-    the parent's installed sinks — whose underlying file descriptors are
-    shared with the parent — and its active scopes and span stack.  A
-    worker must shed them before installing its own sink, or its events
-    would interleave into the parent's trace file and nest under the
-    parent's spans.  Sinks are *not* closed: the parent still owns them.
-    """
-    with _lock:
-        _sinks.clear()
-        _scopes.clear()
-    _local.stack = []
-
-
 def _span_stack() -> list:
     stack = getattr(_local, "stack", None)
     if stack is None:

@@ -81,7 +81,7 @@ class EngineBackedQuantizer:
     Subclasses implement :meth:`engine_options` — the keyword arguments that
     pick their tensor method, bit widths and any per-layer side data — and
     inherit a full-featured :meth:`quantize` (deterministic, durable,
-    fault-policy-aware, any backend) plus the :class:`ModelQuantizer`
+    fault-policy-aware) plus the :class:`ModelQuantizer`
     ``compress`` contract for the Table III harness.  Everything downstream
     of the engine (serialization format v3, jobs, serving) works unchanged
     for every subclass.
@@ -112,7 +112,6 @@ class EngineBackedQuantizer:
         layer_timeout: float | None = None,
         transient_retries: int | None = None,
         cancel=None,
-        backend: str | None = None,
         job=None,
     ):
         """Run this method through the engine, returning a ``QuantizedModel``.
@@ -136,7 +135,6 @@ class EngineBackedQuantizer:
             layer_timeout=layer_timeout,
             transient_retries=transient_retries,
             cancel=cancel,
-            backend=backend,
             job=job,
             **options,
         )

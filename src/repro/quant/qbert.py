@@ -67,16 +67,19 @@ def _qbert_group_method(
     """Group-wise dictionary quantization as an engine tensor method.
 
     Uses the same contiguous group bounds as :func:`quantize_groupwise`
-    (``min(128, size)`` groups), clusters each group independently, then
-    concatenates the per-group dictionaries into one global centroid table
-    with block-offset codes — so the result fits the engine's generic
-    packed-codes + centroid-table archive.  ``stored_bits`` widens to cover
-    the global code space (up to 15 bits at 128 groups x 2^bits levels);
-    storage accounting therefore differs from Q-BERT's native per-group
-    layout, which :meth:`QBertQuantizer.compress` still reports.
+    (``min(num_groups, size)`` groups; ``ctx.aux`` holds ``num_groups``
+    when it is not :data:`DEFAULT_NUM_GROUPS`), clusters each group
+    independently, then concatenates the per-group dictionaries into one
+    global centroid table with block-offset codes — so the result fits the
+    engine's generic packed-codes + centroid-table archive.
+    ``stored_bits`` widens to cover the global code space (up to 15 bits at
+    128 groups x 2^bits levels); storage accounting therefore differs from
+    Q-BERT's native per-group layout, which :meth:`QBertQuantizer.compress`
+    still reports.
     """
     flat = np.asarray(weights, dtype=np.float64).ravel()
-    groups = min(DEFAULT_NUM_GROUPS, flat.size)
+    num_groups = DEFAULT_NUM_GROUPS if ctx.aux is None else int(ctx.aux)
+    groups = min(num_groups, flat.size)
     bounds = np.linspace(0, flat.size, groups + 1).round().astype(np.int64)
     centroid_blocks: list[np.ndarray] = []
     assignment = np.empty(flat.size, dtype=np.int64)
@@ -123,6 +126,8 @@ class QBertQuantizer(EngineBackedQuantizer):
     ):
         if not 1 <= weight_bits <= 8:
             raise QuantizationError(f"weight_bits must be in [1, 8], got {weight_bits}")
+        if isinstance(num_groups, bool) or not isinstance(num_groups, int) or num_groups < 1:
+            raise QuantizationError(f"num_groups must be a positive int, got {num_groups!r}")
         self.weight_bits = weight_bits
         self.num_groups = num_groups
         self.embedding_bits = embedding_bits
@@ -133,12 +138,20 @@ class QBertQuantizer(EngineBackedQuantizer):
         fc_names: tuple[str, ...],
         embedding_names: tuple[str, ...],
     ) -> dict:
-        return {
+        options = {
             "weight_bits": self.weight_bits,
             "embedding_bits": self.embedding_bits,
             "method": "qbert-group",
             "embedding_method": "q8bert-grid",
         }
+        # The group count rides as per-layer aux data, which durable job
+        # fingerprints digest.  The default sends none, so 128-group
+        # archives and job fingerprints stay what they were.
+        if self.num_groups != DEFAULT_NUM_GROUPS:
+            options["aux"] = {
+                name: np.array(self.num_groups, dtype=np.int64) for name in fc_names
+            }
+        return options
 
     def compress(
         self,

@@ -113,7 +113,7 @@ def quantize_at_load(
 
     The zero-shot entry point: hand it the state dict straight off disk and
     get a ``QuantizedModel`` back.  ``engine_kwargs`` forward to
-    :meth:`EngineBackedQuantizer.quantize` (workers, backend, policies...).
+    :meth:`EngineBackedQuantizer.quantize` (workers, policies, durable jobs...).
     """
     return ZeroShotQuantizer(bits=bits).quantize(
         state, fc_names, embedding_names, **engine_kwargs

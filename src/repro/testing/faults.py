@@ -1,5 +1,5 @@
-"""Deterministic fault injection for the quantization pipeline, the worker
-fleet, the serving runtime and storage.
+"""Deterministic fault injection for the quantization pipeline, the serving
+runtime and storage.
 
 Every hook site calls one protocol, ``fault(hook, keys, value=None)``,
 which returns ``value`` (or a replacement for it) and may sleep, raise or
@@ -14,11 +14,10 @@ kill the process on the way.  Three hooks call it:
   archive load, with keys ``(model,)``.
 
 A :class:`Fault` acts only at its own ``hook``, on calls whose keys hold its
-``target`` (a job index, a layer or model name; None matches every call),
-and — when ``worker`` is set — only inside that fleet worker
-(:func:`repro.jobs.fleet.current_worker_id`).  It counts those matching
-calls per process and thread-safely, and fires on calls ``nth`` through
-``nth + times - 1`` (``times=0``: every matching call from the ``nth`` on).
+``target`` (a job index, a layer or model name; None matches every call).
+It counts those matching calls thread-safely, and fires on calls ``nth``
+through ``nth + times - 1`` (``times=0``: every matching call from the
+``nth`` on).
 What firing does is its ``kind``:
 
 * ``raise`` — raise :class:`InjectedFault`;
@@ -34,10 +33,7 @@ What firing does is its ``kind``:
 * ``wedge`` — sleep ``seconds`` without checkpoints, the hung-native-code
   class only an outside watchdog catches;
 * ``crash`` — SIGKILL the process (:func:`crash_process`), the crash the
-  journal and ``--resume`` (or the fleet's reassignment) recover from;
-* ``mute`` — silence the fleet worker's heartbeats
-  (:func:`repro.jobs.fleet.mute_heartbeat`) and wedge, so the supervisor
-  must SIGKILL it; InjectedFault after ``seconds``;
+  journal and ``--resume`` recover from;
 * ``poison`` — return a NaN/Inf/constant-poisoned copy of the weights
   (``mode``), exercising ``validation=`` instead of ``on_error=``.
 
@@ -46,10 +42,7 @@ What firing does is its ``kind``:
 :func:`parse_fault_spec`).  A fault acts only at its own hook, so one spec
 can carry faults for all three.  Every value in a spec is checked when it
 is parsed: a malformed spec fails with :class:`~repro.errors.FaultSpecError`
-before anything runs instead of misfiring, or never firing, mid-run.  A
-copied or unpickled fault counts from zero, so the injector a run hands to
-its fleet workers (:mod:`repro.jobs.fleet`) counts each worker's calls
-only.
+before anything runs instead of misfiring, or never firing, mid-run.
 
 Storage-level helpers simulate the two ways an archive dies on disk:
 :func:`truncate_file` (a crash mid-write tears the container) and
@@ -77,7 +70,7 @@ from repro.jobs.watchdog import checkpoint
 FAULTS_ENV = "REPRO_FAULTS"
 
 #: What a fault does when it fires (see the module docstring).
-FAULT_KINDS = ("raise", "io", "crc", "slow", "hang", "wedge", "crash", "mute", "poison")
+FAULT_KINDS = ("raise", "io", "crc", "slow", "hang", "wedge", "crash", "poison")
 
 #: Where a fault can fire.
 HOOKS = ("layer", "forward", "load")
@@ -120,17 +113,15 @@ def crash_process() -> None:
 class Fault:
     """One injected fault, called as ``fault(hook, keys, value)``.
 
-    ``target`` selects calls by key (None: every call at ``hook``),
-    ``worker`` by fleet worker id (None: any process); ``nth`` and ``times``
-    pick which matching calls fire (``times=0``: all from the ``nth`` on).
-    ``seconds`` is how long ``slow`` and ``wedge`` sleep and when ``hang``
-    and ``mute`` give up; ``mode`` is what ``poison`` does.
+    ``target`` selects calls by key (None: every call at ``hook``);
+    ``nth`` and ``times`` pick which matching calls fire (``times=0``: all
+    from the ``nth`` on).  ``seconds`` is how long ``slow`` and ``wedge``
+    sleep and when ``hang`` gives up; ``mode`` is what ``poison`` does.
     """
 
     kind: str
     hook: str = "layer"
     target: int | str | None = None
-    worker: int | None = None
     nth: int = 1
     times: int = 0
     seconds: float = 30.0
@@ -149,25 +140,9 @@ class Fault:
             if value not in allowed:
                 raise ValueError(f"unknown {what} {value!r}; expected one of {allowed}")
 
-    def __getstate__(self) -> dict:
-        # The lock cannot be pickled, and a copy counts its own calls.
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if name not in ("_calls", "_lock")
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _calls=0, _lock=threading.Lock())
-
     def __call__(self, hook: str, keys: tuple, value=None):
         if hook != self.hook or (self.target is not None and self.target not in keys):
             return value
-        if self.worker is not None:
-            from repro.jobs.fleet import current_worker_id
-
-            if current_worker_id() != self.worker:
-                return value
         with self._lock:
             self._calls += 1
             call = self._calls
@@ -184,21 +159,17 @@ class Fault:
             return poisoned
         if self.kind == "crash":
             crash_process()
-        elif self.kind == "mute":
-            from repro.jobs.fleet import mute_heartbeat
-
-            mute_heartbeat()
-        if self.kind in ("wedge", "mute"):
+        if self.kind == "wedge":
             time.sleep(self.seconds)  # no checkpoints: only an outside watchdog stops it
         elif self.kind in ("slow", "hang"):
             until = time.monotonic() + self.seconds
             while time.monotonic() < until:
                 checkpoint()  # raises LayerTimeoutError once the layer deadline passes
                 time.sleep(min(0.002, self.seconds))
-        if self.kind in ("hang", "mute"):
+        if self.kind == "hang":
             raise InjectedFault(
-                f"injected {self.kind} fault outlived {self.seconds}s ({where}): "
-                "was layer_timeout set, did the supervisor's liveness check run?"
+                f"injected hang fault outlived {self.seconds}s ({where}): "
+                "was layer_timeout set?"
             )
         if self.kind == "raise":
             raise InjectedFault(f"injected fault ({where})")
@@ -221,8 +192,8 @@ def _seconds(token: str) -> float:
 
 
 def _count(token: str, minimum: int = 1) -> int:
-    """A call count or 1-based call number (``minimum=0``: a worker index,
-    or a TIMES where 0 means persistent)."""
+    """A call count or 1-based call number (``minimum=0``: a TIMES where 0
+    means persistent)."""
     value = int(token)
     if value < minimum:
         raise ValueError(f"expected an integer >= {minimum}, got {token!r}")
@@ -261,9 +232,6 @@ _SPEC_KINDS = {
     "transient-io": ({"kind": "io", "times": 1}, [("target", _layer), ("times", _count)]),
     "crash": ({"kind": "crash", "times": 1}, [("nth", _count)]),
     "poison": ({"kind": "poison"}, [("target", _layer), ("mode", str)]),
-    "kill-worker": ({"kind": "crash", "times": 1}, [("worker", _nonnegative), ("nth", _count)]),
-    "mute-worker": ({"kind": "mute"}, [("worker", _nonnegative), ("seconds", _seconds)]),
-    "hang-worker": ({"kind": "hang"}, [("worker", _nonnegative), ("seconds", _seconds)]),
     "hang-forward": (
         {"kind": "wedge", "hook": "forward", "times": 1},
         [("target", _name), ("seconds", _seconds), ("times", _count)],
@@ -283,8 +251,8 @@ _SPEC_KINDS = {
 def parse_fault_spec(spec: str) -> list[Fault]:
     """Every fault in a comma-separated ``REPRO_FAULTS`` spec, in order.
 
-    Forms (``LAYER`` is a job index or a layer name, ``W`` a fleet worker
-    id, ``MODEL`` a served model name)::
+    Forms (``LAYER`` is a job index or a layer name, ``MODEL`` a served
+    model name)::
 
         raise:LAYER                            every attempt raises InjectedFault
         hang:LAYER                             hang until the layer deadline
@@ -292,19 +260,16 @@ def parse_fault_spec(spec: str) -> list[Fault]:
         transient-io:LAYER[:N]                 first N attempts raise InjectedIOError
         crash:NTH                              SIGKILL on the NTH layer call
         poison:LAYER[:MODE]                    poisoned weights (nan, inf, constant)
-        kill-worker:W[:NTH]                    SIGKILL worker W on its NTH layer call
-        mute-worker:W[:MAXS]                   worker W goes silent and wedges
-        hang-worker:W[:MAXS]                   worker W hangs until its deadline
         hang-forward:MODEL[:SECONDS[:TIMES]]   first TIMES forwards wedge
         fail-forward:MODEL[:TIMES]             first TIMES forwards raise (0 = all)
         corrupt-member-at-serve:MODEL[:TIMES]  ...raise a CRC mismatch (0 = all)
         slow-load:SECONDS[:MODEL]              every archive load sleeps
 
-    Defaults: ``N``, ``NTH`` and ``TIMES`` 1, ``SECONDS`` 30 and ``MAXS``
-    30.  Every value is checked here, not when the fault fires: seconds
-    must be finite and >= 0, call counts >= 1 (except a forward TIMES,
-    where 0 means persistent), worker and layer indexes >= 0, names
-    non-empty and the poison mode one of :data:`POISON_MODES`.  Anything
+    Defaults: ``N``, ``NTH`` and ``TIMES`` 1, ``SECONDS`` 30.  Every value
+    is checked here, not when the fault fires: seconds must be finite and
+    >= 0, call counts >= 1 (except a forward TIMES, where 0 means
+    persistent), layer indexes >= 0, names non-empty and the poison mode
+    one of :data:`POISON_MODES`.  Anything
     else raises :class:`~repro.errors.FaultSpecError` (a ``ValueError``)
     naming the offending part — a silently ignored or never-firing fault
     would make a chaos test pass vacuously.
@@ -358,8 +323,7 @@ def _chain(faults: tuple, hook: str, keys: tuple, value=None):
 
 def compose_injectors(*faults):
     """Chain faults: each may raise, and each sees the value the ones before
-    it returned.  The chain is picklable, and copies deeply, when its faults
-    are."""
+    it returned."""
     return functools.partial(_chain, faults)
 
 

@@ -42,6 +42,12 @@ class TestEqualPopulationCentroids:
         centroids = equal_population_centroids(np.full(10, 3.0), 4)
         np.testing.assert_array_equal(centroids, np.full(4, 3.0))
 
+    def test_tied_bins_rounding_out_of_order_stay_sorted(self):
+        # Bin means of 2 and 3 copies of 0.7 are 0.7 and 0.6999999999999998.
+        centroids = equal_population_centroids(np.full(5, 0.7), 2)
+        assert np.all(np.diff(centroids) >= 0)
+        assert set(centroids.tolist()) == {0.7, 0.6999999999999998}
+
     def test_empty_rejected(self):
         with pytest.raises(QuantizationError):
             equal_population_centroids(np.array([]), 4)

@@ -182,6 +182,8 @@ continuous = st.builds(
 @pytest.mark.parametrize("method", sorted(METHODS))
 @given(values=continuous | tied, bits=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 @example(values=np.array([-0.0, 0.0]), bits=3, seed=3)  # signed zeros, swapped
+# Tied bins whose init means round out of order, and the init is the best L1.
+@example(values=np.round(_values(0, "normal", 2240), 2), bits=7, seed=1)
 @settings(max_examples=60, deadline=None)
 def test_shuffled_input_permutes_only_the_assignment(method, values, bits, seed):
     cluster, _ = METHODS[method]

@@ -1,0 +1,106 @@
+"""The per-layer error bound of a quantized tensor, and of the lookup kernel.
+
+For a tensor quantized by a centroid method, outliers decode exactly and
+every G-group weight decodes to its nearest centroid.  A G-group weight
+between two adjacent centroids is therefore off by at most half their gap,
+and one outside the table by its distance to the end centroid, so
+
+    max_err = max(half the widest adjacent gap, c_min - g_min, g_max - c_max)
+
+over the centroids ``c`` and the G-group weights ``g``.  The last two terms
+are not rounding slack: the G group reaches past the extreme centroids, and
+on gobo and kmeans tables those tails dominate (3-bit gobo on a seed-0
+256x256 N(0, 0.04) tensor is off by up to 0.065 against a half-gap of
+0.016).  Every entry of ``x @ W.T`` then moves by at most
+``||x||_1 * max_err``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.quantizer import quantize_tensor
+from repro.kernels.lookup import LookupKernel
+
+METHODS = ("gobo", "kmeans", "linear")
+EPS = np.finfo(np.float64).eps
+
+
+def _weights(seed: int, rows: int, cols: int) -> np.ndarray:
+    """Heavy-tailed weights, so every tensor has outliers and wide tails."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_t(5, size=(rows, cols)) * 0.04
+
+
+def max_err(tensor, weights: np.ndarray) -> float:
+    """The bound in the module docstring for ``tensor`` quantized from ``weights``."""
+    centroids = np.sort(np.asarray(tensor.centroids, dtype=np.float64))
+    inlier = np.ones(weights.size, dtype=bool)
+    inlier[tensor.outlier_positions] = False
+    group = weights.ravel()[inlier]
+    half_gap = np.diff(centroids).max(initial=0.0) / 2.0
+    return max(half_gap, centroids[0] - group.min(), group.max() - centroids[-1])
+
+
+cases = st.tuples(
+    st.sampled_from(METHODS),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(8, 48),
+    st.integers(8, 48),
+)
+
+
+@given(cases)
+@settings(max_examples=60, deadline=None)
+def test_decode_is_exact_or_nearest_centroid(case):
+    method, seed, bits, rows, cols = case
+    weights = _weights(seed, rows, cols)
+    tensor, _ = quantize_tensor(weights, bits=bits, method=method)
+    decoded = tensor.dequantize(dtype=np.float64).ravel()
+    flat = weights.ravel()
+
+    outliers = tensor.outlier_positions
+    np.testing.assert_array_equal(decoded[outliers], flat[outliers])
+
+    inlier = np.ones(flat.size, dtype=bool)
+    inlier[outliers] = False
+    group, got = flat[inlier], decoded[inlier]
+    centroids = np.asarray(tensor.centroids, dtype=np.float64)
+    nearest = np.abs(group[:, None] - centroids[None, :]).min(axis=1)
+    # A weight on a midpoint may go either way; the rounding of the
+    # midpoint itself is the only slack.
+    assert np.all(np.abs(group - got) <= nearest + 4 * EPS * np.abs(group).max())
+
+    bound = max_err(tensor, weights)
+    assert np.abs(group - got).max() <= bound * (1 + 4 * EPS)
+
+
+@given(cases, st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_lookup_kernel_within_l1_bound(case, batch):
+    method, seed, bits, rows, cols = case
+    weights = _weights(seed, rows, cols)
+    tensor, _ = quantize_tensor(weights, bits=bits, method=method)
+    x = np.random.default_rng(seed ^ 0x5EED).normal(size=(batch, cols))
+
+    exact = x @ weights.T
+    got = LookupKernel(tensor).matmul(x)
+    bound = np.abs(x).sum(axis=1, keepdims=True) * max_err(tensor, weights)
+    # Each product sums ``cols`` terms; both sides carry the standard
+    # gamma_n summation error of their own dot products.
+    decoded = tensor.dequantize(dtype=np.float64)
+    gamma = 2 * cols * EPS
+    rounding = gamma * (np.abs(x) @ np.abs(weights).T + np.abs(x) @ np.abs(decoded).T)
+    assert np.all(np.abs(exact - got) <= bound + rounding)
+
+
+def test_tails_dominate_the_half_gap():
+    """The docstring's example: the half-gap alone is not a bound."""
+    weights = np.random.default_rng(0).normal(0.0, 0.04, size=(256, 256))
+    tensor, _ = quantize_tensor(weights, bits=3, method="gobo")
+    decoded = tensor.dequantize(dtype=np.float64)
+    observed = np.abs(weights - decoded).max()
+    half_gap = np.diff(np.sort(tensor.centroids)).max() / 2.0
+    assert observed > 2 * half_gap
+    assert observed <= max_err(tensor, weights) * (1 + 4 * EPS)

@@ -112,6 +112,23 @@ class TestQuantizeModel:
         assert set(quantized.iterations) == set(quantized.quantized)
         assert all(1 <= it <= 50 for it in quantized.iterations.values())
 
+    def test_backend_accepts_only_thread(self, model, tmp_path):
+        """``backend="thread"`` names the one backend and changes no byte;
+        any other value is refused before a layer runs."""
+        from repro.core.serialization import save_quantized_model
+
+        archives = []
+        for backend in (None, "thread"):
+            path = tmp_path / f"{backend}.npz"
+            save_quantized_model(
+                quantize_model(model, embedding_bits=4, workers=2, backend=backend), path
+            )
+            archives.append(path.read_bytes())
+        assert archives[0] == archives[1]
+        for backend in ("process", "", "THREAD"):
+            with pytest.raises(QuantizationError, match="backend"):
+                quantize_model(model, backend=backend)
+
 
 class TestQuantizeStateDict:
     def test_missing_tensor_rejected(self):

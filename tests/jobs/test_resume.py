@@ -7,6 +7,8 @@ worker count and with tracing on or off.  The deterministic zip writer
 makes the comparison meaningful.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.core.model_quantizer import quantize_state_dict
 from repro.core.parallel import LayerJob, quantize_layers
 from repro.core.serialization import save_quantized_model
 from repro.errors import JobStateError
+from repro.jobs.journal import JOURNAL_NAME, read_journal, record_checksum
 from repro.jobs.runner import (
     DurableJob,
     ShardCorruptionWarning,
@@ -190,6 +193,74 @@ class TestResumeDeterminism:
         assert scoped.snapshot().counter("job.resumed_layers") == len(jobs)
         assert resumed.failures == first.failures
         assert set(quantized) == {job.name for job in jobs}
+
+
+class TestLegacyProcessJournal:
+    """Job dirs the former process backend wrote stay resumable.
+
+    That backend put a ``lease`` record before every ``layer-done`` and a
+    ``lease-broken`` after a worker death.  The reader ends the trusted
+    prefix at an unknown record type, so if it stopped knowing either type
+    such a journal would read as its ``job-meta`` line alone, and a resume
+    would redo every journaled layer and truncate the journal.
+    """
+
+    @staticmethod
+    def _line(record):
+        # The journal envelope, built here rather than by the writer, which
+        # no longer emits lease records.
+        envelope = {"r": record, "sha256": record_checksum(record)}
+        return json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def _process_shaped_job(self, state, job_dir):
+        """A job dir killed after three layers, journaled in the process shape."""
+        with pytest.raises(InjectedFault):
+            quantize_state_dict(
+                state, fc_names=FC_NAMES, job=DurableJob(job_dir),
+                fault_injector=Fault("raise", target=FC_NAMES[3]),
+            )
+        written = read_journal(job_dir / JOURNAL_NAME).records
+        meta, done = written[0], written[1:]
+        assert meta["type"] == "job-meta" and len(done) == 3
+        records = [meta]
+        for worker, record in enumerate(done):
+            records.append({
+                "type": "lease", "name": record["name"], "bits": 3,
+                "worker": worker % 2, "pid": 1000 + worker % 2, "attempt": 0,
+                "deadline": 1.0e9,
+            })
+            records.append(record)
+        # Worker 0 died on the fourth layer, which went to worker 1; the
+        # supervisor was killed while worker 1 held it.
+        lease = {"type": "lease", "name": FC_NAMES[3], "bits": 3, "worker": 0,
+                 "pid": 1000, "attempt": 0, "deadline": 1.0e9}
+        records += [
+            lease,
+            {"type": "lease-broken", "name": FC_NAMES[3], "worker": 0, "pid": 1000,
+             "reason": "process exited unexpectedly", "reassigned": True},
+            {**lease, "worker": 1, "pid": 1001, "attempt": 1},
+        ]
+        (job_dir / JOURNAL_NAME).write_text("".join(map(self._line, records)))
+        return records, [record["name"] for record in done]
+
+    def test_process_journal_resumes_to_the_clean_archive(self, state, tmp_path):
+        baseline = _clean_archive(state, tmp_path / "clean.npz")
+        job_dir = tmp_path / "job"
+        records, journaled = self._process_shaped_job(state, job_dir)
+        read = read_journal(job_dir / JOURNAL_NAME)
+        assert read.intact and read.records == records
+        status = job_status(job_dir)
+        assert status.completed == journaled and status.intact
+        assert status.pending == list(FC_NAMES[3:])
+        resumed = quantize_state_dict(
+            state, fc_names=FC_NAMES, workers=2, job=DurableJob(job_dir, resume=True)
+        )
+        assert resumed.report.resumed_layers == len(journaled)
+        save_quantized_model(resumed, tmp_path / "resumed.npz")
+        assert (tmp_path / "resumed.npz").read_bytes() == baseline
+        # The legacy prefix survives the resume whole; new records follow it.
+        assert read_journal(job_dir / JOURNAL_NAME).records[: len(records)] == records
+        assert job_status(job_dir).complete
 
 
 class TestResumeSafety:

@@ -1,6 +1,7 @@
 """Schema validation and canonicalization for the JSONL trace format."""
 
 import json
+import sys
 
 import pytest
 
@@ -115,6 +116,46 @@ class TestFileValidation:
         path.write_text(json.dumps(_event(v=9)) + "\n")
         with pytest.raises(obs.TraceFormatError, match="schema violation"):
             obs.read_trace(path)
+
+
+class TestHostileLines:
+    """Lines the JSON parser refuses with something other than a
+    JSONDecodeError are violations too: ``line N: not valid JSON (...)``
+    from the validator, a typed TraceFormatError from the reader, and exit 1
+    from ``repro profile --check``."""
+
+    LINES = {
+        "non-utf8": b"\xff\xfe" + json.dumps(_event()).encode(),
+        "deep-array": b"[" * 100_000 + b"]" * 100_000,
+        "huge-int": b"1" * 5000,
+    }
+    KINDS = [
+        "deep-array",
+        # Without the interpreter's int-digit limit the line is valid JSON.
+        pytest.param("huge-int", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no int-digit limit")),
+        "non-utf8",
+    ]
+
+    def _trace(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(json.dumps(_event()).encode() + b"\n" + line + b"\n")
+        return path
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_line_reported_typed_and_rejected_by_profile(self, tmp_path, capsys, kind):
+        from repro.cli import main
+        from repro.errors import ReproError
+
+        path = self._trace(tmp_path, self.LINES[kind])
+        errors = obs.validate_trace_file(path)
+        assert len(errors) == 1 and errors[0].startswith("line 2: not valid JSON (")
+        with pytest.raises(obs.TraceFormatError, match="line 2: not valid JSON") as info:
+            obs.read_trace(path)
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
+        assert main(["profile", "--check", str(path)]) == 1
+        assert "line 2: not valid JSON" in capsys.readouterr().err
 
 
 class TestCanonical:

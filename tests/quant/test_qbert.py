@@ -1,12 +1,17 @@
 """Tests for the Q-BERT-like group-wise dictionary baseline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.model_quantizer import select_parameters
+from repro.core.serialization import save_quantized_model
 from repro.errors import QuantizationError
+from repro.jobs.runner import DurableJob, job_status
 from repro.models.heads import BertForSequenceClassification
 from repro.quant.qbert import QBertQuantizer, quantize_groupwise
+from repro.utils.rng import derive_rng
 from tests.conftest import MICRO_CONFIG
 
 
@@ -79,3 +84,54 @@ class TestQBertQuantizer:
     def test_invalid_bits(self):
         with pytest.raises(QuantizationError):
             QBertQuantizer(weight_bits=0)
+
+    @pytest.mark.parametrize("num_groups", [0, -1, 2.5, True])
+    def test_invalid_group_count(self, num_groups):
+        with pytest.raises(QuantizationError, match="num_groups"):
+            QBertQuantizer(num_groups=num_groups)
+
+
+class TestGroupCountReachesTheEngine:
+    """``quantize`` (the engine path) and ``compress`` (native accounting)
+    give the same weights for the same ``num_groups``."""
+
+    @staticmethod
+    def _state():
+        rng = derive_rng(4242, "qbert-groups")
+        return {
+            "fc.weight": rng.normal(0.0, 0.04, size=(32, 48)),
+            "emb.weight": rng.normal(0.0, 0.05, size=(20, 16)),
+        }
+
+    @pytest.mark.parametrize("num_groups", [1, 2, 4, 128])
+    def test_quantize_matches_compress(self, num_groups):
+        state = {"w": np.random.default_rng(5).normal(0.0, 0.05, size=(64, 64))}
+        quantizer = QBertQuantizer(weight_bits=3, num_groups=num_groups)
+        tensor = quantizer.quantize(state, ("w",)).quantized["w"]
+        native = quantizer.compress(state, ("w",), ()).tensors["w"].reconstructed
+        assert tensor.centroids.size == num_groups * 2**3
+        np.testing.assert_array_equal(tensor.dequantize(dtype=np.float64), native)
+
+    def test_default_groups_keep_archive_and_fingerprint(self, tmp_path):
+        # Both digests were recorded before the group count reached the
+        # engine, when every engine run used 128 groups.
+        model = QBertQuantizer(weight_bits=3).quantize(
+            self._state(), ("fc.weight",), ("emb.weight",),
+            job=DurableJob(tmp_path / "job"),
+        )
+        save_quantized_model(model, tmp_path / "model.npz")
+        digest = hashlib.sha256((tmp_path / "model.npz").read_bytes()).hexdigest()
+        assert digest == "ed972b050dd425d2acf5a97935b13ac83e3ad3116c67b1c9e790032fe6d00ff1"
+        assert job_status(tmp_path / "job").fingerprint == (
+            "8633fc3696c2a96f1e49e95622ebd43d68a325e74df332347e358eccc195cbce"
+        )
+
+    def test_group_count_enters_the_fingerprint(self, tmp_path):
+        fingerprints = set()
+        for num_groups in (2, 4, 128):
+            job_dir = tmp_path / f"job-{num_groups}"
+            QBertQuantizer(num_groups=num_groups).quantize(
+                self._state(), ("fc.weight",), job=DurableJob(job_dir)
+            )
+            fingerprints.add(job_status(job_dir).fingerprint)
+        assert len(fingerprints) == 3

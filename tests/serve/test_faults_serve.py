@@ -34,10 +34,10 @@ class TestSpecParsing:
             "wedge", "load", "delta", seconds=0.5)
 
     def test_engine_kinds_are_skipped(self):
-        """One REPRO_FAULTS value carries engine, fleet and serve faults;
-        each fires only where its own hook is called."""
-        spec = "crash:3,hang-forward:alpha:1:1,kill-worker:1"
-        assert [f.hook for f in parse_fault_spec(spec)] == ["layer", "forward", "layer"]
+        """One REPRO_FAULTS value carries engine and serve faults; each
+        fires only where its own hook is called."""
+        spec = "crash:3,hang-forward:alpha:1:1"
+        assert [f.hook for f in parse_fault_spec(spec)] == ["layer", "forward"]
         mixed = injector_from_spec("raise:alpha,fail-forward:alpha:0,slow-load:5:beta")
         with pytest.raises(InjectedFault, match="layer"):
             mixed("layer", (0, "alpha"), np.ones(3))
@@ -57,7 +57,7 @@ class TestSpecParsing:
         monkeypatch.setattr(faults, "crash_process", misfired_crash)
         sentinel = object()
         for spec in ("crash:3,slow:0.1",
-                     "raise:alpha,transient-io:alpha:5,poison:alpha,slow:5,kill-worker:1"):
+                     "raise:alpha,transient-io:alpha:5,poison:alpha,slow:5"):
             layer_only = injector_from_spec(spec)
             for hook in ("forward", "load"):
                 assert layer_only(hook, ("alpha",), sentinel) is sentinel

@@ -328,6 +328,15 @@ class TestDurableJobCommands:
         assert main(["quantize", "--embedding-bits", "none"]) == 2
         assert "fault" in capsys.readouterr().err
 
+    def test_bad_fault_spec_rejected_before_the_job_dir(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "crash:not-a-number")
+        job_dir = tmp_path / "job"
+        assert main(["quantize", "--job-dir", str(job_dir)]) == 2
+        assert "fault spec" in capsys.readouterr().err
+        assert not job_dir.exists()
+
 
 class TestVerifyArchiveMultiple:
     @pytest.fixture

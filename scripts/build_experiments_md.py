@@ -38,11 +38,16 @@ SECTIONS = [
         "Baseline 84.45%; Q8BERT -0.70% at 4x; Q-BERT 3/4-bit -1.04%/-0.56% at "
         "7.81x/6.52x; GOBO 3/4-bit -0.69%/0.00% at 9.83x/7.92x; only GOBO "
         "needs no fine-tuning.",
-        "Compression ratios land within ~0.1x of the paper at the real "
+        "Every row is one registered spec: its `quantize` output is attached "
+        "to a fresh model with `attach_quantized_linears` and scored through "
+        "the forward `repro serve` runs, so the FC layers compute on their "
+        "codes. Compression ratios land within ~0.1x of the paper at the real "
         "BERT-Base dimensions (GOBO 9.7x/7.8x, Q-BERT 7.81x/6.52x, Q8BERT "
-        "4.00x). Accuracy shape holds: every method within a few points of "
-        "its baseline, GOBO 4-bit (near-)lossless, GOBO compresses hardest "
-        "while being the only method that skips fine-tuning. Absolute "
+        "4.00x); they count each method's native storage, and Q-BERT's "
+        "archive, which joins its 128 dictionaries into one table, is larger "
+        "(ROADMAP item 3). Accuracy shape holds: every method within a few "
+        "points of its baseline, GOBO 4-bit (near-)lossless, GOBO compresses "
+        "hardest while being the only method that skips fine-tuning. Absolute "
         "accuracies differ (tiny models on synthetic tasks score near 100%).",
     ),
     (

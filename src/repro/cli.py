@@ -297,7 +297,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro import obs
 
     try:
-        errors = obs.validate_trace_file(args.path)
+        events, errors = obs.scan_trace_file(args.path)
     except OSError as exc:
         print(f"cannot read trace {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -309,7 +309,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"... and {len(errors) - len(shown)} more", file=sys.stderr)
         print(f"{args.path}: {len(errors)} schema violation(s)", file=sys.stderr)
         return 1
-    events = obs.read_trace(args.path)
     if args.check:
         print(f"{args.path}: {len(events)} events, schema ok")
         return 0

@@ -90,7 +90,11 @@ class QuantizedModel:
         return state
 
     def apply_to(self, model: Module) -> Module:
-        """Load the reconstructed weights into ``model`` and return it."""
+        """Load the reconstructed weights into ``model`` and return it.
+
+        The dense reference: serving and the accuracy tables compute on the
+        codes instead (:func:`repro.models.attach_quantized_linears`).
+        """
         model.load_state_dict(self.state_dict())
         return model
 

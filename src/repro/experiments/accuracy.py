@@ -4,7 +4,9 @@ This is the engine behind Tables III-VI and Figure 4.  Each (model, task)
 pair is fine-tuned once (checkpoint cached on disk) and then evaluated under
 every quantization configuration an experiment asks for — mirroring the
 paper's workflow, where one fine-tuned checkpoint feeds all quantization
-variants because GOBO needs no retraining.
+variants because GOBO needs no retraining.  Every quantized score comes from
+:func:`serving_score`: the forward ``repro serve`` runs, computing on the
+compressed FC weights.
 """
 
 from __future__ import annotations
@@ -12,12 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.core.model_quantizer import quantize_model
+from repro.core.model_quantizer import QuantizedModel, quantize_model
 from repro.core.policy import LayerPolicy
 from repro.data import generate_mnli, generate_squad, generate_stsb
 from repro.data.task import TaskSplits
 from repro.experiments import cache
-from repro.models import TINY_COUNTERPART, build_model, get_config
+from repro.models import (
+    TINY_COUNTERPART,
+    attach_quantized_linears,
+    build_model,
+    get_config,
+)
 from repro.nn.module import Module
 from repro.training import Trainer, evaluate
 
@@ -117,6 +124,20 @@ def get_finetuned(model_name: str, task: str, use_cache: bool = True) -> Finetun
     return FinetunedModel(model, splits, baseline, config_name, task)
 
 
+def serving_score(finetuned: FinetunedModel, quantized: QuantizedModel) -> float:
+    """Evaluate ``quantized`` through the compressed-inference forward.
+
+    A fresh probe of ``finetuned``'s architecture gets ``quantized``
+    attached by :func:`~repro.models.attach_quantized_linears`, the forward
+    ``repro serve`` runs: every quantized FC layer computes on its codes
+    through the lookup kernel, and only the embedding tables are decoded.
+    The original model is never mutated.
+    """
+    probe = _build(finetuned.config_name, RECIPES[finetuned.task])
+    attach_quantized_linears(probe, quantized)
+    return evaluate(probe, finetuned.splits.eval)
+
+
 def quantized_score(
     finetuned: FinetunedModel,
     weight_bits: int | LayerPolicy | None,
@@ -127,13 +148,11 @@ def quantized_score(
     """Evaluate ``finetuned`` after quantizing weights and/or embeddings.
 
     ``weight_bits=None`` leaves the FC weights FP32 (Figure 4's
-    embedding-only scenario).  The original model is never mutated: the
-    reconstructed weights load into a fresh probe model.  ``workers=None``
-    defers to the ``REPRO_WORKERS`` environment default, so whole experiment
-    sweeps parallelize without touching every call site (results are
-    bit-identical either way).
+    embedding-only scenario).  Scoring goes through :func:`serving_score`.
+    ``workers=None`` defers to the ``REPRO_WORKERS`` environment default, so
+    whole experiment sweeps parallelize without touching every call site
+    (results are bit-identical either way).
     """
-    recipe = RECIPES[finetuned.task]
     quantized = quantize_model(
         finetuned.model,
         weight_bits=weight_bits if weight_bits is not None else 3,
@@ -142,9 +161,7 @@ def quantized_score(
         quantize_weights=weight_bits is not None,
         workers=workers,
     )
-    probe = _build(finetuned.config_name, recipe)
-    quantized.apply_to(probe)
-    return evaluate(probe, finetuned.splits.eval)
+    return serving_score(finetuned, quantized)
 
 
 def error_vs_baseline(baseline: float, score: float) -> float:

@@ -2,7 +2,8 @@
 
 Each ``table*`` function returns a :class:`TableResult` whose rows mirror the
 corresponding table in the paper.  Accuracy cells come from the fine-tuned
-tiny models (see :mod:`repro.experiments.accuracy`); compression-ratio cells
+tiny models, scored through the serving forward (see
+:mod:`repro.experiments.accuracy`); compression-ratio cells
 are computed at the *real* model dimensions via byte-accurate storage
 accounting over full-scale synthetic weights, so they are directly comparable
 with the paper's.
@@ -15,15 +16,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.core.formats import potential_compression_ratio, storage_report
-from repro.core.model_quantizer import quantize_model
+from repro.core.model_quantizer import quantize_model, select_parameters
 from repro.core.outliers import OutlierDetector
 from repro.core.parallel import QuantizationReport
 from repro.core.policy import mixed_precision_policy
 from repro.experiments.accuracy import (
-    FinetunedModel,
     error_vs_baseline,
     get_finetuned,
     quantized_score,
+    serving_score,
 )
 from repro.models import get_config
 from repro.models.config import BertConfig
@@ -242,61 +243,54 @@ def table2_footprint(
 # ---------------------------------------------------------------------------
 
 
-def table3_method_comparison(full_scale_model: str = "bert-base", use_cache: bool = True):
-    """Table III: GOBO vs Q8BERT vs Q-BERT on MNLI (accuracy + real-scale CR)."""
+#: Table III's method column, by quantizer name.
+_TABLE3_LABELS = {"q8bert": "Q8BERT", "qbert": "Q-BERT", "gobo": "GOBO"}
+
+
+def _scored_specs(full_scale_model: str, use_cache: bool, specs: tuple[str, ...]):
+    """Score every spec on MNLI: ``(baseline, inputs, scored)``.
+
+    Each spec's quantizer compresses the fine-tuned tiny stand-in through
+    ``quantize``, and the result is scored through the serving forward
+    (:func:`~repro.experiments.accuracy.serving_score`).  ``inputs`` are the
+    quantizers' ``(state, fc_names, embedding_names)`` arguments, and
+    ``scored`` holds ``(quantizer, score, ratio)`` per spec, the ratio
+    computed at the real model dimensions via :func:`zoo_model_bytes`.
+    """
+    from repro.quant.registry import build_quantizer
+
     config = get_config(full_scale_model)
     finetuned = get_finetuned(full_scale_model, "mnli", use_cache=use_cache)
-    baseline = finetuned.baseline_score
     fp32_bytes = fp32_model_bytes(config)
     outlier_fraction = _average_outlier_fraction(full_scale_model)
-
-    def cr(compressed: int) -> float:
-        return fp32_bytes / compressed
-
-    rows = [
-        ["Baseline", "FP32", "FP32", _pct(baseline), "-", "-", "1.00x"],
-    ]
-
-    # Q8BERT: 8-bit fixed point on weights and embeddings, fine-tuned.
-    from repro.core.model_quantizer import select_parameters
-    from repro.quant import Q8BertQuantizer, QBertQuantizer
-
     selection = select_parameters(finetuned.model)
-    state = finetuned.model.state_dict()
+    inputs = (finetuned.model.state_dict(), selection.fc_names, selection.embedding_names)
+    scored = []
+    for spec in specs:
+        quantizer = build_quantizer(spec)
+        score = serving_score(finetuned, quantizer.quantize(*inputs))
+        ratio = fp32_bytes / zoo_model_bytes(config, spec, outlier_fraction)
+        scored.append((quantizer, score, ratio))
+    return finetuned.baseline_score, inputs, scored
 
-    def eval_compressed(compressed) -> float:
-        from repro.experiments.accuracy import RECIPES, _build
-        from repro.training import evaluate
 
-        probe = _build(finetuned.config_name, RECIPES[finetuned.task])
-        probe.load_state_dict(compressed.state_dict())
-        return evaluate(probe, finetuned.splits.eval)
+def table3_method_comparison(full_scale_model: str = "bert-base", use_cache: bool = True):
+    """Table III: GOBO vs Q8BERT vs Q-BERT on MNLI (accuracy + real-scale CR).
 
-    q8_score = eval_compressed(
-        Q8BertQuantizer().compress(state, selection.fc_names, selection.embedding_names)
-    )
-    rows.append(
-        ["Q8BERT", "8-bit", "8-bit", _pct(q8_score), _pct(error_vs_baseline(baseline, q8_score)),
-         "no", f"{cr(q8bert_model_bytes(config)):.2f}x"]
-    )
-    for bits in (3, 4):
-        qb_score = eval_compressed(
-            QBertQuantizer(weight_bits=bits).compress(
-                state, selection.fc_names, selection.embedding_names
-            )
-        )
+    The zoo table's loop over :data:`~repro.quant.registry.TABLE3_SPECS`,
+    with the paper's Weights, Embedding and No Fine-tuning columns.
+    """
+    from repro.quant.registry import TABLE3_SPECS
+
+    baseline, inputs, scored = _scored_specs(full_scale_model, use_cache, TABLE3_SPECS)
+    rows = [["Baseline", "FP32", "FP32", _pct(baseline), "-", "-", "1.00x"]]
+    for quantizer, score, ratio in scored:
+        options = quantizer.engine_options(*inputs)
         rows.append(
-            [f"Q-BERT", f"{bits}-bit", "8-bit", _pct(qb_score),
-             _pct(error_vs_baseline(baseline, qb_score)), "no",
-             f"{cr(qbert_model_bytes(config, bits)):.2f}x"]
-        )
-    for bits in (3, 4):
-        gobo_score = quantized_score(finetuned, bits, 4, method="gobo")
-        compressed = gobo_model_bytes(config, bits, 4, outlier_fraction)
-        rows.append(
-            ["GOBO", f"{bits}-bit", "4-bit", _pct(gobo_score),
-             _pct(error_vs_baseline(baseline, gobo_score)), "yes",
-             f"{cr(compressed):.2f}x"]
+            [_TABLE3_LABELS[quantizer.name], f"{options['weight_bits']}-bit",
+             f"{options['embedding_bits']}-bit", _pct(score),
+             _pct(error_vs_baseline(baseline, score)),
+             "no" if quantizer.requires_finetuning else "yes", f"{ratio:.2f}x"]
         )
     return TableResult(
         title=f"Table III: Quantization Methods, {full_scale_model} on MNLI",
@@ -316,37 +310,17 @@ def table3_method_zoo(
     One row per spec in :func:`repro.quant.registry.available_specs` — the
     paper's lineup plus the post-training zoo (zero-shot dynamic,
     gradient-aware outliers, mixed-precision allocation).  Accuracy is
-    measured on the fine-tuned tiny stand-in through each quantizer's
-    ``compress`` path; compression ratios are computed at the real model
-    dimensions via :func:`zoo_model_bytes`.  A method registered through the
-    registry lands here with no further wiring.
+    measured on the fine-tuned tiny stand-in through the serving forward;
+    compression ratios are computed at the real model dimensions via
+    :func:`zoo_model_bytes`.  A method registered through the registry lands
+    here with no further wiring.
     """
-    from repro.core.model_quantizer import select_parameters
-    from repro.quant.registry import available_specs, build_quantizer
+    from repro.quant.registry import available_specs
 
-    config = get_config(full_scale_model)
-    finetuned = get_finetuned(full_scale_model, "mnli", use_cache=use_cache)
-    baseline = finetuned.baseline_score
-    fp32_bytes = fp32_model_bytes(config)
-    outlier_fraction = _average_outlier_fraction(full_scale_model)
-    selection = select_parameters(finetuned.model)
-    state = finetuned.model.state_dict()
-
-    def eval_compressed(compressed) -> float:
-        from repro.experiments.accuracy import RECIPES, _build
-        from repro.training import evaluate
-
-        probe = _build(finetuned.config_name, RECIPES[finetuned.task])
-        probe.load_state_dict(compressed.state_dict())
-        return evaluate(probe, finetuned.splits.eval)
-
+    specs = specs if specs is not None else available_specs()
+    baseline, _, scored = _scored_specs(full_scale_model, use_cache, specs)
     rows = [["Baseline", _pct(baseline), "-", "1.00x"]]
-    for spec in specs if specs is not None else available_specs():
-        quantizer = build_quantizer(spec)
-        score = eval_compressed(
-            quantizer.compress(state, selection.fc_names, selection.embedding_names)
-        )
-        ratio = fp32_bytes / zoo_model_bytes(config, spec, outlier_fraction)
+    for spec, (_, score, ratio) in zip(specs, scored):
         rows.append(
             [spec, _pct(score), _pct(error_vs_baseline(baseline, score)),
              f"{ratio:.2f}x"]

@@ -18,11 +18,6 @@ class Linear(Module):
 
     The weight is stored as ``(out_features, in_features)`` — the HuggingFace
     convention GOBO's per-layer quantization operates on.
-
-    ``activation_quantizer`` is an optional inference-time hook (an
-    ``array -> array`` function applied to the input values before the
-    matmul) used by the Q8BERT baseline to emulate 8-bit activations; it is
-    ``None`` by default and never active in training mode.
     """
 
     def __init__(
@@ -39,15 +34,12 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = Parameter(init.normal((out_features, in_features), std=init_std, rng=rng))
         self.bias = Parameter(init.zeros((out_features,)))
-        self.activation_quantizer = None
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_features:
             raise ShapeError(
                 f"Linear expected last dim {self.in_features}, got {x.shape[-1]}"
             )
-        if self.activation_quantizer is not None and not self.training:
-            x = Tensor(self.activation_quantizer(x.data))
         return x.matmul(self.weight.swapaxes(0, 1)) + self.bias
 
 

@@ -30,9 +30,9 @@ from repro.obs.events import (
     canonical_event,
     canonical_events,
     read_trace,
+    scan_trace_file,
     validate_event,
     validate_events,
-    validate_trace_file,
 )
 from repro.obs.metrics import (
     Counter,
@@ -69,9 +69,9 @@ __all__ = [
     "canonical_event",
     "canonical_events",
     "read_trace",
+    "scan_trace_file",
     "validate_event",
     "validate_events",
-    "validate_trace_file",
     "Counter",
     "Gauge",
     "Histogram",

@@ -118,8 +118,10 @@ def validate_events(events: Iterable[object]) -> list[str]:
     return errors
 
 
-def _scan_trace_file(path) -> tuple[list[dict], list[str]]:
+def scan_trace_file(path) -> tuple[list[dict], list[str]]:
     """Every parsed event of a JSONL trace, and its violations (``line N:``).
+
+    One pass over the file serves both the schema check and the reader.
 
     Any bytes at all give an event or a violation: ``ValueError`` covers bad
     UTF-8, bad JSON and integers past the interpreter's digit limit, and
@@ -141,14 +143,9 @@ def _scan_trace_file(path) -> tuple[list[dict], list[str]]:
     return events, errors
 
 
-def validate_trace_file(path) -> list[str]:
-    """Validate a JSONL trace on disk; violations are prefixed ``line N:``."""
-    return _scan_trace_file(path)[1]
-
-
 def read_trace(path) -> list[dict]:
     """Load a JSONL trace, raising :class:`TraceFormatError` on violations."""
-    events, errors = _scan_trace_file(path)
+    events, errors = scan_trace_file(path)
     if errors:
         preview = "; ".join(errors[:3])
         raise TraceFormatError(

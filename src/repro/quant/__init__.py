@@ -2,34 +2,22 @@
 
 The paper's baselines (Q8BERT, Q-BERT), GOBO itself, and the post-training
 method zoo grown from the related work (zero-shot dynamic, gradient-aware
-outliers, mixed-precision allocation) — all behind the common
-:class:`ModelQuantizer` interface and the ``family[-option...]`` spec
-grammar of :mod:`repro.quant.registry`.
+outliers, mixed-precision allocation) — each an
+:class:`EngineBackedQuantizer` whose ``quantize`` returns a
+:class:`~repro.core.model_quantizer.QuantizedModel`, named by the
+``family[-option...]`` spec grammar of :mod:`repro.quant.registry`.
 """
 
-from repro.quant.base import (
-    CompressedModel,
-    CompressedTensor,
-    EngineBackedQuantizer,
-    ModelQuantizer,
-)
+from repro.quant.base import EngineBackedQuantizer
 from repro.quant.gobo_adapter import GoboModelQuantizer
 from repro.quant.gwq import GwqQuantizer
 from repro.quant.mixedbits import MixedBitsQuantizer, allocate_bits
-from repro.quant.pruning import (
-    magnitude_prune,
-    prune_then_quantize,
-    pruned_storage,
-)
 from repro.quant.q8bert import (
     Q8BertQuantizer,
-    disable_activation_quantization,
-    enable_activation_quantization,
-    fake_quantize_model,
     symmetric_dequantize,
     symmetric_quantize,
 )
-from repro.quant.qbert import QBertQuantizer, quantize_groupwise
+from repro.quant.qbert import QBertQuantizer
 from repro.quant.registry import (
     TABLE3_SPECS,
     MethodFamily,
@@ -44,15 +32,12 @@ from repro.quant.registry import (
 from repro.quant.zeroshot import ZeroShotQuantizer, quantize_at_load
 
 __all__ = [
-    "CompressedModel",
-    "CompressedTensor",
     "EngineBackedQuantizer",
     "GoboModelQuantizer",
     "GwqQuantizer",
     "MethodFamily",
     "MethodOption",
     "MixedBitsQuantizer",
-    "ModelQuantizer",
     "Q8BertQuantizer",
     "QBertQuantizer",
     "TABLE3_SPECS",
@@ -61,15 +46,8 @@ __all__ = [
     "available_specs",
     "build_quantizer",
     "describe_specs",
-    "disable_activation_quantization",
-    "enable_activation_quantization",
-    "fake_quantize_model",
-    "magnitude_prune",
     "parse_spec",
-    "prune_then_quantize",
-    "pruned_storage",
     "quantize_at_load",
-    "quantize_groupwise",
     "register",
     "symmetric_dequantize",
     "symmetric_quantize",

@@ -1,78 +1,19 @@
-"""Common interface for whole-model weight quantizers.
+"""Common base for whole-model weight quantizers.
 
-Every baseline (and GOBO itself, via an adapter) exposes the same contract:
-``compress(state_dict, fc_names, embedding_names)`` returns a
-:class:`CompressedModel` that can report its compressed byte size and
-reconstruct an FP32 state dict.  The Table III comparison iterates over this
-interface.
+Every method — the paper's baselines, GOBO itself (via an adapter) and the
+post-training zoo — is an :class:`EngineBackedQuantizer`: it names its
+tensor method, bit widths and per-layer side data in
+:meth:`~EngineBackedQuantizer.engine_options`, and
+:meth:`~EngineBackedQuantizer.quantize` runs them through the layer engine
+into a :class:`~repro.core.model_quantizer.QuantizedModel`.  That one result
+feeds archives, durable jobs, serving and the accuracy tables, which score
+it through the compressed-inference forward
+(:func:`repro.experiments.accuracy.serving_score`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol
-
 import numpy as np
-
-BYTES_PER_FP32 = 4
-
-
-@dataclass(frozen=True)
-class CompressedTensor:
-    """One tensor's compressed form: reconstructed values + byte cost.
-
-    Baselines differ wildly in storage layout; for comparison purposes each
-    reports the reconstructed FP32 array (to evaluate accuracy) and its
-    compressed size in bytes (to evaluate compression ratio).
-    """
-
-    reconstructed: np.ndarray
-    compressed_bytes: int
-
-    @property
-    def original_bytes(self) -> int:
-        return int(self.reconstructed.size) * BYTES_PER_FP32
-
-
-@dataclass
-class CompressedModel:
-    """A model compressed by one method: per-tensor results + passthrough."""
-
-    method: str
-    tensors: dict[str, CompressedTensor]
-    fp32: dict[str, np.ndarray]
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Reconstructed FP32 state dict (plug-in compatible decode)."""
-        state = {name: value.copy() for name, value in self.fp32.items()}
-        for name, tensor in self.tensors.items():
-            state[name] = tensor.reconstructed.copy()
-        return state
-
-    def compression_ratio(self) -> float:
-        """FP32-vs-compressed ratio over the tensors the method touched."""
-        original = sum(t.original_bytes for t in self.tensors.values())
-        compressed = sum(t.compressed_bytes for t in self.tensors.values())
-        return original / compressed if compressed else float("inf")
-
-    def compressed_bytes(self) -> int:
-        return sum(t.compressed_bytes for t in self.tensors.values())
-
-
-class ModelQuantizer(Protocol):
-    """The interface Table III's method comparison iterates over."""
-
-    name: str
-    requires_finetuning: bool
-
-    def compress(
-        self,
-        state: dict[str, np.ndarray],
-        fc_names: tuple[str, ...],
-        embedding_names: tuple[str, ...],
-    ) -> CompressedModel:
-        """Compress the named tensors of ``state``; pass the rest through."""
-        ...
 
 
 class EngineBackedQuantizer:
@@ -81,10 +22,8 @@ class EngineBackedQuantizer:
     Subclasses implement :meth:`engine_options` — the keyword arguments that
     pick their tensor method, bit widths and any per-layer side data — and
     inherit a full-featured :meth:`quantize` (deterministic, durable,
-    fault-policy-aware) plus the :class:`ModelQuantizer`
-    ``compress`` contract for the Table III harness.  Everything downstream
-    of the engine (serialization format v3, jobs, serving) works unchanged
-    for every subclass.
+    fault-policy-aware).  Everything downstream of the engine (serialization
+    format v3, jobs, serving, the tables) works unchanged for every subclass.
     """
 
     name: str = "engine"
@@ -138,20 +77,3 @@ class EngineBackedQuantizer:
             job=job,
             **options,
         )
-
-    def compress(
-        self,
-        state: dict[str, np.ndarray],
-        fc_names: tuple[str, ...],
-        embedding_names: tuple[str, ...] = (),
-        workers: int | None = None,
-    ) -> CompressedModel:
-        quantized = self.quantize(state, fc_names, embedding_names, workers=workers)
-        tensors = {
-            name: CompressedTensor(
-                reconstructed=tensor.dequantize(dtype=np.float64),
-                compressed_bytes=tensor.storage().compressed_bytes,
-            )
-            for name, tensor in quantized.quantized.items()
-        }
-        return CompressedModel(method=self.name, tensors=tensors, fp32=dict(quantized.fp32))

@@ -1,4 +1,5 @@
-"""Adapter exposing GOBO through the baseline :class:`ModelQuantizer` interface."""
+"""Adapter running GOBO (and its centroid-policy ablations) as an
+:class:`~repro.quant.base.EngineBackedQuantizer`, like every other method."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from repro.quant.base import EngineBackedQuantizer
 
 
 class GoboModelQuantizer(EngineBackedQuantizer):
-    """GOBO (or its centroid-policy ablations) behind the common interface."""
+    """GOBO (or its centroid-policy ablations) behind the common base."""
 
     requires_finetuning = False
 

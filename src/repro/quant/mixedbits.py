@@ -23,9 +23,10 @@ import re
 
 import numpy as np
 
+from repro.core.formats import BYTES_PER_FP32
 from repro.core.policy import LayerPolicy, PolicyRule
 from repro.errors import QuantizationError
-from repro.quant.base import BYTES_PER_FP32, EngineBackedQuantizer
+from repro.quant.base import EngineBackedQuantizer
 
 DEFAULT_BUDGET_PCT = 12.0
 DEFAULT_CANDIDATES = (2, 3, 4, 5)

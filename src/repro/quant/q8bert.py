@@ -1,13 +1,15 @@
 """Q8BERT-like baseline: symmetric 8-bit fixed-point quantization.
 
 Intel's Q8BERT [Zafrir et al. 2019] quantizes weights and embeddings to 8-bit
-fixed point with a per-tensor symmetric scale (fine-tuning with a
-straight-through estimator recovers the accuracy loss; here the uniform
-rounding error at 8 bits is small enough that the tiny models tolerate it
-directly, and an optional quantization-aware fine-tuning hook is provided by
-:func:`fake_quantize_model` for parity experiments).  Storage: one int8 per
-weight plus a scale per tensor, a fixed 4x compression over FP32 — the
-paper's Table III row.
+fixed point with a per-tensor symmetric scale, and fine-tunes with a
+straight-through estimator to recover the accuracy loss.  Table III's row is
+weights-only and post-training: at 8 bits the uniform rounding error is small
+enough that the tiny models tolerate it directly.  The grid runs through the
+engine as the ``"q8bert-grid"`` tensor method, its ``2^bits`` code values
+stored as the layer's centroid table.  Q8BERT's native storage is one int8
+per weight plus a scale per tensor, a fixed 4x over FP32; the archive's
+256-entry table adds 1 KiB per tensor, which is noise at BERT scale (a
+768x768 layer stores 3.99x).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.quantizer import (
     single_pass_result,
 )
 from repro.errors import QuantizationError
-from repro.quant.base import CompressedModel, CompressedTensor, EngineBackedQuantizer
+from repro.quant.base import EngineBackedQuantizer
 
 
 def symmetric_quantize(values: np.ndarray, bits: int = 8) -> tuple[np.ndarray, float]:
@@ -75,11 +77,9 @@ register_tensor_method("q8bert-grid", _q8bert_grid_method)
 class Q8BertQuantizer(EngineBackedQuantizer):
     """Whole-model 8-bit fixed-point quantization (weights + embeddings).
 
-    :meth:`compress` keeps the method's native storage accounting (one int8
-    per weight + one FP32 scale); :meth:`quantize` (inherited) runs the same
-    grid through the engine as the ``"q8bert-grid"`` tensor method, so
-    Q8BERT models flow through format v3 archives, durable jobs and the
-    serving stack like any other method.
+    :meth:`quantize` (inherited) runs the grid through the engine as the
+    ``"q8bert-grid"`` tensor method, so Q8BERT models flow through format v3
+    archives, durable jobs and the serving stack like any other method.
     """
 
     name = "q8bert"
@@ -101,77 +101,3 @@ class Q8BertQuantizer(EngineBackedQuantizer):
             "embedding_bits": self.bits,
             "method": "q8bert-grid",
         }
-
-    def compress(
-        self,
-        state: dict[str, np.ndarray],
-        fc_names: tuple[str, ...],
-        embedding_names: tuple[str, ...],
-    ) -> CompressedModel:
-        targets = (*fc_names, *embedding_names)
-        missing = [n for n in targets if n not in state]
-        if missing:
-            raise QuantizationError(f"state dict is missing tensors: {missing}")
-        tensors: dict[str, CompressedTensor] = {}
-        for name in targets:
-            codes, scale = symmetric_quantize(state[name], self.bits)
-            nbytes = codes.size * self.bits // 8 + 4  # codes + FP32 scale
-            tensors[name] = CompressedTensor(
-                reconstructed=symmetric_dequantize(codes, scale).reshape(state[name].shape),
-                compressed_bytes=nbytes,
-            )
-        fp32 = {n: v for n, v in state.items() if n not in tensors}
-        return CompressedModel(method=self.name, tensors=tensors, fp32=fp32)
-
-
-def enable_activation_quantization(model, bits: int = 8) -> int:
-    """Install 8-bit activation quantization on every Linear of ``model``.
-
-    Q8BERT quantizes activations as well as weights; this hook emulates that
-    at inference time (training mode is unaffected).  Each Linear input is
-    symmetric-quantized per call — the dynamic-range variant.  Returns the
-    number of layers instrumented; pass ``bits=None``-like behaviour by
-    calling :func:`disable_activation_quantization` to undo.
-    """
-    from repro.nn.layers import Linear
-
-    def quantize(values):
-        codes, scale = symmetric_quantize(values, bits)
-        return symmetric_dequantize(codes, scale).reshape(values.shape)
-
-    count = 0
-    for _, module in model.named_modules():
-        if isinstance(module, Linear):
-            module.activation_quantizer = quantize
-            count += 1
-    return count
-
-
-def disable_activation_quantization(model) -> int:
-    """Remove activation-quantization hooks; returns how many were removed."""
-    from repro.nn.layers import Linear
-
-    count = 0
-    for _, module in model.named_modules():
-        if isinstance(module, Linear) and module.activation_quantizer is not None:
-            module.activation_quantizer = None
-            count += 1
-    return count
-
-
-def fake_quantize_model(
-    state: dict[str, np.ndarray],
-    names: tuple[str, ...],
-    bits: int = 8,
-) -> dict[str, np.ndarray]:
-    """Straight-through 'fake quantization' of selected tensors.
-
-    Used to emulate Q8BERT's quantization-aware fine-tuning: apply between
-    optimizer steps so the forward pass sees quantized weights while the
-    FP32 master copy keeps training.
-    """
-    out = dict(state)
-    for name in names:
-        codes, scale = symmetric_quantize(state[name], bits)
-        out[name] = symmetric_dequantize(codes, scale).reshape(state[name].shape)
-    return out

@@ -5,10 +5,12 @@ Q-BERT [Shen et al. 2019] splits each layer's weight matrix into groups
 dictionary of ``2^bits`` values, and stores weights as indexes.  Embedding
 tables are kept at 8 bits to avoid a large accuracy loss.  The original
 selects levels with second-order (Hessian) information during fine-tuning;
-this reimplementation uses per-group Lloyd clustering, which matches its
-storage format exactly — ``bits`` per weight plus 128 dictionaries per layer
-— and hence its compression ratios (Table III: 6.52x at 4 bits, 7.81x at
-3 bits with 8-bit embeddings).
+this reimplementation uses per-group Lloyd clustering, post-training.
+Q-BERT's native format — ``bits`` per weight plus 128 dictionaries per layer
+— gives Table III's ratios (6.52x at 4 bits, 7.81x at 3 bits with 8-bit
+embeddings).  The engine archive joins the dictionaries into one table with
+wider codes (see :func:`_qbert_group_method`), so it stores less compactly
+than that format.
 """
 
 from __future__ import annotations
@@ -23,42 +25,10 @@ from repro.core.quantizer import (
     single_pass_result,
 )
 from repro.errors import QuantizationError
-from repro.quant.base import (
-    BYTES_PER_FP32,
-    CompressedModel,
-    CompressedTensor,
-    EngineBackedQuantizer,
-)
-from repro.quant.q8bert import symmetric_dequantize, symmetric_quantize
-from repro.utils.bitpack import packed_nbytes
+from repro.quant.base import EngineBackedQuantizer
 
 #: Q-BERT's group count (128 per layer gives acceptable accuracy, see above).
 DEFAULT_NUM_GROUPS = 128
-
-
-def quantize_groupwise(
-    values: np.ndarray, bits: int, num_groups: int
-) -> tuple[np.ndarray, int]:
-    """Cluster ``values`` per group; return (reconstructed, compressed_bytes)."""
-    if num_groups <= 0:
-        raise QuantizationError(f"num_groups must be positive, got {num_groups}")
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    if flat.size == 0:
-        raise QuantizationError("cannot quantize an empty tensor")
-    groups = min(num_groups, flat.size)
-    bounds = np.linspace(0, flat.size, groups + 1).round().astype(np.int64)
-    reconstructed = np.empty_like(flat)
-    total_bytes = 0
-    for g in range(groups):
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        if hi <= lo:
-            continue
-        segment = flat[lo:hi]
-        result = kmeans_cluster(segment, bits)
-        reconstructed[lo:hi] = result.centroids[result.assignment]
-        total_bytes += packed_nbytes(hi - lo, bits)  # indexes
-        total_bytes += (1 << bits) * BYTES_PER_FP32  # per-group dictionary
-    return reconstructed.reshape(np.asarray(values).shape), total_bytes
 
 
 def _qbert_group_method(
@@ -66,19 +36,19 @@ def _qbert_group_method(
 ) -> TensorMethodResult:
     """Group-wise dictionary quantization as an engine tensor method.
 
-    Uses the same contiguous group bounds as :func:`quantize_groupwise`
-    (``min(num_groups, size)`` groups; ``ctx.aux`` holds ``num_groups``
-    when it is not :data:`DEFAULT_NUM_GROUPS`), clusters each group
-    independently, then concatenates the per-group dictionaries into one
-    global centroid table with block-offset codes — so the result fits the
-    engine's generic packed-codes + centroid-table archive.
-    ``stored_bits`` widens to cover the global code space (up to 15 bits at
-    128 groups x 2^bits levels); storage accounting therefore differs from
-    Q-BERT's native per-group layout, which :meth:`QBertQuantizer.compress`
-    still reports.
+    Splits the flattened weights into ``min(num_groups, size)`` contiguous
+    groups (``ctx.aux`` holds ``num_groups`` when it is not
+    :data:`DEFAULT_NUM_GROUPS`), clusters each group independently, then
+    concatenates the per-group dictionaries into one global centroid table
+    with block-offset codes — so the result fits the engine's generic
+    packed-codes + centroid-table archive.  ``stored_bits`` widens to cover
+    the global code space (up to 15 bits at 128 groups x 2^bits levels), so
+    the archive is larger than Q-BERT's native per-group layout.
     """
     flat = np.asarray(weights, dtype=np.float64).ravel()
     num_groups = DEFAULT_NUM_GROUPS if ctx.aux is None else int(ctx.aux)
+    if num_groups < 1:
+        raise QuantizationError(f"num_groups must be positive, got {num_groups}")
     groups = min(num_groups, flat.size)
     bounds = np.linspace(0, flat.size, groups + 1).round().astype(np.int64)
     centroid_blocks: list[np.ndarray] = []
@@ -108,11 +78,9 @@ register_tensor_method("qbert-group", _qbert_group_method)
 class QBertQuantizer(EngineBackedQuantizer):
     """Whole-model group-wise dictionary quantization with 8-bit embeddings.
 
-    :meth:`compress` keeps Q-BERT's native storage accounting (per-group
-    dictionaries); :meth:`quantize` (inherited) runs the same values through
-    the engine as the ``"qbert-group"`` tensor method (FC layers) and
-    ``"q8bert-grid"`` (embeddings), so Q-BERT models land in format v3
-    archives like every other method.
+    :meth:`quantize` (inherited) runs the FC layers through the engine as the
+    ``"qbert-group"`` tensor method and the embeddings as ``"q8bert-grid"``,
+    so Q-BERT models land in format v3 archives like every other method.
     """
 
     name = "qbert"
@@ -152,28 +120,3 @@ class QBertQuantizer(EngineBackedQuantizer):
                 name: np.array(self.num_groups, dtype=np.int64) for name in fc_names
             }
         return options
-
-    def compress(
-        self,
-        state: dict[str, np.ndarray],
-        fc_names: tuple[str, ...],
-        embedding_names: tuple[str, ...],
-    ) -> CompressedModel:
-        missing = [n for n in (*fc_names, *embedding_names) if n not in state]
-        if missing:
-            raise QuantizationError(f"state dict is missing tensors: {missing}")
-        tensors: dict[str, CompressedTensor] = {}
-        for name in fc_names:
-            reconstructed, nbytes = quantize_groupwise(
-                state[name], self.weight_bits, self.num_groups
-            )
-            tensors[name] = CompressedTensor(reconstructed=reconstructed, compressed_bytes=nbytes)
-        for name in embedding_names:
-            codes, scale = symmetric_quantize(state[name], self.embedding_bits)
-            nbytes = codes.size * self.embedding_bits // 8 + 4
-            tensors[name] = CompressedTensor(
-                reconstructed=symmetric_dequantize(codes, scale).reshape(state[name].shape),
-                compressed_bytes=nbytes,
-            )
-        fp32 = {n: v for n, v in state.items() if n not in tensors}
-        return CompressedModel(method=self.name, tensors=tensors, fp32=fp32)

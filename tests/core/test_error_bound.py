@@ -13,6 +13,12 @@ on gobo and kmeans tables those tails dominate (3-bit gobo on a seed-0
 256x256 N(0, 0.04) tensor is off by up to 0.065 against a half-gap of
 0.016).  Every entry of ``x @ W.T`` then moves by at most
 ``||x||_1 * max_err``.
+
+Q-BERT's ``qbert-group`` joins one dictionary per contiguous group into a
+single table, and a weight's nearest centroid in that table may belong to
+another group.  Its bound is therefore taken per group: each weight decodes
+to the nearest centroid of its own group's dictionary, and ``x @ W.T``
+moves by at most ``||x||_1`` times the largest per-group ``max_err``.
 """
 
 import numpy as np
@@ -22,7 +28,8 @@ from hypothesis import strategies as st
 from repro.core.quantizer import quantize_tensor
 from repro.kernels.lookup import LookupKernel
 
-METHODS = ("gobo", "kmeans", "linear")
+METHODS = ("gobo", "kmeans", "linear", "q8bert-grid")
+GROUP_COUNTS = (1, 2, 4, 7, 128)
 EPS = np.finfo(np.float64).eps
 
 
@@ -34,12 +41,31 @@ def _weights(seed: int, rows: int, cols: int) -> np.ndarray:
 
 def max_err(tensor, weights: np.ndarray) -> float:
     """The bound in the module docstring for ``tensor`` quantized from ``weights``."""
-    centroids = np.sort(np.asarray(tensor.centroids, dtype=np.float64))
     inlier = np.ones(weights.size, dtype=bool)
     inlier[tensor.outlier_positions] = False
-    group = weights.ravel()[inlier]
+    return _table_err(tensor.centroids, weights.ravel()[inlier])
+
+
+def _table_err(centroids: np.ndarray, group: np.ndarray) -> float:
+    centroids = np.sort(np.asarray(centroids, dtype=np.float64))
     half_gap = np.diff(centroids).max(initial=0.0) / 2.0
     return max(half_gap, centroids[0] - group.min(), group.max() - centroids[-1])
+
+
+def _qbert_groups(tensor, bits: int):
+    """``(lo, hi, dictionary)`` per group of a ``qbert-group`` tensor.
+
+    Group ``g`` owns the ``g``-th block of ``2^bits`` entries of the joined
+    table and the ``g``-th of the contiguous bounds the method splits at.
+    """
+    k = 1 << bits
+    groups = tensor.centroids.size // k
+    size = int(np.prod(tensor.shape))
+    bounds = np.linspace(0, size, groups + 1).round().astype(np.int64)
+    return [
+        (bounds[g], bounds[g + 1], tensor.centroids[g * k:(g + 1) * k])
+        for g in range(groups)
+    ]
 
 
 cases = st.tuples(
@@ -104,3 +130,56 @@ def test_tails_dominate_the_half_gap():
     half_gap = np.diff(np.sort(tensor.centroids)).max() / 2.0
     assert observed > 2 * half_gap
     assert observed <= max_err(tensor, weights) * (1 + 4 * EPS)
+
+
+group_cases = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(8, 48),
+    st.integers(8, 48),
+    st.sampled_from(GROUP_COUNTS),
+)
+
+
+def _qbert_tensor(case):
+    seed, bits, rows, cols, num_groups = case
+    weights = _weights(seed, rows, cols)
+    tensor, _ = quantize_tensor(
+        weights, bits=bits, method="qbert-group", aux=np.array(num_groups)
+    )
+    return weights, tensor, _qbert_groups(tensor, bits)
+
+
+@given(group_cases)
+@settings(max_examples=60, deadline=None)
+def test_qbert_decodes_to_its_own_groups_nearest_centroid(case):
+    weights, tensor, groups = _qbert_tensor(case)
+    flat = weights.ravel()
+    decoded = tensor.dequantize(dtype=np.float64).ravel()
+    assert tensor.outlier_positions.size == 0
+    assert len(groups) == min(case[-1], flat.size)
+    assert groups[-1][1] == flat.size
+    for lo, hi, dictionary in groups:
+        group, got = flat[lo:hi], decoded[lo:hi]
+        assert np.isin(got, dictionary).all()
+        nearest = np.abs(group[:, None] - dictionary[None, :]).min(axis=1)
+        assert np.all(np.abs(group - got) <= nearest + 4 * EPS * np.abs(group).max())
+        assert np.abs(group - got).max() <= _table_err(dictionary, group) * (1 + 4 * EPS)
+
+
+@given(group_cases, st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_qbert_lookup_kernel_within_per_group_l1_bound(case, batch):
+    weights, tensor, groups = _qbert_tensor(case)
+    flat = weights.ravel()
+    cols = weights.shape[1]
+    x = np.random.default_rng(case[0] ^ 0x5EED).normal(size=(batch, cols))
+
+    exact = x @ weights.T
+    got = LookupKernel(tensor).matmul(x)
+    worst = max(_table_err(dictionary, flat[lo:hi]) for lo, hi, dictionary in groups)
+    bound = np.abs(x).sum(axis=1, keepdims=True) * worst
+    decoded = tensor.dequantize(dtype=np.float64)
+    gamma = 2 * cols * EPS
+    rounding = gamma * (np.abs(x) @ np.abs(weights).T + np.abs(x) @ np.abs(decoded).T)
+    assert np.all(np.abs(exact - got) <= bound + rounding)

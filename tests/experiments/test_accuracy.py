@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import repro.experiments.accuracy as accuracy_mod
+from repro import obs
+from repro.core.model_quantizer import select_parameters
 from repro.experiments.accuracy import (
     TrainRecipe,
     error_vs_baseline,
@@ -11,6 +13,8 @@ from repro.experiments.accuracy import (
     quantized_score,
     resolve_model_name,
 )
+from repro.quant import build_quantizer
+from repro.training import evaluate
 from tests.conftest import MICRO_CONFIG
 
 
@@ -101,3 +105,68 @@ class TestErrorVsBaseline:
 
     def test_negative_when_better(self):
         assert error_vs_baseline(0.9, 0.95) == pytest.approx(-0.05)
+
+
+class TestTablesScoreThroughTheServingForward:
+    """Table III and the zoo table score every row on the compressed
+    weights, and each score equals the dense reference: the decoded weights
+    loaded into a fresh probe."""
+
+    SPECS = ("q8bert", "qbert-3bit", "gobo-3bit")
+
+    @pytest.fixture(autouse=True)
+    def tiny_full_scale(self, monkeypatch):
+        # The ratio column's outlier census runs at the full-scale model's
+        # dimensions; tiny-bert-base keeps it cheap.
+        monkeypatch.setattr(
+            accuracy_mod, "TINY_COUNTERPART", {"tiny-bert-base": "micro"}
+        )
+
+    @staticmethod
+    def dense_scores(specs):
+        finetuned = get_finetuned("tiny-bert-base", "mnli")
+        selection = select_parameters(finetuned.model)
+        state = finetuned.model.state_dict()
+        scores = {}
+        for spec in specs:
+            quantized = build_quantizer(spec).quantize(
+                state, selection.fc_names, selection.embedding_names
+            )
+            probe = accuracy_mod._build(finetuned.config_name, accuracy_mod.RECIPES["mnli"])
+            scores[spec] = evaluate(quantized.apply_to(probe), finetuned.splits.eval)
+        return scores, selection
+
+    def test_zoo_rows_equal_the_dense_reference(self):
+        from repro.experiments.tables import table3_method_zoo
+
+        with obs.recording(obs.MemorySink()) as sink:
+            result = table3_method_zoo("tiny-bert-base", specs=self.SPECS)
+        scores, selection = self.dense_scores(self.SPECS)
+        assert [row[0] for row in result.rows[1:]] == list(self.SPECS)
+        for spec, row in zip(self.SPECS, result.rows[1:]):
+            assert row[1] == f"{scores[spec] * 100:.2f}%", spec
+        counters = obs.MetricsSnapshot.from_events(sink.events).counters
+        # Every FC layer of every row ran on a lookup kernel; the only
+        # tensors decoded are each row's embedding tables.
+        assert counters["kernels.prepared"] == len(self.SPECS) * len(selection.fc_names)
+        assert counters["quantizer.dequantize_calls"] == (
+            len(self.SPECS) * len(selection.embedding_names)
+        )
+
+    def test_table3_is_the_zoo_loop_with_the_papers_columns(self):
+        from repro.experiments.tables import table3_method_comparison
+        from repro.quant import TABLE3_SPECS
+
+        result = table3_method_comparison("tiny-bert-base")
+        scores, _ = self.dense_scores(TABLE3_SPECS)
+        rows = result.rows[1:]
+        assert [row[:3] for row in rows] == [
+            ["Q8BERT", "8-bit", "8-bit"],
+            ["Q-BERT", "3-bit", "8-bit"],
+            ["Q-BERT", "4-bit", "8-bit"],
+            ["GOBO", "3-bit", "4-bit"],
+            ["GOBO", "4-bit", "4-bit"],
+        ]
+        assert [row[5] for row in rows] == ["no", "no", "no", "yes", "yes"]
+        for spec, row in zip(TABLE3_SPECS, rows):
+            assert row[3] == f"{scores[spec] * 100:.2f}%", spec

@@ -100,15 +100,16 @@ class TestFileValidation:
         path.write_text(
             json.dumps(_event()) + "\n\n" + json.dumps(_event(name="other")) + "\n"
         )
-        assert obs.validate_trace_file(path) == []
-        events = obs.read_trace(path)
+        events, errors = obs.scan_trace_file(path)
+        assert errors == []
         assert [event["name"] for event in events] == ["hits", "other"]
+        assert obs.read_trace(path) == events
 
     def test_trace_file_reports_line_numbers(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(json.dumps(_event()) + "\n{not json\n")
-        errors = obs.validate_trace_file(path)
-        assert len(errors) == 1
+        events, errors = obs.scan_trace_file(path)
+        assert len(events) == 1 and len(errors) == 1
         assert errors[0].startswith("line 2: not valid JSON")
 
     def test_read_trace_raises_on_violation(self, tmp_path):
@@ -148,7 +149,7 @@ class TestHostileLines:
         from repro.errors import ReproError
 
         path = self._trace(tmp_path, self.LINES[kind])
-        errors = obs.validate_trace_file(path)
+        _, errors = obs.scan_trace_file(path)
         assert len(errors) == 1 and errors[0].startswith("line 2: not valid JSON (")
         with pytest.raises(obs.TraceFormatError, match="line 2: not valid JSON") as info:
             obs.read_trace(path)

@@ -8,7 +8,6 @@ from repro.models.heads import BertForSequenceClassification
 from repro.core.model_quantizer import select_parameters
 from repro.quant.q8bert import (
     Q8BertQuantizer,
-    fake_quantize_model,
     symmetric_dequantize,
     symmetric_quantize,
 )
@@ -55,47 +54,38 @@ class TestSymmetricQuantize:
 
 class TestQ8BertQuantizer:
     @pytest.fixture(scope="class")
-    def compressed(self):
+    def quantized(self):
         model = BertForSequenceClassification(MICRO_CONFIG, num_labels=3, rng=0)
         selection = select_parameters(model)
         return (
             model,
-            Q8BertQuantizer().compress(
+            Q8BertQuantizer().quantize(
                 model.state_dict(), selection.fc_names, selection.embedding_names
             ),
         )
 
-    def test_compression_ratio_near_4x(self, compressed):
-        # Exactly 4x asymptotically; micro tensors pay a tiny scale overhead.
-        _, result = compressed
-        assert result.compression_ratio() == pytest.approx(4.0, rel=0.05)
+    def test_compression_ratio_near_4x(self):
+        # One int8 code per weight plus a 256-entry table (1 KiB) per tensor:
+        # 4x asymptotically.  A micro model's tensors are too small for the
+        # table to vanish (they store ~1.1x), so the check uses a layer of
+        # BERT-Base's hidden size.
+        state = {"w": np.random.default_rng(0).normal(0.0, 0.04, size=(768, 768))}
+        quantized = Q8BertQuantizer().quantize(state, ("w",))
+        assert quantized.model_compression_ratio() == pytest.approx(4.0, rel=0.01)
 
-    def test_reconstruction_close(self, compressed):
-        model, result = compressed
+    def test_reconstruction_close(self, quantized):
+        model, result = quantized
         state = model.state_dict()
-        for name, tensor in result.tensors.items():
-            error = np.abs(tensor.reconstructed - state[name]).mean()
+        restored = result.state_dict()
+        for name in result.quantized:
+            error = np.abs(restored[name] - state[name]).mean()
             assert error < 0.01, name
 
-    def test_state_dict_loadable(self, compressed):
-        model, result = compressed
+    def test_state_dict_loadable(self, quantized):
+        model, result = quantized
         probe = BertForSequenceClassification(MICRO_CONFIG, num_labels=3, rng=1)
         probe.load_state_dict(result.state_dict())
 
     def test_missing_tensor_rejected(self):
         with pytest.raises(QuantizationError):
-            Q8BertQuantizer().compress({}, ("nope",), ())
-
-
-class TestFakeQuantize:
-    def test_only_selected_names_touched(self, rng):
-        state = {"a": rng.normal(size=100), "b": rng.normal(size=100)}
-        out = fake_quantize_model(state, ("a",), bits=4)
-        assert not np.array_equal(out["a"], state["a"])
-        np.testing.assert_array_equal(out["b"], state["b"])
-
-    def test_idempotent(self, rng):
-        state = {"a": rng.normal(size=100)}
-        once = fake_quantize_model(state, ("a",), bits=8)
-        twice = fake_quantize_model(once, ("a",), bits=8)
-        np.testing.assert_allclose(once["a"], twice["a"])
+            Q8BertQuantizer().quantize({}, ("nope",), ())

@@ -216,25 +216,26 @@ class TestGoboAdapter:
     def model(self):
         return BertForSequenceClassification(MICRO_CONFIG, num_labels=3, rng=0)
 
-    def test_compress_interface(self, model):
+    def test_quantize_interface(self, model):
         selection = select_parameters(model)
-        result = GoboModelQuantizer(weight_bits=3, embedding_bits=4).compress(
+        quantizer = GoboModelQuantizer(weight_bits=3, embedding_bits=4)
+        result = quantizer.quantize(
             model.state_dict(), selection.fc_names, selection.embedding_names
         )
-        assert result.method == "gobo"
-        assert set(result.tensors) == set(selection.fc_names + selection.embedding_names)
+        assert quantizer.name == "gobo"
+        assert set(result.quantized) == set(selection.fc_names + selection.embedding_names)
 
     def test_reconstruction_matches_core_path(self, model):
         from repro.core.model_quantizer import quantize_model
 
         selection = select_parameters(model)
-        adapter = GoboModelQuantizer(weight_bits=3, embedding_bits=4).compress(
+        adapter = GoboModelQuantizer(weight_bits=3, embedding_bits=4).quantize(
             model.state_dict(), selection.fc_names, selection.embedding_names
         )
         core = quantize_model(model, weight_bits=3, embedding_bits=4)
         for name in selection.fc_names:
             np.testing.assert_array_equal(
-                adapter.tensors[name].reconstructed,
+                adapter.quantized[name].dequantize(dtype=np.float64),
                 core.quantized[name].dequantize(dtype=np.float64),
             )
 

@@ -205,6 +205,36 @@ class TestTraceAndProfile:
         err = capsys.readouterr().err
         assert "line 1" in err and "schema violation" in err
 
+    def test_profile_lists_at_most_20_violations(self, tmp_path, capsys):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("{not json\n" * 23)  # one violation per line
+        assert main(["profile", str(trace)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith(f"{trace}: line ") for line in err) == 20
+        assert err[-2:] == ["... and 3 more", f"{trace}: 23 schema violation(s)"]
+
+    def test_profile_check_scans_the_trace_once(self, tmp_path, capsys, monkeypatch):
+        import builtins
+        import json
+
+        import repro.obs.events as events_mod
+
+        trace = tmp_path / "run.jsonl"
+        event = {"v": 1, "event": "counter", "name": "hits", "ts": 0.0,
+                 "parent": None, "attrs": {}, "value": 1.0}
+        trace.write_text("".join(json.dumps(event) + "\n" for _ in range(3)))
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return builtins.open(path, *args, **kwargs)
+
+        # The scan opens the trace through the module's ``open``.
+        monkeypatch.setattr(events_mod, "open", counting_open, raising=False)
+        assert main(["profile", "--check", str(trace)]) == 0
+        assert f"{trace}: 3 events, schema ok" in capsys.readouterr().out
+        assert opened == [str(trace)]
+
     def test_quantize_leaves_no_sink_installed_on_error(self, tmp_path, monkeypatch):
         from repro import obs
         from repro.errors import QuantizationError

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import mixed_precision_policy, quantize_model, select_parameters
 from repro.data import generate_mnli
-from repro.models import build_model
+from repro.models import attach_quantized_linears, build_model
 from repro.quant import Q8BertQuantizer, QBertQuantizer, build_quantizer
 from repro.training import Trainer, evaluate
 from tests.conftest import MICRO_CONFIG
@@ -65,47 +65,47 @@ class TestBaselinePipelines:
     def test_registry_quantizers_end_to_end(self, finetuned, spec):
         model, splits = finetuned
         selection = select_parameters(model)
-        compressed = build_quantizer(spec).compress(
+        quantized = build_quantizer(spec).quantize(
             model.state_dict(), selection.fc_names, selection.embedding_names
         )
         probe = build_model(MICRO_CONFIG, task="classification", num_labels=3, rng=9)
-        probe.load_state_dict(compressed.state_dict())
+        attach_quantized_linears(probe, quantized)
         assert 0.0 <= evaluate(probe, splits.eval) <= 1.0
-        if spec != "qbert-3bit":
-            assert compressed.compression_ratio() > 2.0
+        ratio = quantized.model_compression_ratio()
+        if spec == "gobo-4bit":
+            assert ratio > 2.0
+        elif spec == "q8bert":
+            # One int8 code per weight, but every micro tensor also stores
+            # its 256-entry table (1 KiB): 1.13x here, 4x at BERT scale.
+            assert ratio > 1.0
         else:
             # Q-BERT's 128 dictionaries per layer swamp micro-sized layers —
             # exactly the per-group overhead Figure 3's curve quantifies and
             # GOBO's single-table-per-layer design avoids.
-            assert compressed.compression_ratio() < 2.0
+            assert ratio < 2.0
 
     def test_qbert_compresses_when_groups_fit(self, finetuned):
         model, _ = finetuned
         selection = select_parameters(model)
-        compressed = QBertQuantizer(weight_bits=3, num_groups=2).compress(
+        quantized = QBertQuantizer(weight_bits=3, num_groups=2).quantize(
             model.state_dict(), selection.fc_names, selection.embedding_names
         )
-        assert compressed.compression_ratio() > 2.0
+        assert quantized.model_compression_ratio() > 2.0
 
     def test_q8bert_less_compression_than_gobo(self, finetuned):
         model, _ = finetuned
         selection = select_parameters(model)
-        state = model.state_dict()
-        q8 = Q8BertQuantizer().compress(state, selection.fc_names, selection.embedding_names)
-        gobo = build_quantizer("gobo-3bit").compress(
-            state, selection.fc_names, selection.embedding_names
-        )
-        assert gobo.compression_ratio() > q8.compression_ratio()
+        names = (model.state_dict(), selection.fc_names, selection.embedding_names)
+        q8 = Q8BertQuantizer().quantize(*names)
+        gobo = build_quantizer("gobo-3bit").quantize(*names)
+        assert gobo.model_compression_ratio() > q8.model_compression_ratio()
 
     def test_qbert_reconstruction_differs_from_q8bert(self, finetuned):
         model, _ = finetuned
-        selection = select_parameters(model)
         state = model.state_dict()
-        name = selection.fc_names[0]
-        qb = QBertQuantizer(weight_bits=3, num_groups=4).compress(
-            state, (name,), ()
-        )
-        q8 = Q8BertQuantizer().compress(state, (name,), ())
+        name = select_parameters(model).fc_names[0]
+        qb = QBertQuantizer(weight_bits=3, num_groups=4).quantize(state, (name,))
+        q8 = Q8BertQuantizer().quantize(state, (name,))
         assert not np.array_equal(
-            qb.tensors[name].reconstructed, q8.tensors[name].reconstructed
+            qb.quantized[name].dequantize(), q8.quantized[name].dequantize()
         )

@@ -7,8 +7,8 @@ CPU core), then applies GOBO and the baseline quantizers to the *frozen*
 checkpoint and compares accuracy and compression — the paper's central
 use case: quantization minutes after fine-tuning, no quantization-aware
 retraining.  Every method compresses through ``quantize`` and is scored on
-the compressed weights: ``attach_quantized_linears`` swaps each FC layer for
-a lookup-kernel layer, the forward ``repro serve`` runs.
+the compressed weights: ``attach_quantized_linears`` swaps each FC layer and
+embedding table for a lookup-kernel module, the forward ``repro serve`` runs.
 """
 
 from repro.core import select_parameters

@@ -37,20 +37,15 @@ ALLOWLIST = {
     # Found by the first sweep; each waits for a change that decides it.
     "clear_cache": _ROADMAP,
     "code_entropy": _ROADMAP,
-    "concat": _ROADMAP,
     "current_span": _ROADMAP,
     "fp32_equivalent_bits": _ROADMAP,
     "installed_sinks": _ROADMAP,
     "layer_histograms": _ROADMAP,
     "quantization_error": _ROADMAP,
     "quantize_at_load": _ROADMAP,
-    "relu": _ROADMAP,
     "seeded_permutation": _ROADMAP,
-    "sigmoid": _ROADMAP,
     "snapshot_of": _ROADMAP,
     "spawn_rngs": _ROADMAP,
-    "truncated_normal": _ROADMAP,
-    "validate_events": _ROADMAP,
 }
 
 

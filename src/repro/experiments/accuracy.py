@@ -6,7 +6,7 @@ every quantization configuration an experiment asks for — mirroring the
 paper's workflow, where one fine-tuned checkpoint feeds all quantization
 variants because GOBO needs no retraining.  Every quantized score comes from
 :func:`serving_score`: the forward ``repro serve`` runs, computing on the
-compressed FC weights.
+compressed FC weights and embedding tables.
 """
 
 from __future__ import annotations
@@ -130,8 +130,9 @@ def serving_score(finetuned: FinetunedModel, quantized: QuantizedModel) -> float
     A fresh probe of ``finetuned``'s architecture gets ``quantized``
     attached by :func:`~repro.models.attach_quantized_linears`, the forward
     ``repro serve`` runs: every quantized FC layer computes on its codes
-    through the lookup kernel, and only the embedding tables are decoded.
-    The original model is never mutated.
+    through the lookup kernel, every quantized embedding table gathers its
+    rows from its codes, and no tensor is decoded.  The original model is
+    never mutated.
     """
     probe = _build(finetuned.config_name, RECIPES[finetuned.task])
     attach_quantized_linears(probe, quantized)

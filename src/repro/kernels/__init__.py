@@ -10,12 +10,14 @@ them next to the processing elements.  This package is the CPU analogue:
   weight up to 8-bit codes) and the FP32 outliers resident,
   and per call decodes a cache-sized band of ``W`` at a time, several
   weights per gather, into a scratch tile that BLAS multiplies
-  (``x @ W.T`` without materializing ``W``),
+  (``x @ W.T`` without materializing ``W``), or decodes just the rows an
+  embedding lookup asks for (``gather``),
 * :func:`lookup_matmul` — one-shot convenience wrapper,
 * :func:`dequantize_matmul` — the decode-the-whole-matrix-then-BLAS
   baseline the perf gate (``BENCH_kernels.json``) compares against.
 
-:class:`repro.nn.QuantizedLinear` routes a ``Linear`` forward through
+:class:`repro.nn.QuantizedLinear` routes a ``Linear`` forward and
+:class:`repro.nn.QuantizedEmbedding` an ``Embedding`` lookup through
 :class:`LookupKernel`, and ``load_quantized_model(..., lazy=True)`` feeds
 these kernels straight from a memory-mapped archive.
 """

@@ -1,4 +1,4 @@
-"""Matmul kernels that compute directly on GOBO's compressed representation.
+"""Kernels that compute directly on GOBO's compressed representation.
 
 The paper's latency/energy argument (Sections V-VI) is that the FP32 weight
 matrix never crosses DRAM: the accelerator streams ``bits``-wide centroid
@@ -36,6 +36,12 @@ is still in cache, a call's only weight-shaped scratch is that one tile,
 and the results match :func:`dequantize_matmul` up to BLAS summation order
 (bit-exact on exactly representable inputs).  The tile is allocated per
 call, never stored on the kernel, so threads can share one kernel.
+
+An embedding table is the same kind of tensor, read by rows instead of
+multiplied: :meth:`LookupKernel.gather` decodes only the requested rows
+through the same index grid, tuple table and outlier patch, so a served
+model keeps its tables as codes too (:class:`repro.nn.QuantizedEmbedding`)
+and the rows equal the decoded table's bit for bit.
 
 :func:`dequantize_matmul` is the comparison baseline the benchmarks and the
 CI perf gate measure against: decode the whole tensor (bit-unpack, outlier
@@ -87,7 +93,8 @@ def group_size(bits: int, shape: tuple[int, int]) -> int:
 
 
 class LookupKernel:
-    """Prepared tiled decode-and-GEMM state for one 2-D quantized tensor.
+    """Prepared decode state for one 2-D quantized tensor: tiled
+    decode-and-GEMM (:meth:`matmul`) and row gather (:meth:`gather`).
 
     Parameters
     ----------
@@ -95,7 +102,8 @@ class LookupKernel:
         A :class:`~repro.core.quantizer.GoboQuantizedTensor` of 2-D shape
         ``(out_features, in_features)`` — the HuggingFace FC convention, so
         :meth:`matmul` computes ``x @ W.T`` exactly like
-        :class:`repro.nn.Linear`.
+        :class:`repro.nn.Linear`; an embedding table's rows are its tokens,
+        so :meth:`gather` looks them up like :class:`repro.nn.Embedding`.
 
     The resident state is one index per ``group`` adjacent codes of a row
     and the tuple table those indexes name (see :func:`group_size`), plus
@@ -245,6 +253,46 @@ class LookupKernel:
         return y.reshape(*lead, self.out_features)
 
     __call__ = matmul
+
+    def gather(self, ids: np.ndarray) -> np.ndarray:
+        """Rows ``W[ids]`` in float64, shape ``(*ids.shape, in_features)``.
+
+        The embedding lookup on the compressed table: only the requested
+        rows are decoded, through the same index grid, tuple table and
+        outlier patch as :meth:`matmul`, so each row equals that row of
+        ``tensor.dequantize(np.float64)`` bit for bit.  Ids are checked as
+        :class:`repro.nn.Embedding` checks them: non-integer ids raise
+        ``TypeError``, and ids outside ``[0, out_features)`` raise
+        ``IndexError`` (a negative id does not wrap).
+        """
+        ids = np.asarray(ids)
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise TypeError(f"embedding ids must be integers, got {ids.dtype}")
+        flat = ids.reshape(-1)
+        if flat.size and (flat.min() < 0 or flat.max() >= self.out_features):
+            raise IndexError(
+                f"embedding ids out of range [0, {self.out_features}): "
+                f"min={flat.min()}, max={flat.max()}"
+            )
+        flat = flat.astype(np.int64, copy=False)
+        n, stride = flat.size, self._stride
+        # Indexes were range-checked at prepare, so "clip" never clips.
+        rows = np.take(self._table, self._index[flat], axis=0, mode="clip").reshape(n, stride)
+        positions = self._outlier_positions
+        if positions.size:
+            # Outliers of table row r sit in [r * stride, (r + 1) * stride)
+            # of the padded grid: write each gathered row's run of them.
+            starts = flat * stride
+            lo, hi = np.searchsorted(positions, (starts, starts + stride))
+            counts = hi - lo
+            run = np.repeat(np.arange(n), counts)  # the gathered row of each outlier
+            k = np.arange(run.size) + (lo - np.cumsum(counts) + counts)[run]
+            shift = (np.arange(n) * stride - starts)[run]
+            rows.reshape(-1)[positions[k] + shift] = self._outlier_values[k]
+
+        obs.counter("kernels.lookup_gather_calls")
+        obs.counter("kernels.lookup_gather_rows", n)
+        return rows[:, : self.in_features].reshape(*ids.shape, self.in_features)
 
 
 def lookup_matmul(x: np.ndarray, tensor: GoboQuantizedTensor) -> np.ndarray:

@@ -4,8 +4,9 @@ from repro.nn import functional
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
 from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.qembedding import QuantizedEmbedding
 from repro.nn.qlinear import QuantizedLinear
-from repro.nn.tensor import Tensor, as_tensor, concat, stack
+from repro.nn.tensor import Tensor, as_tensor, stack
 from repro.nn.transformer import BertEncoderLayer
 
 __all__ = [
@@ -18,10 +19,10 @@ __all__ = [
     "ModuleList",
     "MultiHeadSelfAttention",
     "Parameter",
+    "QuantizedEmbedding",
     "QuantizedLinear",
     "Tensor",
     "as_tensor",
-    "concat",
     "functional",
     "stack",
 ]

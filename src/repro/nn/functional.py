@@ -12,18 +12,6 @@ from repro.nn.tensor import Tensor
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    out = x._make_child(np.maximum(x.data, 0.0), (x,))
-
-    def backward() -> None:
-        if x.requires_grad:
-            x._accumulate(out.grad * (x.data > 0.0))
-
-    out._backward = backward
-    return out
-
-
 def gelu(x: Tensor) -> Tensor:
     """Gaussian Error Linear Unit (tanh approximation, as in the BERT release)."""
     inner = _SQRT_2_OVER_PI * (x.data + 0.044715 * x.data**3)
@@ -36,19 +24,6 @@ def gelu(x: Tensor) -> Tensor:
         d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x.data**2)
         grad = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t**2) * d_inner
         x._accumulate(out.grad * grad)
-
-    out._backward = backward
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    out = x._make_child(s, (x,))
-
-    def backward() -> None:
-        if x.requires_grad:
-            x._accumulate(out.grad * s * (1.0 - s))
 
     out._backward = backward
     return out

@@ -1,8 +1,9 @@
 """Weight initializers.
 
-BERT initializes weights from a truncated normal with std 0.02; the same
-scheme is used here so that tiny trained models and synthetic full-scale
-weight sets share the distribution shape the paper observes (Figure 1b).
+BERT initializes weights from a normal with std 0.02 (truncated at two
+sigmas in the release); a plain normal with the same std is used here, so
+that tiny trained models and synthetic full-scale weight sets share the
+distribution shape the paper observes (Figure 1b).
 """
 
 from __future__ import annotations
@@ -10,24 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.rng import ensure_rng
-
-
-def truncated_normal(
-    shape: tuple[int, ...],
-    std: float = 0.02,
-    mean: float = 0.0,
-    rng: int | np.random.Generator | None = None,
-    truncation: float = 2.0,
-) -> np.ndarray:
-    """Normal samples re-drawn until they fall within ``truncation`` sigmas."""
-    gen = ensure_rng(rng)
-    samples = gen.normal(mean, std, size=shape)
-    limit = truncation * std
-    out_of_range = np.abs(samples - mean) > limit
-    while out_of_range.any():
-        samples[out_of_range] = gen.normal(mean, std, size=int(out_of_range.sum()))
-        out_of_range = np.abs(samples - mean) > limit
-    return samples
 
 
 def normal(

@@ -8,7 +8,8 @@ up to four codes, with a per-layer table of the centroid tuples they name:
 no more than one code per weight would take) plus the FP32 outliers,
 decoding a cache-sized band of ``W`` at a time and never the whole FP32
 weight matrix.  The bias (which GOBO leaves FP32) stays a plain
-:class:`~repro.nn.module.Parameter`.
+:class:`~repro.nn.module.Parameter`.  :class:`~repro.nn.QuantizedEmbedding`
+is its counterpart for the embedding tables.
 
 It is deliberately inference-only: GOBO quantizes *trained* models, and the
 paper's latency/energy numbers are for serving.  Calling it in training

@@ -364,26 +364,6 @@ def as_tensor(value: "Tensor | Array | float | int | list") -> Tensor:
     return Tensor(value)
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    if not tensors:
-        raise ShapeError("concat requires at least one tensor")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make_child(data, tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward() -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if tensor.requires_grad:
-                index = [slice(None)] * data.ndim
-                index[axis] = slice(int(start), int(stop))
-                tensor._accumulate(out.grad[tuple(index)])
-
-    out._backward = backward
-    return out
-
-
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` with gradient support."""
     if not tensors:

@@ -32,7 +32,6 @@ from repro.obs.events import (
     read_trace,
     scan_trace_file,
     validate_event,
-    validate_events,
 )
 from repro.obs.metrics import (
     Counter,
@@ -71,7 +70,6 @@ __all__ = [
     "read_trace",
     "scan_trace_file",
     "validate_event",
-    "validate_events",
     "Counter",
     "Gauge",
     "Histogram",

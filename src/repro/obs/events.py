@@ -110,14 +110,6 @@ def validate_event(event: object) -> list[str]:
     return errors
 
 
-def validate_events(events: Iterable[object]) -> list[str]:
-    """Validate a sequence of events; violations are prefixed ``event N:``."""
-    errors = []
-    for index, event in enumerate(events):
-        errors.extend(f"event {index}: {problem}" for problem in validate_event(event))
-    return errors
-
-
 def scan_trace_file(path) -> tuple[list[dict], list[str]]:
     """Every parsed event of a JSONL trace, and its violations (``line N:``).
 

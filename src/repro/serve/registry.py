@@ -4,9 +4,13 @@ Each registered model is one :class:`ModelEntry`: a lazily-loaded
 :class:`~repro.core.model_quantizer.QuantizedModel` (``verify="lazy"``, so
 every archive member is CRC-checked on first touch) attached into a
 :class:`~repro.models.bert.BertModel` via
-:func:`~repro.models.quantized.attach_quantized_linears` — after which the
-request path computes on the compressed representation through lookup
-kernels and never calls ``dequantize()``.
+:func:`~repro.models.quantized.attach_quantized_linears`.  Neither the
+attach nor the request path calls ``dequantize()``: the FC layers compute
+on their codes and the embedding tables gather their rows through lookup
+kernels, so a loaded model keeps GOBO's codes resident, not float64
+tables.  Each entry reports those bytes
+(:func:`~repro.models.quantized.resident_bytes`) on its
+``serve.model_load`` span and in ``/healthz``.
 
 Hot-swap discipline (the part worth getting right):
 
@@ -37,7 +41,7 @@ from repro.models import (
     fc_layer_shapes,
     get_config,
 )
-from repro.models.quantized import attach_quantized_linears
+from repro.models.quantized import attach_quantized_linears, resident_bytes
 from repro.obs import recorder as obs
 
 
@@ -48,9 +52,10 @@ class ModelEntry:
     name: str
     path: Path
     config: object  # the BertConfig the network was built from
-    model: object  # BertModel with QuantizedLinears attached
+    model: object  # BertModel with its quantized modules attached
     qmodel: object  # QuantizedModel (lazy; owns the archive reader)
     version: int  # reload generation, starting at 1
+    resident_bytes: int  # kernel state + parameters the model keeps resident
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _leases: int = 0
     _retired: bool = False
@@ -103,6 +108,7 @@ class ModelEntry:
             "version": self.version,
             "max_position": self.max_position,
             "vocab_size": self.vocab_size,
+            "resident_bytes": self.resident_bytes,
         }
 
 
@@ -167,7 +173,8 @@ def _build_entry(name: str, path: Path, config,
             if closer is not None:
                 closer()
             raise
-        sp.set(config=config.name, layers=len(qmodel.fc_names))
+        resident = resident_bytes(model)
+        sp.set(config=config.name, layers=len(qmodel.fc_names), resident_bytes=resident)
     return ModelEntry(
         name=name,
         path=Path(path),
@@ -175,6 +182,7 @@ def _build_entry(name: str, path: Path, config,
         model=model,
         qmodel=qmodel,
         version=version,
+        resident_bytes=resident,
     )
 
 

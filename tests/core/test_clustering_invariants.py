@@ -118,7 +118,7 @@ class TestConvergenceObsTrace:
         assert event["attrs"]["iterations"] == result.iterations
         assert event["attrs"]["converged"] == result.converged
         assert event["attrs"]["final_l1"] == result.final_l1
-        assert not obs.validate_events(scoped.events)
+        assert not any(obs.validate_event(event) for event in scoped.events)
 
     def test_gobo_trace_minimum_is_final_l1(self):
         with obs.scope() as scoped:

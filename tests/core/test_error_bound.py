@@ -19,10 +19,14 @@ single table, and a weight's nearest centroid in that table may belong to
 another group.  Its bound is therefore taken per group: each weight decodes
 to the nearest centroid of its own group's dictionary, and ``x @ W.T``
 moves by at most ``||x||_1`` times the largest per-group ``max_err``.
+
+An embedding lookup on a served model runs :meth:`LookupKernel.gather`,
+whose rows equal the decoded table's bit for bit, so each gathered row
+keeps the per-weight bound unchanged.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.quantizer import quantize_tensor
@@ -183,3 +187,35 @@ def test_qbert_lookup_kernel_within_per_group_l1_bound(case, batch):
     gamma = 2 * cols * EPS
     rounding = gamma * (np.abs(x) @ np.abs(weights).T + np.abs(x) @ np.abs(decoded).T)
     assert np.all(np.abs(exact - got) <= bound + rounding)
+
+
+gather_cases = st.tuples(
+    st.sampled_from((*METHODS, "qbert-group")),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.integers(2, 128),
+    st.integers(2, 96),
+)
+
+
+@given(gather_cases, st.integers(1, 4), st.integers(1, 6))
+# Padded strides: four 2-bit codes per index on 95-wide rows, two 3-bit
+# codes per index on 63-wide rows.
+@example(("gobo", 0, 2, 128, 95), 3, 5)
+@example(("kmeans", 1, 3, 64, 63), 2, 2)
+@settings(max_examples=80, deadline=None)
+def test_gathered_rows_equal_the_decoded_rows(case, id_rows, id_cols):
+    method, seed, bits, rows, cols = case
+    weights = _weights(seed, rows, cols)
+    # Outliers in the first and last slot of one row.
+    row = seed % rows
+    weights[row, 0], weights[row, -1] = 1.0, -1.0
+    aux = np.array(1 + seed % 7) if method == "qbert-group" else None
+    tensor, _ = quantize_tensor(weights, bits=bits, method=method, aux=aux)
+    if tensor.outlier_positions.size:
+        assert {row * cols, row * cols + cols - 1} <= set(tensor.outlier_positions.tolist())
+    # Drawn with replacement from a few rows: duplicates, unsorted, 2-D.
+    ids = np.random.default_rng(seed ^ 0x1D5).integers(0, rows, size=(id_rows, id_cols))
+    ids[0, 0] = row
+    got = LookupKernel(tensor).gather(ids)
+    np.testing.assert_array_equal(got, tensor.dequantize(dtype=np.float64)[ids])

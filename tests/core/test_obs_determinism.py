@@ -62,8 +62,8 @@ def test_traces_identical_modulo_timing(state, tmp_path):
     _, events_1 = _run(state, tmp_path, "t1", workers=1, traced=True)
     _, events_4 = _run(state, tmp_path, "t4", workers=4, traced=True)
     assert events_1 and events_4
-    assert not obs.validate_events(events_1)
-    assert not obs.validate_events(events_4)
+    assert not any(obs.validate_event(event) for event in events_1)
+    assert not any(obs.validate_event(event) for event in events_4)
     canonical_1 = obs.canonical_events(events_1, exclude_names=["engine.workers"])
     canonical_4 = obs.canonical_events(events_4, exclude_names=["engine.workers"])
     assert canonical_1 == canonical_4
@@ -101,7 +101,7 @@ def test_report_metrics_snapshot_populated_without_sinks(state, tmp_path):
 
 def test_trace_events_schema_valid_and_complete(state, tmp_path):
     _, events = _run(state, tmp_path, "schema", workers=2, traced=True)
-    assert not obs.validate_events(events)
+    assert not any(obs.validate_event(event) for event in events)
     names = {event["name"] for event in events}
     assert {"engine.run", "engine.layer", "quantize.tensor", "clustering.l1",
             "serialization.bytes_written", "model.compression_ratio"} <= names

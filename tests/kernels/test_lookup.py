@@ -385,6 +385,83 @@ class TestObservability:
         assert 0 < nbytes <= bound
 
 
+class TestGather:
+    """The row gather behind :class:`~repro.nn.QuantizedEmbedding`: the
+    requested rows of the decoded table, bit for bit, at every group size,
+    with ``nn.Embedding``'s id checks."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8, 10, 16])
+    @pytest.mark.parametrize("outlier_fraction", [0.0, 0.05, 1.0])
+    def test_rows_equal_the_decoded_table(self, bits, outlier_fraction):
+        rng = derive_rng(20260807, "gather", bits, int(outlier_fraction * 100))
+        tensor = make_tensor(rng, (29, 13), bits, outlier_fraction)
+        ids = rng.integers(0, 29, size=(3, 7))
+        np.testing.assert_array_equal(
+            LookupKernel(tensor).gather(ids), tensor.dequantize(np.float64)[ids]
+        )
+
+    @pytest.mark.parametrize(("bits", "shape", "group"), [
+        (2, (128, 128), 4), (2, (128, 127), 4), (3, (64, 64), 2), (3, (256, 255), 2),
+        (4, (64, 63), 1), (7, (20, 9), 1),
+    ])
+    def test_every_group_size_and_padded_stride(self, bits, shape, group):
+        rng = derive_rng(20260807, "gather-group", bits, *shape)
+        tensor = make_tensor(rng, shape, bits, 0.03)
+        kernel = LookupKernel(tensor)
+        assert kernel.group == group
+        table = tensor.dequantize(np.float64)
+        np.testing.assert_array_equal(kernel.gather(np.arange(shape[0])), table)
+
+    def test_outliers_in_a_rows_first_and_last_slot(self):
+        rng = derive_rng(20260807, "gather-edges")
+        rows, cols = 6, 10
+        weights = rng.normal(scale=0.01, size=(rows, cols))
+        weights[2, 0], weights[2, -1], weights[5, -1], weights[0, 0] = 5.0, -5.0, 4.0, -4.0
+        tensor, _ = quantize_tensor(weights, bits=3)
+        assert {0, 2 * cols, 3 * cols - 1, rows * cols - 1} <= set(
+            tensor.outlier_positions.tolist()
+        )
+        ids = np.array([5, 2, 0, 2])
+        got = LookupKernel(tensor).gather(ids)
+        np.testing.assert_array_equal(got, tensor.dequantize(np.float64)[ids])
+        assert (got[1, 0], got[1, -1], got[0, -1], got[2, 0]) == (5.0, -5.0, 4.0, -4.0)
+
+    def test_duplicate_unsorted_and_nd_ids(self):
+        rng = derive_rng(20260807, "gather-ids")
+        tensor = make_tensor(rng, (17, 11), 3, 0.1)
+        kernel, table = LookupKernel(tensor), tensor.dequantize(np.float64)
+        for ids in ([4, 4, 1, 16, 0, 4], [[3, 2], [2, 3]], np.int32(7), np.uint8([9, 1])):
+            got = kernel.gather(ids)
+            assert got.shape == (*np.shape(ids), 11)
+            np.testing.assert_array_equal(got, table[np.asarray(ids)])
+        assert kernel.gather(np.zeros((0, 4), dtype=np.int64)).shape == (0, 4, 11)
+
+    @pytest.mark.parametrize(("ids", "error"), [
+        ([0, 17], IndexError), ([-1], IndexError), ([2**40], IndexError),
+        ([1.0], TypeError), ([True], TypeError),
+    ])
+    def test_bad_ids_raise_what_embedding_raises(self, ids, error):
+        from repro.nn import Embedding
+
+        rng = derive_rng(20260807, "gather-bad")
+        tensor = make_tensor(rng, (17, 11), 3, 0.1)
+        with pytest.raises(error):
+            LookupKernel(tensor).gather(np.array(ids))
+        with pytest.raises(error):
+            Embedding(17, 11, rng=0)(np.array(ids))
+
+    def test_counts_its_own_calls_not_the_matmuls(self):
+        from repro import obs
+
+        rng = derive_rng(20260807, "gather-obs")
+        kernel = LookupKernel(make_tensor(rng, (17, 11), 3, 0.1))
+        with obs.scope() as trace:
+            kernel.gather(np.array([[1, 2, 3], [4, 5, 6]]))
+        names = [event["name"] for event in trace.events]
+        assert names == ["kernels.lookup_gather_calls", "kernels.lookup_gather_rows"]
+        assert trace.events[1]["value"] == 6
+
+
 def layout_bytes(bits: int, shape: tuple[int, int], group: int) -> int:
     """Index array plus tuple table for ``group`` codes per index: the
     selection rule's byte count, restated independently of the kernel."""

@@ -9,16 +9,6 @@ from repro.nn.tensor import Tensor
 from tests.conftest import assert_autograd_matches
 
 
-class TestRelu:
-    def test_values(self):
-        out = F.relu(Tensor(np.array([-1.0, 0.0, 2.0])))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-
-    def test_gradient(self, rng):
-        x = rng.normal(size=8) + 0.01  # avoid the kink
-        assert_autograd_matches(lambda t: F.relu(t).sum(), x)
-
-
 class TestGelu:
     def test_matches_reference_points(self):
         out = F.gelu(Tensor(np.array([0.0, 1.0, -1.0])))
@@ -31,14 +21,6 @@ class TestGelu:
         x = np.linspace(1, 5, 20)
         out = F.gelu(Tensor(x)).data
         assert np.all(np.diff(out) > 0)
-
-
-class TestSigmoid:
-    def test_values(self):
-        np.testing.assert_allclose(F.sigmoid(Tensor(np.array([0.0]))).data, [0.5])
-
-    def test_gradient(self, rng):
-        assert_autograd_matches(lambda t: F.sigmoid(t).sum(), rng.normal(size=6))
 
 
 class TestSoftmax:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.init import normal, ones, truncated_normal, zeros
+from repro.nn.init import normal, ones, zeros
 
 
 class TestNormal:
@@ -18,16 +18,6 @@ class TestNormal:
     def test_has_tails(self):
         samples = normal((400, 400), std=1.0, rng=0)
         assert np.abs(samples).max() > 3.5  # a pure normal reaches its tails
-
-
-class TestTruncatedNormal:
-    def test_respects_truncation(self):
-        samples = truncated_normal((300, 300), std=0.02, truncation=2.0, rng=0)
-        assert np.abs(samples).max() <= 0.04 + 1e-12
-
-    def test_mean_centered(self):
-        samples = truncated_normal((200, 200), std=0.02, mean=0.5, rng=0)
-        assert samples.mean() == pytest.approx(0.5, abs=0.001)
 
 
 class TestConstants:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn.tensor import Tensor, as_tensor, concat, stack
+from repro.nn.tensor import Tensor, as_tensor, stack
 from tests.conftest import assert_autograd_matches
 
 
@@ -201,20 +201,6 @@ class TestElementwiseGradients:
 
 
 class TestConcatStack:
-    def test_concat_values(self, rng):
-        a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(1, 3)))
-        out = concat([a, b], axis=0)
-        assert out.shape == (3, 3)
-
-    def test_concat_gradients(self, rng):
-        x = rng.normal(size=(2, 3))
-        other = Tensor(rng.normal(size=(2, 3)))
-        assert_autograd_matches(lambda t: (concat([t, other], axis=1) ** 2).sum(), x)
-
-    def test_concat_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            concat([])
-
     def test_stack_values(self, rng):
         a, b = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
         assert stack([a, b], axis=0).shape == (2, 3)

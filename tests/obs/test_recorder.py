@@ -195,7 +195,7 @@ class TestValueHandling:
                 obs.gauge("g", 1.5)
                 obs.histogram("h", 0.25)
                 obs.trace_event("t", [1, 2, 3], method="gobo")
-        assert not obs.validate_events(scoped.events)
+        assert not any(obs.validate_event(event) for event in scoped.events)
 
     def test_trace_event_coerces_values_to_float(self):
         import numpy as np
@@ -203,4 +203,4 @@ class TestValueHandling:
         with obs.scope() as scoped:
             obs.trace_event("t", np.array([1, 2], dtype=np.int64))
         assert scoped.events[0]["values"] == [1.0, 2.0]
-        assert not obs.validate_events(scoped.events)
+        assert not any(obs.validate_event(event) for event in scoped.events)

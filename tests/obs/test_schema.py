@@ -91,10 +91,6 @@ class TestValidateEvent:
 
 
 class TestFileValidation:
-    def test_validate_events_prefixes_index(self):
-        errors = obs.validate_events([_event(), _event(v=9)])
-        assert errors and all(error.startswith("event 1:") for error in errors)
-
     def test_trace_file_happy_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.model_quantizer import select_parameters
 from repro.core.serialization import (
     load_quantized_model,
@@ -25,6 +26,7 @@ from repro.errors import DegenerateTensorError, NonFiniteWeightError
 from repro.jobs.runner import DurableJob
 from repro.models import attach_quantized_linears
 from repro.models.zoo import build_model
+from repro.nn import QuantizedEmbedding
 from repro.quant.registry import available_specs, build_quantizer
 from repro.testing.faults import Fault, InjectedFault
 from tests.conftest import MICRO_CONFIG
@@ -147,6 +149,18 @@ class TestServing:
         ids = np.random.default_rng(0).integers(0, MICRO_CONFIG.vocab_size, size=(2, 9))
         for got, want in zip(served(ids), reference(ids)):
             np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-9, err_msg=spec)
+
+    def test_attach_decodes_nothing(self, spec, state, selection):
+        """Every quantized tensor, embedding tables included, is served by
+        its compressed module: attach makes no dequantize call."""
+        quantized = quantize_spec(spec, state, selection)
+        with obs.scope() as trace:
+            served = attach_quantized_linears(build_model(MICRO_CONFIG, rng=0), quantized)
+        names = [event["name"] for event in trace.events]
+        assert "quantizer.dequantize_calls" not in names, spec
+        modules = dict(served.named_modules())
+        for name in selection.embedding_names:
+            assert isinstance(modules[name[: -len(".weight")]], QuantizedEmbedding), spec
 
 
 @pytest.mark.parametrize("spec", SPECS)

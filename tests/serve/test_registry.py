@@ -49,6 +49,24 @@ class TestRegister:
         _, expected = reference(input_ids)
         np.testing.assert_allclose(pooled.data, expected.data, rtol=1e-12, atol=1e-12)
 
+    def test_register_decodes_nothing(self, micro_archive):
+        """The embedding tables stay compressed too: loading a model makes
+        no dequantize call, and its load span reports its resident bytes."""
+        from repro import obs
+
+        registry = ModelRegistry()
+        try:
+            with obs.scope() as trace:
+                entry = registry.register("micro", micro_archive, config=MICRO_CONFIG)
+        finally:
+            registry.close()
+        names = [event["name"] for event in trace.events]
+        assert "quantizer.dequantize_calls" not in names
+        (load,) = [event for event in trace.events
+                   if event["event"] == "span" and event["name"] == "serve.model_load"]
+        assert load["attrs"]["resident_bytes"] == entry.resident_bytes > 0
+        assert entry.describe()["resident_bytes"] == entry.resident_bytes
+
     def test_unknown_model(self, registry):
         with pytest.raises(ModelNotFoundError, match="nope"):
             registry.get("nope")

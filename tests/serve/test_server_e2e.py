@@ -146,6 +146,27 @@ class TestRequestPath:
         assert status == 200
         assert health["models"]["micro"]["version"] == 4
 
+    def test_healthz_reports_resident_bytes(self, server, micro_archive):
+        """Each model's resident bytes: the prepared lookup kernels of its
+        quantized tensors plus its float64 parameters, summed here from the
+        archive alone."""
+        import numpy as np
+
+        from repro.core.serialization import load_quantized_model
+        from repro.kernels import LookupKernel
+
+        qmodel = load_quantized_model(micro_archive)
+        expected = sum(
+            LookupKernel(tensor).prepared_nbytes for tensor in qmodel.quantized.values()
+        ) + sum(np.asarray(value).size * 8 for value in qmodel.fp32.values())
+        status, health = http_json(f"{base_url(server)}/healthz")
+        assert status == 200
+        assert health["models"]["micro"]["resident_bytes"] == expected
+        status, _ = http_json(f"{base_url(server)}/models/micro/reload", {})
+        assert status == 200
+        _, health = http_json(f"{base_url(server)}/healthz")
+        assert health["models"]["micro"]["resident_bytes"] == expected
+
     def test_metrics_endpoint_reflects_traffic(self, server):
         url = f"{base_url(server)}/models/micro/predict"
         for _ in range(3):

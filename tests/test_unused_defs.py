@@ -63,7 +63,7 @@ def test_a_use_outside_the_package_counts(tree):
 
 
 def test_a_stale_allowlist_entry_fails_the_sweep(tree):
-    add_def(tree / "examples/quickstart.py", "\n# relu\n")
+    add_def(tree / "examples/quickstart.py", "\n# unregister_tensor_method\n")
     result = sweep(tree)
     assert result.returncode == 1
-    assert "allowlist entry 'relu' is stale" in result.stdout
+    assert "allowlist entry 'unregister_tensor_method' is stale" in result.stdout

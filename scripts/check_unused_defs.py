@@ -24,8 +24,6 @@ from pathlib import Path
 
 SCANNED = ("src", "bench", "benchmarks", "scripts", "examples")
 
-_ROADMAP = "only its tests call it; ROADMAP item 8 deletes it or wires it in"
-
 #: Unused definitions that stay on purpose, each with its reason.
 ALLOWLIST = {
     # Serve the tests on purpose.
@@ -34,18 +32,7 @@ ALLOWLIST = {
     "unregister": "registry test hook: plug-in tests register, then unregister",
     "unregister_tensor_method": "registry test hook: plug-in tests register, then unregister",
     "canonical_events": "obs determinism comparator of the trace-determinism tests",
-    # Found by the first sweep; each waits for a change that decides it.
-    "clear_cache": _ROADMAP,
-    "code_entropy": _ROADMAP,
-    "current_span": _ROADMAP,
-    "fp32_equivalent_bits": _ROADMAP,
-    "installed_sinks": _ROADMAP,
-    "layer_histograms": _ROADMAP,
-    "quantization_error": _ROADMAP,
-    "quantize_at_load": _ROADMAP,
-    "seeded_permutation": _ROADMAP,
-    "snapshot_of": _ROADMAP,
-    "spawn_rngs": _ROADMAP,
+    "installed_sinks": "sink-leak check of the recorder and CLI tests",
 }
 
 

@@ -445,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080, help="bind port (0 = ephemeral)")
     serve.add_argument(
         "--batch-window", type=float, default=5.0, metavar="MS",
-        help="micro-batch collection window in milliseconds (default 5)",
+        help="how long a batch that already has company waits for more "
+             "requests, in milliseconds; a lone request goes at once "
+             "(default 5)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=8,

@@ -11,7 +11,6 @@ from repro.core.clustering import (
     gobo_cluster,
     kmeans_cluster,
 )
-from repro.core.entropy import CodeEntropyReport, code_entropy
 from repro.core.formats import (
     StorageReport,
     compression_curve,
@@ -42,7 +41,6 @@ from repro.core.parallel import (
 from repro.core.policy import LayerPolicy, PolicyRule, mixed_precision_policy
 from repro.core.quantizer import (
     GoboQuantizedTensor,
-    quantization_error,
     quantize_tensor,
 )
 from repro.core.npzmap import MmapNpzReader
@@ -69,9 +67,7 @@ __all__ = [
     "ClusteringResult",
     "LazyQuantizedTensors",
     "MmapNpzReader",
-    "CodeEntropyReport",
     "ConvergenceTrace",
-    "code_entropy",
     "diagnose_tensor",
     "GoboQuantizedTensor",
     "LayerFailure",
@@ -100,7 +96,6 @@ __all__ = [
     "verify_archive",
     "mixed_precision_policy",
     "potential_compression_ratio",
-    "quantization_error",
     "quantize_model",
     "quantize_state_dict",
     "quantize_tensor",

@@ -388,21 +388,3 @@ def _quantize_tensor(
         outlier_values=flat[outlier_mask].copy(),
     )
     return tensor, result
-
-
-def quantization_error(original: np.ndarray, quantized: GoboQuantizedTensor) -> dict[str, float]:
-    """Reconstruction error metrics between a tensor and its quantized form.
-
-    Decodes at float64 so the metrics measure quantization error alone, not
-    decode-precision rounding.
-    """
-    original = np.asarray(original, dtype=np.float64)
-    restored = quantized.dequantize(dtype=np.float64)
-    diff = original - restored
-    denom = float(np.abs(original).mean()) or 1.0
-    return {
-        "max_abs": float(np.abs(diff).max()),
-        "mean_abs": float(np.abs(diff).mean()),
-        "rmse": float(np.sqrt(np.square(diff).mean())),
-        "relative_mean_abs": float(np.abs(diff).mean()) / denom,
-    }

@@ -117,12 +117,3 @@ def load_state(key: str) -> tuple[dict[str, np.ndarray], dict[str, float]] | Non
     obs.counter("cache.hit")
     obs.counter("cache.bytes_read", size)
     return state, scores
-
-
-def clear_cache() -> int:
-    """Delete all cached checkpoints; returns how many were removed."""
-    removed = 0
-    for path in cache_dir().glob("*.npz"):
-        path.unlink()
-        removed += 1
-    return removed

@@ -95,8 +95,3 @@ def gobo_speedup(
         config, hardware, sequence_length, effective_weight_bits
     )
     return baseline.latency_seconds / compressed.latency_seconds
-
-
-def fp32_equivalent_bits() -> float:
-    """Bits per weight streamed by the FP32 baseline (for symmetry in APIs)."""
-    return 8.0 * BYTES_PER_FP32

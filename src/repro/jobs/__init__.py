@@ -17,8 +17,7 @@ supervised, resumable run:
 * :mod:`repro.jobs.watchdog` — per-layer deadlines: a cooperative
   :class:`Deadline` checked inside the clustering iteration loop, converting
   a hung layer into a ``LayerFailure(action="timeout")`` instead of a
-  stalled run, plus the :class:`DeadlineLedger` the serving batcher
-  supervises its in-flight forward with.
+  stalled run.
 * :mod:`repro.jobs.retry` — transient-error classification and exponential
   backoff used by the engine to retry I/O-flavoured failures in place
   before any ``on_error`` policy fires.
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 _EXPORTS = {
     "Deadline": "repro.jobs.watchdog",
-    "DeadlineLedger": "repro.jobs.watchdog",
     "checkpoint": "repro.jobs.watchdog",
     "current_deadline": "repro.jobs.watchdog",
     "deadline_scope": "repro.jobs.watchdog",

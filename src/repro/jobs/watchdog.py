@@ -1,4 +1,4 @@
-"""Deadlines: cooperative per-layer cancellation and one supervisor ledger.
+"""Deadlines: cooperative per-layer cancellation.
 
 Python threads cannot be killed, so a hung layer cannot be interrupted from
 the outside; what *can* be done is cooperative cancellation:
@@ -16,13 +16,8 @@ times out is surfaced within ``layer_timeout`` plus the time to its next
 checkpoint.  Code that never reaches a checkpoint (a true C-level hang)
 cannot be interrupted: the run stalls until it is killed, and ``--resume``
 then redoes only the layers in flight.  See DESIGN.md §5d for the
-semantics.
-
-:class:`DeadlineLedger` is the supervisor's half: keys armed with expiry
-times behind one lock.  The serving batcher (:mod:`repro.serve.batcher`,
-DESIGN.md §5i) arms its in-flight forward and reaps it on a timeout.
-Every removal happens under the lock, so whoever removes an entry owns
-what it stands for.
+semantics.  The serving batcher keeps its in-flight forward deadlines in
+its own core (:class:`repro.serve.batcher.BatchCore`, DESIGN.md §5i).
 """
 
 from __future__ import annotations
@@ -102,40 +97,3 @@ def checkpoint() -> None:
     if deadline is not None:
         deadline.check()
 
-
-class DeadlineLedger:
-    """Keys armed with expiry times; removing a key claims it.
-
-    Thread-safe and clock-injectable: ``now`` defaults to
-    :func:`time.monotonic`, and a caller that passes its own clock must pass
-    it everywhere.  :meth:`disarm` and :meth:`expire` both remove under one
-    lock, so when an owner finishing its work races a supervisor reaping it,
-    exactly one of them gets the key — the owner sees ``disarm`` return
-    False and leaves the outcome to the supervisor.  The ledger passes no
-    judgement on *why* a key expired: a dead process and a wedged one look
-    identical from the outside.
-    """
-
-    def __init__(self) -> None:
-        self._expires: dict = {}
-        self._lock = threading.Lock()
-
-    def arm(self, key, seconds: float, now: float | None = None) -> None:
-        """(Re)arm ``key`` (any hashable) to expire ``seconds`` after ``now``."""
-        expires_at = (time.monotonic() if now is None else now) + seconds
-        with self._lock:
-            self._expires[key] = expires_at
-
-    def disarm(self, key) -> bool:
-        """Remove ``key``; True if it was armed, i.e. the caller claimed it."""
-        with self._lock:
-            return self._expires.pop(key, None) is not None
-
-    def expire(self, now: float | None = None) -> list:
-        """Remove and return every key whose expiry is at or before ``now``."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            due = [key for key, expires_at in self._expires.items() if expires_at <= now]
-            for key in due:
-                del self._expires[key]
-        return due

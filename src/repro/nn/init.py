@@ -8,9 +8,32 @@ distribution shape the paper observes (Figure 1b).
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 
 from repro.utils.rng import ensure_rng
+
+_local = threading.local()
+
+
+@contextmanager
+def skip_draws() -> Iterator[None]:
+    """Make :func:`normal` return zeros on this thread inside the block.
+
+    For a model whose every weight is replaced right after it is built:
+    the serving registry swaps in the archive's compressed modules and
+    strict-loads the rest.  Large zero arrays are not touched until
+    written, so the discarded weights cost neither the draw nor the memory.
+    """
+    previous = getattr(_local, "skip", False)
+    _local.skip = True
+    try:
+        yield
+    finally:
+        _local.skip = previous
 
 
 def normal(
@@ -20,6 +43,8 @@ def normal(
     rng: int | np.random.Generator | None = None,
 ) -> np.ndarray:
     """Plain normal initialization."""
+    if getattr(_local, "skip", False):
+        return np.zeros(shape, dtype=np.float64)
     return ensure_rng(rng).normal(mean, std, size=shape)
 
 

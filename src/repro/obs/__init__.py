@@ -46,7 +46,6 @@ from repro.obs.recorder import (
     Span,
     capture_context,
     counter,
-    current_span,
     gauge,
     histogram,
     install,
@@ -83,7 +82,6 @@ __all__ = [
     "Span",
     "capture_context",
     "counter",
-    "current_span",
     "gauge",
     "histogram",
     "install",

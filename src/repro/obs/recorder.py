@@ -33,7 +33,6 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.obs.events import SCHEMA_VERSION
-from repro.obs.metrics import MetricsSnapshot
 from repro.obs.sinks import MemorySink, Sink
 
 _lock = threading.RLock()
@@ -112,12 +111,6 @@ def _span_stack() -> list:
     if stack is None:
         stack = _local.stack = []
     return stack
-
-
-def current_span() -> "Span | None":
-    """The innermost active span on this thread, or None."""
-    stack = getattr(_local, "stack", None)
-    return stack[-1] if stack else None
 
 
 def capture_context() -> tuple["Span", ...]:
@@ -257,8 +250,3 @@ class Span:
 def span(name: str, **attrs) -> Span:
     """Create a :class:`Span`; open it with ``with``."""
     return Span(name, **attrs)
-
-
-def snapshot_of(events) -> MetricsSnapshot:
-    """Aggregate a list of event dicts into a :class:`MetricsSnapshot`."""
-    return MetricsSnapshot.from_events(events)

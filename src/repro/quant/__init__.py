@@ -29,7 +29,7 @@ from repro.quant.registry import (
     register,
     unregister,
 )
-from repro.quant.zeroshot import ZeroShotQuantizer, quantize_at_load
+from repro.quant.zeroshot import ZeroShotQuantizer
 
 __all__ = [
     "EngineBackedQuantizer",
@@ -47,7 +47,6 @@ __all__ = [
     "build_quantizer",
     "describe_specs",
     "parse_spec",
-    "quantize_at_load",
     "register",
     "symmetric_dequantize",
     "symmetric_quantize",

@@ -100,21 +100,3 @@ class ZeroShotQuantizer(EngineBackedQuantizer):
             "embedding_bits": self.bits,
             "method": "zeroshot",
         }
-
-
-def quantize_at_load(
-    state: dict[str, np.ndarray],
-    fc_names: tuple[str, ...],
-    embedding_names: tuple[str, ...] = (),
-    bits: int = 8,
-    **engine_kwargs,
-):
-    """Quantize a freshly loaded state dict in one call, no calibration.
-
-    The zero-shot entry point: hand it the state dict straight off disk and
-    get a ``QuantizedModel`` back.  ``engine_kwargs`` forward to
-    :meth:`EngineBackedQuantizer.quantize` (workers, policies, durable jobs...).
-    """
-    return ZeroShotQuantizer(bits=bits).quantize(
-        state, fc_names, embedding_names, **engine_kwargs
-    )

@@ -8,8 +8,9 @@ system-level realization over the repo's software kernels —
   from checksummed archives (``verify="lazy"``) with lookup-kernel Linears
   attached;
 * :mod:`repro.serve.batcher` — the micro-batching queue that amortizes one
-  kernel forward across concurrent requests, plus the worker watchdog that
-  fails wedged batches and replaces dead workers;
+  kernel forward across queued requests (its policy a clock-injected core
+  with no threads), plus the worker watchdog that fails wedged batches and
+  replaces dead workers;
 * :mod:`repro.serve.admission` — bounded queue depth (429 + Retry-After)
   and per-request deadlines (504);
 * :mod:`repro.serve.health` — per-model health state machine (circuit

@@ -1,40 +1,33 @@
 """Micro-batching queue: amortize lookup-kernel forwards across requests.
 
-The lookup kernels are batch-oriented — decoding a band of weights costs
-the same for 1 row as for 16, and BLAS then multiplies the decoded tile by
-every row at once — so a serving path that forwards each HTTP request
-alone leaves most of the kernel's throughput on the floor.
-:class:`MicroBatcher` collects concurrent requests for up to
-``batch_window`` seconds (or ``max_batch`` items, whichever comes first),
-pads them into one ``(batch, seq)`` tensor with an attention mask, runs a
-single model forward per model, and fans the pooled outputs back to the
-waiting handler threads.
+Decoding a band of weights costs the same for 1 row as for 16, so requests
+that queue up behind a forward share the next one, padded into one
+``(batch, seq)`` tensor with an attention mask: one forward per model.
 
-Threading contract:
+The policy is :class:`BatchCore`, with no threads and no clock: each method
+takes ``now`` and returns an action (forward this :class:`Batch`,
+:class:`Wait` until a time, or :class:`Fail` these requests).  A request
+that reaches an idle worker alone is dispatched at once; when others are
+already queued the worker takes them, up to ``max_batch``, and waits out
+``batch_window`` for more.  The core also keeps each in-flight forward's
+deadline, so completing a batch and reaping it are one claim.
+
+:class:`MicroBatcher` is the threaded shell; one lock guards the core:
 
 * HTTP handler threads call :meth:`submit` (admission-gated, non-blocking)
   then :meth:`wait` (blocks until the batch completes or the request's
   deadline expires → :class:`~repro.errors.RequestTimeoutError`).
-* One worker thread drains the queue.  A single worker serializes forwards
-  deliberately: NumPy kernels are already multi-core via BLAS-free
-  vectorized sweeps, and one-at-a-time batches keep per-request latency
-  predictable.
-* A **watchdog thread** supervises the worker (DESIGN.md §5i).  Every
-  forward is armed in a :class:`~repro.jobs.watchdog.DeadlineLedger` for
-  ``forward_timeout`` seconds; the watchdog reaping that deadline — or
-  finding the worker thread dead — fails the in-flight batch with a
-  *transient* :class:`~repro.errors.ForwardTimeoutError` /
-  :class:`~repro.errors.BatchWorkerError`, reports it to the health
-  monitor, and starts a replacement worker under a new generation.  A
-  superseded worker that eventually un-wedges finds its forward already
-  claimed, discards its late results, and exits — so one hung mmap read
-  stalls the process for at most ``forward_timeout``, not forever.
-* Spans: the handler's ``serve.request`` span wraps :meth:`wait`, which
-  nests ``serve.queue_wait`` (admission → batch start, measured on the
-  handler thread).  The worker emits ``serve.batch`` under the span context
-  captured from the batch's first request (see
-  :func:`repro.obs.recorder.capture_context`), so batch timings attach to
-  the trace tree rather than floating parentless.
+* One worker thread runs the forwards, one at a time, so per-request
+  latency stays predictable.
+* A **watchdog thread** (DESIGN.md §5i) fails a forward past
+  ``forward_timeout``, or a dead worker's batch, as *transient*
+  (:class:`~repro.errors.ForwardTimeoutError` /
+  :class:`~repro.errors.BatchWorkerError`), reports it to the health
+  monitor, and starts a new worker generation.  A superseded worker that
+  un-wedges finds its batch claimed, discards its late results and exits.
+* Spans: :meth:`wait` nests ``serve.queue_wait`` (admission → batch start)
+  in the handler's ``serve.request`` span; ``serve.batch`` runs under the
+  context of the batch's first request.
 """
 
 from __future__ import annotations
@@ -43,16 +36,12 @@ import math
 import threading
 import time
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import (
-    BatchWorkerError,
-    ForwardTimeoutError,
-    RequestTimeoutError,
-    ServeError,
-)
-from repro.jobs.watchdog import DeadlineLedger
+from repro.errors import (BatchWorkerError, ForwardTimeoutError,
+                          RequestTimeoutError, ServeError)
 from repro.obs import recorder as obs
 from repro.serve.admission import AdmissionController
 from repro.serve.registry import ModelRegistry
@@ -60,29 +49,170 @@ from repro.serve.registry import ModelRegistry
 #: How often the watchdog sweeps for a wedged forward or a dead worker.
 WATCHDOG_POLL_INTERVAL = 0.05
 
+#: A request's states; DONE and ABANDONED are final.
+QUEUED, RUNNING, DONE, ABANDONED = "queued", "running", "done", "abandoned"
+
 
 class PendingRequest:
     """One admitted request traveling from handler thread to worker and back."""
 
-    __slots__ = (
-        "model", "input_ids", "token_type_ids", "context", "admitted_at",
-        "deadline", "started", "done", "lock", "abandoned", "result", "error",
-    )
+    __slots__ = ("model", "input_ids", "token_type_ids", "context", "admitted_at",
+                 "deadline", "state", "started", "done", "result", "error")
 
     def __init__(self, model: str, input_ids: np.ndarray,
                  token_type_ids: np.ndarray | None, deadline: float):
-        self.model = model
-        self.input_ids = input_ids
-        self.token_type_ids = token_type_ids
+        self.model, self.input_ids, self.token_type_ids = model, input_ids, token_type_ids
         self.context = obs.capture_context()
-        self.admitted_at = time.perf_counter()
-        self.deadline = deadline
-        self.started = threading.Event()
-        self.done = threading.Event()
-        self.lock = threading.Lock()
-        self.abandoned = False
+        self.admitted_at, self.deadline = time.perf_counter(), deadline
+        self.state = QUEUED
+        self.started, self.done = threading.Event(), threading.Event()
         self.result: dict | None = None
         self.error: Exception | None = None
+
+
+class Batch:
+    """Forward ``requests`` (all of ``model``) as one batch."""
+
+    __slots__ = ("model", "requests")
+
+    def __init__(self, model: str, requests: list):
+        self.model, self.requests = model, requests
+
+
+class Wait(NamedTuple):
+    """Nothing to do before ``until`` (``math.inf``: until woken)."""
+    until: float
+
+
+class Fail(NamedTuple):
+    """``requests`` of ``model`` were finished with ``error``."""
+    model: str
+    requests: list
+    error: Exception
+
+
+class BatchCore:
+    """The batcher's decisions: the queue, the window, claim and complete,
+    and the in-flight forward deadlines.
+
+    Pure and single-caller.  A method that finishes requests sets their
+    ``result``/``error``, marks them DONE and returns them; the caller
+    wakes their handlers and releases their admission slots.
+    """
+
+    def __init__(self, batch_window: float, max_batch: int,
+                 forward_timeout: float | None = None):
+        self.batch_window, self.max_batch = batch_window, max_batch
+        self.forward_timeout = forward_timeout
+        self.queue: deque = deque()
+        self.taken: list = []  # the batch being formed, then dispatched by model
+        self.window_end = -math.inf
+        self.inflight: dict[Batch, float] = {}  # forward -> its deadline
+        self.generation, self.stopping = 1, False
+
+    def submit(self, request) -> None:
+        if self.stopping:
+            raise ServeError("server is shutting down")
+        self.queue.append(request)
+
+    def next(self, now: float) -> Batch | Fail | Wait | None:
+        """The worker's next move; None means exit (closed and drained)."""
+        while True:
+            if not self.taken:
+                if not self.queue:
+                    return None if self.stopping else Wait(math.inf)
+                self.taken.append(self.queue.popleft())
+                # A lone request goes at once; company opens the window.
+                self.window_end = now + self.batch_window if self.queue else now
+            while self.queue and len(self.taken) < self.max_batch:
+                self.taken.append(self.queue.popleft())
+            if (len(self.taken) < self.max_batch and now < self.window_end
+                    and not self.stopping):
+                return Wait(self.window_end)
+            # One forward per model, the oldest request's first.  Abandoned
+            # requests drop out here: their handlers freed the slot.
+            model = self.taken[0].model
+            group = [r for r in self.taken if r.model == model and r.state == QUEUED]
+            self.taken = [r for r in self.taken if r.model != model]
+            expired = [r for r in group if now >= r.deadline]
+            if expired:
+                self.taken[:0] = [r for r in group if now < r.deadline]
+                error = RequestTimeoutError(
+                    "request expired in queue before a batch slot opened")
+                return Fail(model, self._finish(expired, error=error), error)
+            if group:
+                break
+        batch = Batch(model, group)
+        for request in group:
+            request.state = RUNNING
+        self.inflight[batch] = now + (self.forward_timeout or math.inf)
+        return batch
+
+    def complete(self, batch: Batch, results: list | None,
+                 error: Exception | None = None) -> list | None:
+        """The forward of ``batch`` returned ``results`` or raised ``error``:
+        the requests it finished, or None if the watchdog claimed it first."""
+        if self.inflight.pop(batch, None) is None:
+            return None
+        return self._finish(batch.requests, results, error)
+
+    def reap(self, now: float, worker_alive: bool = True) -> tuple[str | None, list]:
+        """The watchdog's sweep: ``(reason, fails)``.  A forward past its
+        deadline (``"forward-timeout"``) or a dead worker (``"worker-died"``)
+        has its batches claimed and failed, and starts a new generation."""
+        if self.stopping:
+            return None, []
+        due = [batch for batch, deadline in self.inflight.items() if deadline <= now]
+        if due:
+            reason = "forward-timeout"
+        elif not worker_alive:
+            due, reason = list(self.inflight), "worker-died"
+        else:
+            return None, []
+        fails = []
+        for batch in due:
+            del self.inflight[batch]
+            if reason == "worker-died":
+                error = BatchWorkerError("batch worker died mid-forward; the batch "
+                                         "was failed and the worker replaced")
+            else:
+                error = ForwardTimeoutError(
+                    f"forward for model {batch.model!r} exceeded the "
+                    f"{self.forward_timeout:g}s forward timeout; the batch worker "
+                    f"was replaced")
+            fails.append(Fail(batch.model, self._finish(batch.requests, error=error), error))
+        self.generation += 1
+        return reason, fails
+
+    def abandon(self, request) -> bool:
+        """The handler gave up at its deadline: True unless the request is
+        already finished (the handler then releases the slot itself)."""
+        if request.state == DONE:
+            return False
+        request.state = ABANDONED
+        return True
+
+    def close(self, drain: bool, error: Exception) -> list:
+        """Stop taking requests.  ``drain`` leaves the rest to the worker;
+        otherwise every request not yet forwarded is finished with
+        ``error``, and those are returned."""
+        self.stopping = True
+        if drain:
+            return []
+        waiting, self.taken, self.queue = [*self.taken, *self.queue], [], deque()
+        return self._finish(waiting, error=error)
+
+    @staticmethod
+    def _finish(requests: list, results: list | None = None,
+                error: Exception | None = None) -> list:
+        # Callers own ``requests`` (popped from the queue or claimed from
+        # ``inflight``); only a handler that gave up can have beaten them.
+        finished = []
+        for request, result in zip(requests, results or [None] * len(requests)):
+            if request.state != ABANDONED:
+                request.result, request.error, request.state = result, error, DONE
+                finished.append(request)
+        return finished
 
 
 class MicroBatcher:
@@ -108,42 +238,32 @@ class MicroBatcher:
         if forward_timeout is not None and forward_timeout <= 0:
             raise ValueError(
                 f"forward_timeout must be > 0 or None, got {forward_timeout}")
-        self.registry = registry
-        self.admission = admission
-        self.batch_window = batch_window
-        self.max_batch = max_batch
-        self.forward_timeout = forward_timeout
-        self.health = health
-        self.fault = fault
-        self._queue: deque[PendingRequest] = deque()
-        self._not_empty = threading.Condition()
-        self._stop = False
-        self._generation = 0
-        # In-flight forwards, keyed (model, tuple(live)) on time.perf_counter.
-        # Whoever removes a key — the worker's disarm or the watchdog's
-        # expire — owns completing that batch's requests.
-        self._forwards = DeadlineLedger()
+        self.registry, self.admission = registry, admission
+        self.health, self.fault = health, fault
+        self._core = BatchCore(batch_window, max_batch, forward_timeout)
+        self._cond = threading.Condition()
         self._watchdog_stop = threading.Event()
         self._worker = self._spawn_worker()
-        poll = WATCHDOG_POLL_INTERVAL
-        if forward_timeout is not None:
-            poll = min(poll, max(forward_timeout / 4.0, 0.001))
-        self._watchdog_poll = poll
+        self._watchdog_poll = WATCHDOG_POLL_INTERVAL if forward_timeout is None else min(
+            WATCHDOG_POLL_INTERVAL, max(forward_timeout / 4.0, 0.001))
         self._watchdog = threading.Thread(
-            target=self._watch, name="repro-serve-batch-watchdog", daemon=True
-        )
+            target=self._watch, name="repro-serve-batch-watchdog", daemon=True)
         self._watchdog.start()
 
     def _spawn_worker(self) -> threading.Thread:
-        """Start a worker thread for the next generation (caller must hold
-        ``_not_empty`` or be the constructor)."""
-        self._generation += 1
-        worker = threading.Thread(
-            target=self._run, args=(self._generation,),
-            name=f"repro-serve-batcher-{self._generation}", daemon=True,
-        )
+        """Start a worker for the core's generation (hold ``_cond``)."""
+        generation = self._core.generation
+        worker = threading.Thread(target=self._run, args=(generation,), daemon=True,
+                                  name=f"repro-serve-batcher-{generation}")
         worker.start()
         return worker
+
+    def _release(self, finished: list) -> None:
+        """Wake the finished requests' handlers and free their slots."""
+        for pending in finished:
+            pending.started.set()
+            pending.done.set()
+            self.admission.release()
 
     # ------------------------------------------------------------ submission
     def submit(self, model: str, input_ids, token_type_ids=None) -> PendingRequest:
@@ -151,8 +271,7 @@ class MicroBatcher:
 
         Raises :class:`~repro.errors.ModelNotFoundError` for unknown models,
         :class:`~repro.errors.ModelQuarantinedError` for quarantined ones
-        (503 + Retry-After before any queue slot is burned),
-        :class:`~repro.errors.ShapeError`-free ``ValueError`` for malformed
+        (before any queue slot is burned), ``ValueError`` for malformed
         inputs, :class:`~repro.errors.QueueFullError` at the admission bound,
         and :class:`~repro.errors.ServeError` after shutdown began.
         """
@@ -161,170 +280,104 @@ class MicroBatcher:
             self.health.admit(model)  # 503 + Retry-After while quarantined
         ids = np.asarray(input_ids)
         if ids.ndim != 1 or ids.size == 0:
-            raise ValueError(
-                f"input_ids must be a non-empty 1-D token sequence, got shape {ids.shape}"
-            )
+            raise ValueError(f"input_ids must be a non-empty 1-D token sequence, "
+                             f"got shape {ids.shape}")
         if not np.issubdtype(ids.dtype, np.integer):
             raise ValueError(f"input_ids must be integers, got dtype {ids.dtype}")
         if ids.size > entry.max_position:
-            raise ValueError(
-                f"sequence length {ids.size} exceeds model {model!r} "
-                f"max_position {entry.max_position}"
-            )
+            raise ValueError(f"sequence length {ids.size} exceeds model {model!r} "
+                             f"max_position {entry.max_position}")
         if ids.min() < 0 or ids.max() >= entry.vocab_size:
             raise ValueError(
-                f"token ids must be in [0, {entry.vocab_size}) for model {model!r}"
-            )
-        types = None
-        if token_type_ids is not None:
-            types = np.asarray(token_type_ids)
-            if types.shape != ids.shape:
-                raise ValueError(
-                    f"token_type_ids shape {types.shape} must match "
-                    f"input_ids shape {ids.shape}"
-                )
+                f"token ids must be in [0, {entry.vocab_size}) for model {model!r}")
+        types = None if token_type_ids is None else np.asarray(token_type_ids)
+        if types is not None and types.shape != ids.shape:
+            raise ValueError(f"token_type_ids shape {types.shape} must match "
+                             f"input_ids shape {ids.shape}")
         self.admission.admit()
-        pending = PendingRequest(
-            model, ids.astype(np.int64), types,
-            deadline=time.perf_counter() + self.admission.request_timeout,
-        )
-        with self._not_empty:
-            if self._stop:
+        pending = PendingRequest(model, ids.astype(np.int64), types, deadline=(
+            time.perf_counter() + self.admission.request_timeout))
+        with self._cond:
+            try:
+                self._core.submit(pending)
+            except ServeError:
                 self.admission.release()
-                raise ServeError("server is shutting down")
-            self._queue.append(pending)
-            self._not_empty.notify()
+                raise
+            self._cond.notify()
         obs.counter("serve.submitted", model=model)
         return pending
 
     def wait(self, pending: PendingRequest) -> dict:
         """Block until ``pending`` completes; its deadline bounds the wait.
-
-        Call inside the handler's ``serve.request`` span: the queue wait is
-        emitted here as a nested ``serve.queue_wait`` span.
-        """
+        Call inside the handler's ``serve.request`` span."""
         with obs.span("serve.queue_wait", model=pending.model):
             pending.started.wait(max(0.0, pending.deadline - time.perf_counter()))
-        pending.done.wait(max(0.0, pending.deadline - time.perf_counter()))
-        with pending.lock:
-            if not pending.done.is_set():
-                # Handler gives up; the worker must not touch this request
-                # (and must not release its admission slot — we do, here).
-                pending.abandoned = True
-        if pending.done.is_set():
-            if pending.error is not None:
-                raise pending.error
-            assert pending.result is not None
-            return pending.result
-        self.admission.release()
-        obs.counter("serve.timeouts", model=pending.model)
-        raise RequestTimeoutError(
-            f"request deadline of {self.admission.request_timeout:.3f}s expired "
-            f"before its batch completed"
-        )
+        if not pending.done.wait(max(0.0, pending.deadline - time.perf_counter())):
+            with self._cond:
+                abandoned = self._core.abandon(pending)
+            if abandoned:
+                # The worker will skip this request; its slot is freed here.
+                self.admission.release()
+                obs.counter("serve.timeouts", model=pending.model)
+                raise RequestTimeoutError(
+                    f"request deadline of {self.admission.request_timeout:.3f}s "
+                    f"expired before its batch completed")
+        if pending.error is not None:
+            raise pending.error
+        assert pending.result is not None
+        return pending.result
 
     # ---------------------------------------------------------------- worker
     def _run(self, generation: int) -> None:
         while True:
-            with self._not_empty:
-                if self._generation != generation:
-                    return  # superseded by the watchdog; a successor drains
-                while not self._queue and not self._stop:
-                    self._not_empty.wait(timeout=0.05)
-                    if self._generation != generation:
-                        return
-                if not self._queue:
-                    if self._stop:
-                        return
-                    continue
-                batch = [self._queue.popleft()]
-            window_end = time.perf_counter() + self.batch_window
-            while len(batch) < self.max_batch:
-                remaining = window_end - time.perf_counter()
-                if remaining <= 0:
-                    break
-                with self._not_empty:
-                    if not self._queue:
-                        self._not_empty.wait(timeout=remaining)
-                    if self._queue:
-                        batch.append(self._queue.popleft())
-            groups: dict[str, list[PendingRequest]] = {}
-            for pending in batch:
-                groups.setdefault(pending.model, []).append(pending)
-            for model, group in groups.items():
-                self._run_group(model, group)
+            with self._cond:
+                while True:
+                    if self._core.generation != generation:
+                        return  # superseded by the watchdog; a successor runs
+                    action = self._core.next(time.perf_counter())
+                    if not isinstance(action, Wait):
+                        break
+                    self._cond.wait(None if action.until == math.inf
+                                    else action.until - time.perf_counter())
+            if action is None:
+                return
+            if isinstance(action, Fail):
+                self._release(action.requests)
+                for pending in action.requests:
+                    obs.counter("serve.expired_in_queue", model=pending.model)
+            else:
+                self._run_batch(action)
 
-    def _claim(self, pending: PendingRequest) -> bool:
-        """True if the request is still live (not abandoned, not expired)."""
-        now = time.perf_counter()
-        with pending.lock:
-            if pending.abandoned:
-                return False
-            if now >= pending.deadline:
-                pending.error = RequestTimeoutError(
-                    "request expired in queue before a batch slot opened"
-                )
-                pending.done.set()
-                self.admission.release()
-                obs.counter("serve.expired_in_queue", model=pending.model)
-                return False
-        pending.started.set()
-        return True
-
-    def _complete(self, pending: PendingRequest, result: dict | None,
-                  error: Exception | None) -> None:
-        with pending.lock:
-            if pending.abandoned:
-                return  # handler timed out mid-batch and released the slot
-            if pending.done.is_set():
-                return  # the watchdog already failed this request
-            pending.result = result
-            pending.error = error
-            pending.done.set()
-        self.admission.release()
-
-    def _run_group(self, model: str, group: list[PendingRequest]) -> None:
-        live = [pending for pending in group if self._claim(pending)]
-        if not live:
-            return
-        # Attach the batch span to the first member's request trace; a batch
-        # has many parents but the schema has one, and an arbitrary-but-
-        # deterministic choice beats a parentless span.
+    def _run_batch(self, batch: Batch) -> None:
+        model, live = batch.model, batch.requests
+        for pending in live:
+            pending.started.set()
+        # A batch has many parent requests but the schema allows one: the
+        # first member's, a deterministic choice that beats no parent.
         with obs.use_context(live[0].context):
             with obs.span("serve.batch", model=model, batch_size=len(live)):
-                key = (model, tuple(live))
-                self._forwards.arm(
-                    key,
-                    math.inf if self.forward_timeout is None else self.forward_timeout,
-                    now=time.perf_counter(),
-                )
                 try:
                     result_rows, error = self._forward(model, live), None
                 except Exception as exc:  # noqa: BLE001 — fan the error out
                     result_rows, error = None, exc
-                if not self._forwards.disarm(key):
+                with self._cond:
+                    finished = self._core.complete(batch, result_rows, error)
+                if finished is None:
                     return  # claimed: the watchdog failed + reported this batch
-                if error is None:
-                    for pending, row in zip(live, result_rows):
-                        self._complete(pending, row, None)
-                    if self.health is not None:
-                        self.health.report_success(model)
-                else:
-                    for pending in live:
-                        self._complete(pending, None, error)
-                    if self.health is not None:
-                        self.health.report_failure(model, error)
+                if self.health is not None and error is None:
+                    self.health.report_success(model)
+                elif self.health is not None:
+                    self.health.report_failure(model, error)
+                self._release(finished)
         obs.counter("serve.batches", model=model)
         obs.histogram("serve.batch_size", len(live), model=model)
 
     def _forward(self, model: str, live: list[PendingRequest]) -> list[dict]:
         if self.fault is not None:
             self.fault("forward", (model,))
-        lengths = [pending.input_ids.size for pending in live]
-        width = max(lengths)
-        input_ids = np.zeros((len(live), width), dtype=np.int64)
-        attention_mask = np.zeros((len(live), width), dtype=np.int64)
-        token_type_ids = np.zeros((len(live), width), dtype=np.int64)
+        width = max(pending.input_ids.size for pending in live)
+        input_ids, attention_mask, token_type_ids = np.zeros(
+            (3, len(live), width), dtype=np.int64)
         for row, pending in enumerate(live):
             size = pending.input_ids.size
             input_ids[row, :size] = pending.input_ids
@@ -336,16 +389,10 @@ class MicroBatcher:
             version = entry.version
         pooled_rows = np.asarray(pooled.data, dtype=np.float64)
         now = time.perf_counter()
-        return [
-            {
-                "model": model,
-                "version": version,
-                "pooled": pooled_rows[row, :].tolist(),
-                "batch_size": len(live),
-                "latency_ms": round((now - pending.admitted_at) * 1000.0, 3),
-            }
-            for row, pending in enumerate(live)
-        ]
+        return [{"model": model, "version": version,
+                 "pooled": pooled_rows[row, :].tolist(), "batch_size": len(live),
+                 "latency_ms": round((now - pending.admitted_at) * 1000.0, 3)}
+                for row, pending in enumerate(live)]
 
     # -------------------------------------------------------------- watchdog
     def _watch(self) -> None:
@@ -353,54 +400,22 @@ class MicroBatcher:
             self.check_worker()
 
     def check_worker(self, now: float | None = None) -> str | None:
-        """One watchdog sweep: replace a wedged or dead worker.
-
-        Clock-injectable for tests (``now`` in ``time.perf_counter``
-        terms).  Returns the replacement reason (``"forward-timeout"`` /
-        ``"worker-died"``) or None when the worker is fine.
-        """
+        """One watchdog sweep: replace a wedged or dead worker.  ``now`` is
+        in ``time.perf_counter`` terms; returns the reason
+        (``"forward-timeout"`` / ``"worker-died"``) or None."""
         now = time.perf_counter() if now is None else now
-        with self._not_empty:
-            if self._stop:
+        with self._cond:
+            reason, fails = self._core.reap(now, self._worker.is_alive())
+            if reason is None:
                 return None
-            worker = self._worker
-            generation = self._generation
-        claimed = self._forwards.expire(now)
-        if claimed:
-            reason = "forward-timeout"
-        elif not worker.is_alive():
-            # The worker died outside close() — a BaseException escaped, or
-            # the interpreter killed the thread.  Fail whatever it had in
-            # flight and hand the queue to a fresh worker.
-            claimed = self._forwards.expire(math.inf)
-            reason = "worker-died"
-        else:
-            return None
-        for model, live in claimed:
-            if reason == "forward-timeout":
-                error = ForwardTimeoutError(
-                    f"forward for model {model!r} exceeded the "
-                    f"{self.forward_timeout:g}s forward timeout; the batch "
-                    f"worker was replaced"
-                )
-            else:
-                error = BatchWorkerError(
-                    "batch worker died mid-forward; the batch was failed and "
-                    "the worker replaced"
-                )
-            for pending in live:
-                self._complete(pending, None, error)
-            if self.health is not None:
-                self.health.report_failure(model, error)
-        with self._not_empty:
-            if self._stop or self._generation != generation:
-                return reason  # already replaced (or shutting down)
             self._worker = self._spawn_worker()
-            self._not_empty.notify_all()
-        obs.counter(
-            "serve.worker_replaced", reason=reason,
-            model=claimed[0][0] if claimed else None,
-        )
+            self._cond.notify_all()
+        for fail in fails:
+            if self.health is not None:
+                self.health.report_failure(fail.model, fail.error)
+            self._release(fail.requests)
+        obs.counter("serve.worker_replaced", reason=reason,
+                    model=fails[0].model if fails else None)
         return reason
 
     # -------------------------------------------------------------- shutdown
@@ -408,45 +423,30 @@ class MicroBatcher:
         """Stop the worker.  ``drain=True`` finishes queued requests first;
         ``drain=False`` fails them with :class:`ServeError`.
 
-        A worker that is already dead cannot drain, so its queue is failed
-        rather than left waiting out request deadlines; a worker that fails
-        to join within ``timeout`` raises :class:`ServeError` after failing
-        whatever it left queued (callers still tearing down other resources
-        should wrap this call).
+        Whatever a dead worker cannot drain is failed, not left to its
+        deadline; a worker that fails to join within ``timeout`` raises
+        :class:`ServeError` after that (callers still tearing down other
+        resources should wrap this call).
         """
         self._watchdog_stop.set()
-        with self._not_empty:
-            self._stop = True
+        with self._cond:
             worker = self._worker
-            if not drain or not worker.is_alive():
-                dropped = list(self._queue)
-                self._queue.clear()
-            else:
-                dropped = []
-            self._not_empty.notify_all()
+            alive = worker.is_alive()
+            dropped = self._core.close(drain and alive, ServeError(
+                "server shut down" if alive or not drain
+                else "batch worker died before shutdown; request abandoned"))
+            self._cond.notify_all()
+        self._release(dropped)
         self._watchdog.join(timeout=5.0)
-        shutdown_error = ServeError(
-            "server shut down" if drain is False or worker.is_alive()
-            else "batch worker died before shutdown; request abandoned"
-        )
-        for pending in dropped:
-            if self._claim(pending):
-                self._complete(pending, None, shutdown_error)
         worker.join(timeout=timeout)
+        # A worker that died mid-drain, or is wedged with no watchdog left
+        # to replace it, leaves a queue nobody will drain.
+        with self._cond:
+            stuck = self._core.close(False, ServeError(
+                "batch worker failed to drain; request abandoned"))
+        self._release(stuck)
         if worker.is_alive():
-            # Wedged mid-forward with no watchdog left to replace it: the
-            # queue will never drain, so fail it loudly instead of letting
-            # requests wait out their deadlines in silence.
-            with self._not_empty:
-                stuck = list(self._queue)
-                self._queue.clear()
-            for pending in stuck:
-                if self._claim(pending):
-                    self._complete(pending, None, ServeError(
-                        "batch worker failed to stop; request abandoned"
-                    ))
             obs.counter("serve.worker_join_timeouts")
             raise ServeError(
                 f"batch worker failed to stop within {timeout:g}s of close(); "
-                f"{len(stuck)} queued request(s) were failed"
-            )
+                f"{len(stuck)} queued request(s) were failed")

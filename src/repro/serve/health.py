@@ -33,8 +33,8 @@ While QUARANTINED, admission answers :class:`~repro.errors.
 ModelQuarantinedError` (→ 503 + ``Retry-After``) instead of letting every
 request reach a kernel that will 500 it.  All bookkeeping is
 clock-injectable (every method takes an optional ``now``) in the same style
-as :class:`~repro.jobs.watchdog.DeadlineLedger`, so the whole machine is
-testable without sleeping.  Every transition emits a
+as the batcher's :class:`~repro.serve.batcher.BatchCore`, so the whole
+machine is testable without sleeping.  Every transition emits a
 ``serve.health_transition`` counter event carrying ``from_state``/
 ``to_state``/``reason`` attrs.
 

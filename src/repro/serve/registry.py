@@ -42,6 +42,7 @@ from repro.models import (
     get_config,
 )
 from repro.models.quantized import attach_quantized_linears, resident_bytes
+from repro.nn import init
 from repro.obs import recorder as obs
 
 
@@ -163,7 +164,10 @@ def _build_entry(name: str, path: Path, config,
                 config = get_config(_infer_config(qmodel))
             elif isinstance(config, str):
                 config = get_config(config)
-            model = build_model(config, task="encoder", rng=0)
+            # Attach replaces every weight, so none is drawn only to be
+            # discarded (at BERT-base that is ~0.9 GB of float64).
+            with init.skip_draws():
+                model = build_model(config, task="encoder", rng=0)
             attach_quantized_linears(model, qmodel)
         except BaseException:
             # A failed build must not leak the archive reader the lazy load

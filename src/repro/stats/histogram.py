@@ -49,19 +49,3 @@ def weight_histogram(
         raise ShapeError("cannot histogram an empty array")
     counts, edges = np.histogram(flat, bins=bins, range=value_range)
     return Histogram(edges=edges, counts=counts)
-
-
-def layer_histograms(
-    named_weights: dict[str, np.ndarray],
-    bins: int = 100,
-) -> dict[str, Histogram]:
-    """Per-layer histograms over a common symmetric range (Figure 1b)."""
-    if not named_weights:
-        return {}
-    span = max(float(np.abs(w).max()) for w in named_weights.values())
-    if span == 0.0:
-        span = 1.0
-    return {
-        name: weight_histogram(w, bins=bins, value_range=(-span, span))
-        for name, w in named_weights.items()
-    }

@@ -1,7 +1,7 @@
 """Shared utilities: RNG handling, bit packing, table rendering, serialization."""
 
 from repro.utils.bitpack import pack_bits, packed_nbytes, unpack_bits
-from repro.utils.rng import derive_rng, ensure_rng, spawn_rngs
+from repro.utils.rng import derive_rng, ensure_rng
 from repro.utils.tables import format_table
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "format_table",
     "pack_bits",
     "packed_nbytes",
-    "spawn_rngs",
     "unpack_bits",
 ]

@@ -7,8 +7,6 @@ independent child generators so that experiments are reproducible end to end.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 RngLike = "int | np.random.Generator | None"
@@ -44,17 +42,3 @@ def derive_rng(rng: int | np.random.Generator | None, *tags: object) -> np.rando
             mix = np.uint64((int(mix) ^ byte) * 0x100000001B3 % (1 << 64))
     child_seed = int(base.integers(0, 2**63)) ^ int(mix)
     return np.random.default_rng(child_seed % (1 << 63))
-
-
-def spawn_rngs(rng: int | np.random.Generator | None, count: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``count`` independent child generators."""
-    base = ensure_rng(rng)
-    seeds = base.integers(0, 2**63, size=count)
-    return [np.random.default_rng(int(seed)) for seed in seeds]
-
-
-def seeded_permutation(rng: int | np.random.Generator | None, items: Iterable) -> list:
-    """Return ``items`` in a deterministic shuffled order under ``rng``."""
-    items = list(items)
-    order = ensure_rng(rng).permutation(len(items))
-    return [items[i] for i in order]

@@ -83,12 +83,6 @@ class TestCache:
         cache.save_state("clean", {"x": rng.normal(size=8)})
         assert [p.name for p in isolated_cache.iterdir()] == ["clean.npz"]
 
-    def test_clear_cache(self, rng):
-        cache.save_state("a", {"x": rng.normal(size=2)})
-        cache.save_state("b", {"x": rng.normal(size=2)})
-        assert cache.clear_cache() == 2
-        assert cache.load_state("a") is None
-
     def test_empty_key_rejected(self):
         with pytest.raises(Exception):
             cache.checkpoint_path("")

@@ -1,7 +1,5 @@
-"""Deadlines, the deadline ledger, cooperative checkpoints, and transient-retry helpers."""
+"""Deadlines, cooperative checkpoints, and transient-retry helpers."""
 
-import math
-import sys
 import threading
 import time
 
@@ -12,7 +10,6 @@ from repro.errors import LayerTimeoutError, QuantizationError
 from repro.jobs.retry import backoff_delay, is_transient
 from repro.jobs.watchdog import (
     Deadline,
-    DeadlineLedger,
     checkpoint,
     current_deadline,
     deadline_scope,
@@ -47,77 +44,6 @@ class TestDeadline:
     def test_none_scope_accepted(self):
         with deadline_scope(None):
             checkpoint()
-
-
-class TestDeadlineLedger:
-    def test_silence_is_relative_to_last_beat(self):
-        ledger = DeadlineLedger()
-        ledger.arm("a", 1.0, now=0.0)
-        ledger.arm("b", 1.0, now=0.0)
-        assert ledger.expire(now=0.5) == []
-        ledger.arm("b", 1.0, now=0.9)  # a beat re-arms from its own time
-        assert ledger.expire(now=1.5) == ["a"]
-        assert ledger.expire(now=2.5) == ["b"]
-
-    def test_disarm_claims_only_once(self):
-        ledger = DeadlineLedger()
-        ledger.arm("a", 1.0, now=0.0)
-        assert ledger.disarm("a")
-        assert not ledger.disarm("a")
-        assert not ledger.disarm("never-armed")
-        assert ledger.expire(now=10.0) == []
-
-    def test_expire_consumes(self):
-        ledger = DeadlineLedger()
-        ledger.arm("a", 1.0, now=0.0)
-        ledger.arm("forever", math.inf, now=0.0)
-        assert ledger.expire(now=1.0) == ["a"]
-        assert ledger.expire(now=1.0) == []
-        assert not ledger.disarm("a")  # the expirer owns it now
-        assert ledger.expire(now=math.inf) == ["forever"]
-
-    def test_concurrent_claims_are_exclusive(self):
-        """8 threads on 2 CPUs race disarm against expire over the same
-        1,000 keys: every key is claimed by exactly one of them."""
-        keys = range(1000)
-
-        def disarmer(ledger, start, out, order):
-            start.wait()
-            out.extend(key for key in order if ledger.disarm(key))
-
-        def expirer(ledger, start, out):
-            start.wait()
-            for _ in range(50):
-                out.extend(ledger.expire(now=math.inf))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):  # each round catches a lost claim most times
-                ledger = DeadlineLedger()
-                for key in keys:
-                    ledger.arm(key, 1.0, now=0.0)
-                claims: list[list] = [[] for _ in range(8)]
-                start = threading.Barrier(len(claims), timeout=30.0)
-                threads = [
-                    threading.Thread(target=expirer, args=(ledger, start, out))
-                    if index % 2
-                    else threading.Thread(
-                        target=disarmer,
-                        args=(ledger, start, out,
-                              keys if index % 4 == 0 else keys[::-1]),
-                    )
-                    for index, out in enumerate(claims)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30.0)
-                    assert not thread.is_alive()
-                claimed = [key for out in claims for key in out]
-                assert sorted(claimed) == list(keys)
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestEngineTimeout:

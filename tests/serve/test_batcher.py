@@ -1,4 +1,10 @@
-"""MicroBatcher: fusion, fan-out correctness, deadlines, shutdown."""
+"""MicroBatcher: fusion, fan-out correctness, deadlines, shutdown.
+
+The batching policy itself is tested on a hand-advanced clock in
+``test_batcher_core.py``; these tests run the threads.  Fusion is made
+certain, not timed: a gated forward holds the worker while the requests
+to fuse are queued behind it.
+"""
 
 from __future__ import annotations
 
@@ -35,25 +41,35 @@ def make_batcher(registry, *, window=0.02, max_batch=8, max_pending=64,
                         batch_window=window, max_batch=max_batch)
 
 
+def submit_behind_gate(batcher, sequences):
+    """Hold the worker in a forward of one lone request, queue
+    ``sequences`` behind it, then let it go; returns their results."""
+    entered, release = threading.Event(), threading.Event()
+    original_forward = batcher._forward
+
+    def gated_forward(model, live):
+        entered.set()
+        release.wait(10.0)
+        return original_forward(model, live)
+
+    batcher._forward = gated_forward
+    try:
+        blocker = batcher.submit("micro", [1, 2])
+        assert entered.wait(5.0), "the gated forward never started"
+        pending = [batcher.submit("micro", sequence) for sequence in sequences]
+    finally:
+        release.set()
+    assert batcher.wait(blocker)["batch_size"] == 1  # a lone request goes at once
+    return [batcher.wait(request) for request in pending]
+
+
 class TestFusion:
     def test_concurrent_requests_share_batches(self, registry):
         batcher = make_batcher(registry, window=0.05, max_batch=16)
         try:
-            results = [None] * 12
-            barrier = threading.Barrier(12)
-
-            def call(index):
-                barrier.wait()
-                pending = batcher.submit("micro", [1 + index % 5, 2, 3])
-                results[index] = batcher.wait(pending)
-
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(12)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            sizes = {result["batch_size"] for result in results}
-            assert max(sizes) > 1, "no fusion happened across concurrent requests"
+            results = submit_behind_gate(
+                batcher, [[1 + index % 5, 2, 3] for index in range(12)])
+            assert [result["batch_size"] for result in results] == [12] * 12
             assert all(result["model"] == "micro" for result in results)
         finally:
             batcher.close()
@@ -64,23 +80,8 @@ class TestFusion:
         batcher = make_batcher(registry, window=0.05, max_batch=8)
         try:
             sequences = [[1, 2, 3, 4, 5, 6, 7], [8, 9], [10, 11, 12]]
-            results = [None] * len(sequences)
-            barrier = threading.Barrier(len(sequences))
-
-            def call(index):
-                barrier.wait()
-                pending = batcher.submit("micro", sequences[index])
-                results[index] = batcher.wait(pending)
-
-            threads = [
-                threading.Thread(target=call, args=(i,))
-                for i in range(len(sequences))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert max(result["batch_size"] for result in results) > 1
+            results = submit_behind_gate(batcher, sequences)
+            assert [result["batch_size"] for result in results] == [3, 3, 3]
             entry = registry.get("micro")
             for sequence, result in zip(sequences, results):
                 _, pooled = entry.model(np.array([sequence]))
@@ -94,20 +95,9 @@ class TestFusion:
     def test_max_batch_caps_fusion(self, registry):
         batcher = make_batcher(registry, window=0.2, max_batch=2)
         try:
-            results = [None] * 6
-            barrier = threading.Barrier(6)
-
-            def call(index):
-                barrier.wait()
-                pending = batcher.submit("micro", [1, 2, 3])
-                results[index] = batcher.wait(pending)
-
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert max(result["batch_size"] for result in results) <= 2
+            results = submit_behind_gate(batcher, [[1, 2, 3]] * 6)
+            # Full batches go without waiting out the 200 ms window.
+            assert [result["batch_size"] for result in results] == [2] * 6
         finally:
             batcher.close()
 
@@ -181,11 +171,12 @@ class TestDeadlines:
             pending = batcher.submit("micro", [1, 2, 3])
             with pytest.raises(RequestTimeoutError):
                 batcher.wait(pending)
-            release.set()
-            deadline = time.time() + 5.0
-            while batcher.admission.depth and time.time() < deadline:
-                time.sleep(0.01)
             assert batcher.admission.depth == 0
+            # The forward finishing late must not release the slot again.
+            release.set()
+            batcher.close()
+            assert batcher.admission.depth == 0
+            assert pending.result is None
         finally:
             release.set()
             batcher.close()
@@ -193,11 +184,12 @@ class TestDeadlines:
     def test_expired_in_queue_skipped_at_dequeue(self, registry):
         """A request nobody is waiting on anymore gets dropped when the
         worker reaches it, not computed into a dead batch."""
-        batcher = make_batcher(registry, window=0.01, timeout=0.05, max_pending=8)
-        stall = threading.Event()
+        batcher = make_batcher(registry, window=0.01, max_pending=8)
+        entered, stall = threading.Event(), threading.Event()
         original_forward = batcher._forward
 
         def gated_forward(model, live):
+            entered.set()
             stall.wait(5.0)
             return original_forward(model, live)
 
@@ -205,16 +197,14 @@ class TestDeadlines:
         try:
             with obs.scope() as trace:
                 first = batcher.submit("micro", [1, 2])
-                time.sleep(0.05)  # the worker is now stalled, batching `first`
+                assert entered.wait(5.0)  # the worker is stalled on `first`
                 second = batcher.submit("micro", [3, 4])  # queued behind it
-                time.sleep(0.1)  # second's deadline passes in the queue
+                second.deadline = time.perf_counter()  # expires in the queue
                 stall.set()
                 # Let the worker reach `second` before asking for it, so the
                 # dequeue-time expiry path (not the handler-side timeout) is
                 # what resolves it.
-                poll_deadline = time.time() + 5.0
-                while not second.done.is_set() and time.time() < poll_deadline:
-                    time.sleep(0.005)
+                assert second.done.wait(5.0)
                 # first completes (late but computed)...
                 assert batcher.wait(first)["model"] == "micro"
                 # ...second was dropped at dequeue with the 504 error.

@@ -49,6 +49,31 @@ class TestRegister:
         _, expected = reference(input_ids)
         np.testing.assert_allclose(pooled.data, expected.data, rtol=1e-12, atol=1e-12)
 
+    def test_register_draws_no_weight(self, micro_archive, monkeypatch):
+        """Attach replaces every weight, so the build draws none; the served
+        forward is bit-identical to attaching onto a drawn model."""
+        from repro.core.serialization import load_quantized_model
+        from repro.models import build_model
+        from repro.models.quantized import attach_quantized_linears
+
+        reference = attach_quantized_linears(
+            build_model(MICRO_CONFIG, task="encoder", rng=0),
+            load_quantized_model(micro_archive),
+        )
+
+        def no_draws(rng):
+            raise AssertionError("register drew a random weight")
+
+        monkeypatch.setattr("repro.nn.init.ensure_rng", no_draws)
+        registry = ModelRegistry()
+        try:
+            entry = registry.register("micro", micro_archive, config=MICRO_CONFIG)
+            input_ids = np.array([[1, 2, 3, 4, 5], [6, 7, 8, 0, 0]])
+            np.testing.assert_array_equal(
+                entry.model(input_ids)[1].data, reference(input_ids)[1].data)
+        finally:
+            registry.close()
+
     def test_register_decodes_nothing(self, micro_archive):
         """The embedding tables stay compressed too: loading a model makes
         no dequantize call, and its load span reports its resident bytes."""

@@ -238,9 +238,10 @@ class TestAdmission:
         registry = ModelRegistry()
         registry.register("micro", micro_archive, config=MICRO_CONFIG)
         count = 10
-        # max_batch above the burst size keeps each batch open for the whole
-        # 50 ms window, so the admitted requests stay pending while the rest
-        # of the burst arrives, however fast the forward itself is.
+        # Once requests queue behind the first one's forward, max_batch above
+        # the burst size keeps each batch open for the whole 50 ms window, so
+        # the admitted requests stay pending while the rest of the burst
+        # arrives, however fast the forward itself is.
         server = QuantServer(
             registry, port=0, batch_window=0.05, max_batch=count,
             max_pending=2, request_timeout=30.0,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import sys
 import threading
 import time
 
@@ -29,13 +31,6 @@ def make_batcher(registry, *, forward_timeout=None, health=None, fault=None,
     return MicroBatcher(registry, admission, batch_window=0.005, max_batch=8,
                         forward_timeout=forward_timeout, health=health,
                         fault=fault)
-
-
-def wait_for(predicate, timeout: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "condition never became true"
-        time.sleep(0.005)
 
 
 class TestForwardTimeout:
@@ -118,13 +113,59 @@ class TestForwardTimeout:
             batcher.close()
 
 
+class TestClaimRace:
+    def test_complete_and_reap_race_claims_each_batch_once(self, registry):
+        """8 clients on 2 CPUs, a sweep reaping every in-flight forward, and
+        a tiny switch interval: the worker completing a batch races the
+        watchdog claiming it, yet every request ends once, with its own row
+        or the timeout, and every admission slot comes back exactly once."""
+        batcher = make_batcher(registry, forward_timeout=60.0)
+        batcher._watchdog_stop.set()  # only the racing sweep below reaps
+        batcher._watchdog.join(timeout=5.0)
+        batcher._forward = lambda model, live: [{"row": id(p)} for p in live]
+        releases, original_release = [], batcher.admission.release
+        batcher.admission.release = lambda: (releases.append(1), original_release())
+        outcomes, stop = [], threading.Event()
+
+        def client():
+            for _ in range(25):
+                pending = batcher.submit("micro", [1, 2])
+                try:
+                    outcomes.append(batcher.wait(pending)["row"] == id(pending))
+                except ForwardTimeoutError:
+                    outcomes.append(pending.result is None)
+
+        def sweep():
+            while not stop.is_set():
+                batcher.check_worker(now=math.inf)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            sweeper = threading.Thread(target=sweep)
+            for thread in [*clients, sweeper]:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        sweeper.join(timeout=10.0)
+        assert not sweeper.is_alive()
+        batcher.close()
+        assert outcomes == [True] * 200
+        assert len(releases) == 200 and batcher.admission.depth == 0
+
+
 class TestDeadWorker:
     # The injected SystemExit escaping a worker thread is the point of the
     # test; silence pytest's unhandled-thread-exception report for it.
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_dead_worker_detected_and_replaced(self, registry):
-        """A BaseException (which _run_group's Exception guard cannot catch)
+        """A BaseException (which _run_batch's Exception guard cannot catch)
         kills the worker thread; the watchdog fails its batch and respawns."""
         batcher = make_batcher(registry)
         original_forward = batcher._forward
@@ -162,7 +203,8 @@ class TestCloseWithBrokenWorker:
 
         batcher._forward = lethal_forward
         pending = batcher.submit("micro", [1, 2, 3])
-        wait_for(lambda: not batcher._worker.is_alive())
+        batcher._worker.join(5.0)
+        assert not batcher._worker.is_alive()
         queued = batcher.submit("micro", [4, 5])  # nobody will ever drain this
         batcher.close(drain=True)
         with pytest.raises(ServeError, match="abandoned"):
@@ -187,7 +229,7 @@ class TestCloseWithBrokenWorker:
         batcher._forward = wedged_forward
         try:
             inflight = batcher.submit("micro", [1, 2, 3])
-            wait_for(lambda: inflight.started.is_set())
+            assert inflight.started.wait(5.0)
             queued = batcher.submit("micro", [4, 5])
             with obs.scope() as trace:
                 with pytest.raises(ServeError, match="failed to stop"):

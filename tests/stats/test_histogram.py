@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.stats.histogram import layer_histograms, weight_histogram
+from repro.stats.histogram import weight_histogram
 
 
 class TestWeightHistogram:
@@ -34,22 +34,3 @@ class TestWeightHistogram:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             weight_histogram(np.array([]))
-
-
-class TestLayerHistograms:
-    def test_common_range(self, rng):
-        layers = {"a": rng.normal(0, 0.01, 1000), "b": rng.normal(0, 0.1, 1000)}
-        hists = layer_histograms(layers, bins=20)
-        np.testing.assert_array_equal(hists["a"].edges, hists["b"].edges)
-
-    def test_symmetric_range(self, rng):
-        hists = layer_histograms({"x": rng.normal(size=100)}, bins=8)
-        edges = hists["x"].edges
-        assert edges[0] == pytest.approx(-edges[-1])
-
-    def test_empty_dict(self):
-        assert layer_histograms({}) == {}
-
-    def test_all_zero_weights(self):
-        hists = layer_histograms({"z": np.zeros(10)}, bins=4)
-        assert hists["z"].total == 10

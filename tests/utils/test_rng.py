@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_rng, ensure_rng, seeded_permutation, spawn_rngs
+from repro.utils.rng import derive_rng, ensure_rng
 
 
 class TestEnsureRng:
@@ -42,27 +42,3 @@ class TestDeriveRng:
         a = derive_rng(0, "x").random(4)
         b = derive_rng(1, "x").random(4)
         assert not np.array_equal(a, b)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_children_independent(self):
-        children = spawn_rngs(0, 2)
-        assert not np.array_equal(children[0].random(8), children[1].random(8))
-
-    def test_deterministic(self):
-        a = [g.random() for g in spawn_rngs(9, 3)]
-        b = [g.random() for g in spawn_rngs(9, 3)]
-        assert a == b
-
-
-class TestSeededPermutation:
-    def test_is_permutation(self):
-        items = list(range(20))
-        shuffled = seeded_permutation(3, items)
-        assert sorted(shuffled) == items
-
-    def test_deterministic(self):
-        assert seeded_permutation(3, range(10)) == seeded_permutation(3, range(10))

@@ -51,6 +51,8 @@ compressed archive costs without a prepared kernel.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.quantizer import GoboQuantizedTensor
@@ -223,7 +225,7 @@ class LookupKernel:
             )
         dtype = _compute_dtype(x)
         lead = x.shape[:-1]
-        rows = int(np.prod(lead)) if lead else 1
+        rows = math.prod(lead)
         x2 = np.ascontiguousarray(x.reshape(rows, self.in_features), dtype=dtype)
         y = np.empty((rows, self.out_features), dtype=dtype)
 

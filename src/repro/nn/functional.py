@@ -14,8 +14,13 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian Error Linear Unit (tanh approximation, as in the BERT release)."""
-    inner = _SQRT_2_OVER_PI * (x.data + 0.044715 * x.data**3)
-    t = np.tanh(inner)
+    # Cube by multiplication: numpy's x**3 runs a slow scalar pow on negative bases.
+    inner = np.multiply(x.data, x.data, out=np.empty_like(x.data))  # an array, even 0-d
+    inner *= x.data
+    inner *= 0.044715
+    inner += x.data
+    inner *= _SQRT_2_OVER_PI
+    t = np.tanh(inner, out=inner)
     out = x._make_child(0.5 * x.data * (1.0 + t), (x,))
 
     def backward() -> None:
@@ -69,10 +74,11 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-12) -> T
             f"layer_norm params must match last dim {x.shape[-1]}, "
             f"got weight {weight.shape}, bias {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # Centre once: np.var's second pass is the mean square of this array.
+    x_hat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(x_hat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mu) * inv_std
+    x_hat *= inv_std
     out = x._make_child(x_hat * weight.data + bias.data, (x, weight, bias))
 
     def backward() -> None:

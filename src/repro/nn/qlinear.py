@@ -87,7 +87,11 @@ class QuantizedLinear(Module):
                 "models); call model.eval() before the forward pass"
             )
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        return Tensor(self.kernel.matmul(data) + self.bias.data)
+        # The kernel's output is fresh (and float64 unless x was float32), so
+        # the bias goes in place.
+        y = self.kernel.matmul(data).astype(np.float64, copy=False)
+        y += self.bias.data
+        return Tensor(y)
 
     def compression_ratio(self) -> float:
         return self.tensor.compression_ratio()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import threading
 
-from repro.errors import QueueFullError
+from repro.errors import QueueFullError, ServeError
 from repro.obs import recorder as obs
 
 
@@ -81,8 +81,13 @@ class AdmissionController:
         obs.gauge("serve.queue_depth", depth)
 
     def release(self) -> None:
-        """Return a slot (request completed, expired, or failed)."""
+        """Return a slot (request completed, expired, or failed).  Raises
+        :class:`ServeError`, leaving the depth at 0, when no slot is held:
+        a slot released twice would over-grant the next admission."""
         with self._lock:
-            self._depth = max(0, self._depth - 1)
+            if self._depth == 0:
+                raise ServeError("admission slot released with none held "
+                                 "(a request released its slot twice)")
+            self._depth -= 1
             depth = self._depth
         obs.gauge("serve.queue_depth", depth)

@@ -25,6 +25,8 @@ deadline, so completing a batch and reaping it are one claim.
   :class:`~repro.errors.BatchWorkerError`), reports it to the health
   monitor, and starts a new worker generation.  A superseded worker that
   un-wedges finds its batch claimed, discards its late results and exits.
+  Once :meth:`~MicroBatcher.close` has stopped the watchdog, it fails a
+  dead worker's batch itself.
 * Spans: :meth:`wait` nests ``serve.queue_wait`` (admission → batch start)
   in the handler's ``serve.request`` span; ``serve.batch`` runs under the
   context of the batch's first request.
@@ -151,7 +153,7 @@ class BatchCore:
     def complete(self, batch: Batch, results: list | None,
                  error: Exception | None = None) -> list | None:
         """The forward of ``batch`` returned ``results`` or raised ``error``:
-        the requests it finished, or None if the watchdog claimed it first."""
+        the requests it finished, or None if a reap or close claimed it first."""
         if self.inflight.pop(batch, None) is None:
             return None
         return self._finish(batch.requests, results, error)
@@ -192,15 +194,25 @@ class BatchCore:
         request.state = ABANDONED
         return True
 
-    def close(self, drain: bool, error: Exception) -> list:
-        """Stop taking requests.  ``drain`` leaves the rest to the worker;
-        otherwise every request not yet forwarded is finished with
-        ``error``, and those are returned."""
+    def close(self, drain: bool, error: Exception,
+              worker_alive: bool = True) -> list:
+        """Stop taking requests; returns the requests this finished.  No
+        reap runs after this, so the in-flight batches of a worker that is
+        dead (or given up on) are claimed and failed here.  ``drain``
+        leaves the queue to a live worker; otherwise every request not yet
+        forwarded is finished with ``error``."""
         self.stopping = True
-        if drain:
-            return []
+        finished = []
+        if not worker_alive:
+            died = BatchWorkerError("batch worker died or wedged at shutdown; "
+                                    "the batch was failed")
+            for batch in self.inflight:
+                finished += self._finish(batch.requests, error=died)
+            self.inflight = {}
+        if drain and worker_alive:
+            return finished
         waiting, self.taken, self.queue = [*self.taken, *self.queue], [], deque()
-        return self._finish(waiting, error=error)
+        return finished + self._finish(waiting, error=error)
 
     @staticmethod
     def _finish(requests: list, results: list | None = None,
@@ -363,7 +375,7 @@ class MicroBatcher:
                 with self._cond:
                     finished = self._core.complete(batch, result_rows, error)
                 if finished is None:
-                    return  # claimed: the watchdog failed + reported this batch
+                    return  # claimed: the watchdog or close() failed this batch
                 if self.health is not None and error is None:
                     self.health.report_success(model)
                 elif self.health is not None:
@@ -423,8 +435,10 @@ class MicroBatcher:
         """Stop the worker.  ``drain=True`` finishes queued requests first;
         ``drain=False`` fails them with :class:`ServeError`.
 
-        Whatever a dead worker cannot drain is failed, not left to its
-        deadline; a worker that fails to join within ``timeout`` raises
+        No request is left to its deadline: whatever a dead worker cannot
+        drain is failed, and the in-flight batch of a worker that died or
+        fails to join within ``timeout`` fails with
+        :class:`BatchWorkerError`.  A worker that fails to join raises
         :class:`ServeError` after that (callers still tearing down other
         resources should wrap this call).
         """
@@ -432,21 +446,21 @@ class MicroBatcher:
         with self._cond:
             worker = self._worker
             alive = worker.is_alive()
-            dropped = self._core.close(drain and alive, ServeError(
+            dropped = self._core.close(drain, ServeError(
                 "server shut down" if alive or not drain
-                else "batch worker died before shutdown; request abandoned"))
+                else "batch worker died before shutdown; request abandoned"), alive)
             self._cond.notify_all()
         self._release(dropped)
         self._watchdog.join(timeout=5.0)
         worker.join(timeout=timeout)
-        # A worker that died mid-drain, or is wedged with no watchdog left
-        # to replace it, leaves a queue nobody will drain.
+        # The worker exited, died mid-drain, or is wedged with no watchdog
+        # left to replace it: nothing it holds or left queued will finish.
         with self._cond:
             stuck = self._core.close(False, ServeError(
-                "batch worker failed to drain; request abandoned"))
+                "batch worker failed to drain; request abandoned"), worker_alive=False)
         self._release(stuck)
         if worker.is_alive():
             obs.counter("serve.worker_join_timeouts")
             raise ServeError(
                 f"batch worker failed to stop within {timeout:g}s of close(); "
-                f"{len(stuck)} queued request(s) were failed")
+                f"{len(stuck)} request(s) were failed")

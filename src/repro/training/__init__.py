@@ -1,6 +1,5 @@
-"""Fine-tuning: optimizers, schedules, losses, trainer, distillation."""
+"""Fine-tuning: optimizers, schedules, losses, trainer."""
 
-from repro.training.distill import DistillationTrainer, soft_cross_entropy
 from repro.training.losses import cross_entropy, mse, span_loss
 from repro.training.optim import SGD, Adam, Optimizer
 from repro.training.schedule import ConstantSchedule, LinearWarmupSchedule
@@ -9,7 +8,6 @@ from repro.training.trainer import Trainer, TrainingLog, evaluate
 __all__ = [
     "Adam",
     "ConstantSchedule",
-    "DistillationTrainer",
     "LinearWarmupSchedule",
     "Optimizer",
     "SGD",
@@ -18,6 +16,5 @@ __all__ = [
     "cross_entropy",
     "evaluate",
     "mse",
-    "soft_cross_entropy",
     "span_loss",
 ]

@@ -212,8 +212,19 @@ def test_gathered_rows_equal_the_decoded_rows(case, id_rows, id_cols):
     weights[row, 0], weights[row, -1] = 1.0, -1.0
     aux = np.array(1 + seed % 7) if method == "qbert-group" else None
     tensor, _ = quantize_tensor(weights, bits=bits, method=method, aux=aux)
-    if tensor.outlier_positions.size:
-        assert {row * cols, row * cols + cols - 1} <= set(tensor.outlier_positions.tolist())
+    planted = (row * cols, row * cols + cols - 1)
+    outliers = set(tensor.outlier_positions.tolist())
+    if method in ("gobo", "kmeans", "linear"):
+        # Eq. 1 fits the Gaussian to every weight, the planted ones included,
+        # so in a small tensor a planted value can score above -4 and stay in
+        # the G group (+1.0 scores -3.63 in the 4x4 seed-140440478 tensor).
+        flat = weights.ravel()
+        z = (flat - flat.mean()) / flat.std()
+        log_pdf = -0.5 * (z * z + np.log(2 * np.pi)) - np.log(flat.std())
+        assert {p for p in planted if log_pdf[p] < -4 - 1e-9} <= outliers
+        assert not {p for p in planted if log_pdf[p] > -4 + 1e-9} & outliers
+    else:
+        assert not outliers
     # Drawn with replacement from a few rows: duplicates, unsorted, 2-D.
     ids = np.random.default_rng(seed ^ 0x1D5).integers(0, rows, size=(id_rows, id_cols))
     ids[0, 0] = row

@@ -1,5 +1,8 @@
 """Tests for composite differentiable ops."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ class TestGelu:
     def test_matches_reference_points(self):
         out = F.gelu(Tensor(np.array([0.0, 1.0, -1.0])))
         np.testing.assert_allclose(out.data, [0.0, 0.8412, -0.1588], atol=1e-3)
+        np.testing.assert_allclose(F.gelu(Tensor(1.0)).data, 0.8412, atol=1e-3)  # 0-d
 
     def test_gradient(self, rng):
         assert_autograd_matches(lambda t: F.gelu(t).sum(), rng.normal(size=8), atol=1e-5)
@@ -21,6 +25,32 @@ class TestGelu:
         x = np.linspace(1, 5, 20)
         out = F.gelu(Tensor(x)).data
         assert np.all(np.diff(out) > 0)
+
+    @pytest.mark.parametrize("scale", [0.01, 0.1, 1.0, 10.0, 100.0])
+    def test_within_eps_of_the_pow_form(self, rng, scale):
+        """Cubing by multiplication instead of ``x**3`` moves the output by
+        at most a few ulps of the input."""
+        x = rng.normal(scale=scale, size=20_000)
+        inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)
+        reference = 0.5 * x * (1.0 + np.tanh(inner))
+        out = F.gelu(Tensor(x)).data
+        assert np.all(np.abs(out - reference) <= 4 * np.finfo(float).eps * np.abs(x))
+
+    def test_costs_a_few_tanh(self, rng):
+        """GELU on a BERT-shaped, mixed-sign activation stays within 15x one
+        ``np.tanh`` of it (``x**3`` made it ~40x: numpy's pow is a slow
+        scalar loop for negative bases)."""
+        x = rng.normal(size=(8, 32, 128))
+        t = Tensor(x)
+        gelu_s, tanh_s = [], []
+        for _ in range(20):
+            start = time.perf_counter()
+            F.gelu(t)
+            middle = time.perf_counter()
+            np.tanh(x)
+            gelu_s.append(middle - start)
+            tanh_s.append(time.perf_counter() - middle)
+        assert min(gelu_s) <= 15 * min(tanh_s)
 
 
 class TestSoftmax:
@@ -87,6 +117,31 @@ class TestLayerNorm:
         x = Tensor(rng.normal(size=(2, 6)))
         with pytest.raises(ShapeError):
             F.layer_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(6)))
+
+    def test_equals_the_two_pass_var_form_exactly(self, rng):
+        """Centring once gives np.var's numbers bit for bit: the output and
+        all three gradients, over random shapes, offsets and scales."""
+        for _ in range(50):
+            shape = tuple(rng.integers(1, 5, size=rng.integers(0, 3))) + (
+                int(rng.integers(1, 65)),)
+            data = rng.normal(rng.normal(scale=100.0), 10.0 ** rng.uniform(-3, 3), shape)
+            n = shape[-1]
+            w, b, upstream = rng.normal(1.0, 0.1, n), rng.normal(size=n), rng.normal(size=shape)
+            x = Tensor(data, requires_grad=True)
+            weight, bias = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+            out = F.layer_norm(x, weight, bias)
+            (out * Tensor(upstream)).sum().backward()
+
+            mu = data.mean(axis=-1, keepdims=True)
+            inv_std = 1.0 / np.sqrt(data.var(axis=-1, keepdims=True) + 1e-12)
+            x_hat = (data - mu) * inv_std
+            g = upstream * w
+            dx = inv_std * (g - g.mean(axis=-1, keepdims=True)
+                            - x_hat * (g * x_hat).mean(axis=-1, keepdims=True))
+            assert np.array_equal(out.data, x_hat * w + b)
+            assert np.array_equal(weight.grad, (upstream * x_hat).reshape(-1, n).sum(axis=0))
+            assert np.array_equal(bias.grad, upstream.reshape(-1, n).sum(axis=0))
+            assert np.array_equal(x.grad, dx)
 
 
 class TestEmbeddingLookup:

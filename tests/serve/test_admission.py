@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import QueueFullError
+from repro.errors import QueueFullError, ServeError
 from repro.serve import AdmissionController
 
 
@@ -29,8 +29,20 @@ class TestBound:
 
     def test_release_never_goes_negative(self):
         admission = AdmissionController(max_pending=2, request_timeout=1.0)
-        admission.release()
+        with pytest.raises(ServeError, match="released"):
+            admission.release()
         assert admission.depth == 0
+
+    def test_double_release_is_seen(self):
+        admission = AdmissionController(max_pending=1, request_timeout=1.0)
+        admission.admit()
+        admission.release()
+        with pytest.raises(ServeError, match="twice"):
+            admission.release()
+        # The gate still holds its bound: one slot, not two.
+        admission.admit()
+        with pytest.raises(QueueFullError):
+            admission.admit()
 
 
 class TestRetryAfter:

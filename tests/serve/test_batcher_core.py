@@ -211,8 +211,9 @@ class World:
     deadline, the worker takes its next move or returns from a forward,
     the clock passes a window, a forward wedges past its timeout (the
     watchdog reaps it and the wedged worker may return later), the worker
-    dies (the watchdog notices), and ``close`` runs, then fails what is
-    left once the worker exits, dies or outlives the join timeout.
+    dies (the watchdog notices, or ``close`` does once the watchdog has
+    stopped), and ``close`` runs, then fails what is left, in flight too,
+    once the worker exits, dies or outlives the join timeout.
     """
 
     def __init__(self, models, timeout_index, hang, die, drain):
@@ -225,7 +226,6 @@ class World:
         self.submitted = 0
         self.worker = "awake"  # | ("asleep", until) | Batch | "dead" | "exited"
         self.zombie = None  # the batch a superseded, wedged worker still holds
-        self.dead_batch = None  # the batch a dead worker held
         self.hang, self.die, self.drain = hang, die, drain
         self.closed = self.joined = False
         self.handlers_done: set[int] = set()
@@ -256,7 +256,6 @@ class World:
         return (
             self.now, self.submitted, worker(self.worker),
             None if self.zombie is None else ids(self.zombie.requests),
-            None if self.dead_batch is None else ids(self.dead_batch.requests),
             self.hang, self.die, self.closed, self.joined,
             tuple(sorted(self.handlers_done)), self.admitted, self.released,
             tuple(tuple(v) for v in self.finishes.values()),
@@ -339,24 +338,23 @@ class World:
             self.finish(finished or [], "late result")
         elif move == "die":
             self.die = False
-            if isinstance(self.worker, Batch):
-                self.dead_batch = self.worker
-            self.worker = "dead"
+            self.worker = "dead"  # its batch, if any, stays in flight
         elif move == "reap-dead":
             reason, fails = self.core.reap(self.now, worker_alive=False)
             assert reason == "worker-died"
-            self.worker, self.dead_batch = "awake", None
+            self.worker = "awake"
             for fail in fails:
                 self.finish(fail.requests, "worker-died")
         elif move == "close":
             self.closed = True
             alive = self.worker not in ("dead", "exited")
-            failed = self.core.close(self.drain and alive, ServeError("shut down"))
-            self.finish(failed, "shut down")
+            for request in self.core.close(self.drain, ServeError("shut down"), alive):
+                died = isinstance(request.error, BatchWorkerError)
+                self.finish([request], "worker-died" if died else "shut down")
             self.wake()
         elif move == "join":
             self.joined = True
-            self.finish(self.core.close(False, ServeError("left")), "left")
+            self.finish(self.core.close(False, ServeError("left"), worker_alive=False), "left")
         elif move.startswith("deadline-"):
             self.now = max(self.now, self.requests[int(move.split("-")[1])].deadline)
         elif move.startswith("give-up-"):
@@ -370,16 +368,8 @@ class World:
     # ------------------------------------------------------------- invariants
     def check_final(self) -> set[str]:
         """Check a state with no moves left; return how requests finished."""
-        # A request in a dead worker's forward, with close() having stopped
-        # the watchdog first, resolves only through its handler's deadline.
-        stranded = set()
-        if self.dead_batch is not None:
-            stranded = {r.index for r in self.dead_batch.requests}
         for request in self.requests:
-            if not self.finishes[request.index]:
-                assert request.index in stranded, f"{request} never finished"
-                assert self.core.abandon(request)
-                self.finish([request], "abandoned")
+            assert self.finishes[request.index], f"{request} never finished"
         assert self.released == self.admitted == len(self.requests)
         outcomes = set()
         for request in self.requests:
@@ -444,8 +434,8 @@ class TestExhaustiveSchedules:
         expected = {"result", "expired", "abandoned", "rejected"}
         expected |= {"forward-timeout"} if hang else set()
         expected |= {"worker-died"} if die else set()
-        # close() fails the queue unless a live worker drains it, and the
-        # worker leaves requests behind only if it stops mid-drain.
+        # close() fails the queue unless a live worker drains it, and fails
+        # whatever a worker that stops or outlives the join leaves behind.
         expected |= {"shut down"} if die or not drain else set()
-        expected |= {"left"} if drain else set()
+        expected |= {"left"}
         assert outcomes == expected

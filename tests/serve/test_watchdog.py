@@ -209,10 +209,46 @@ class TestCloseWithBrokenWorker:
         batcher.close(drain=True)
         with pytest.raises(ServeError, match="abandoned"):
             batcher.wait(queued)
-        # The in-flight request died with the worker and (watchdog disabled)
-        # resolves through the handler-side deadline.
-        with pytest.raises(ServeError):
+        # The in-flight request died with the worker: close() fails it.
+        with pytest.raises(BatchWorkerError, match="died"):
             batcher.wait(pending)
+        assert batcher.admission.depth == 0
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_close_fails_the_dead_workers_batch_before_its_deadline(self, registry):
+        """The worker dies mid-forward just before shutdown, with no sweep
+        left to see it: close() fails the batch, so the waiting handler
+        gets BatchWorkerError at once instead of at its 10 s deadline."""
+        batcher = make_batcher(registry, timeout=10.0)
+        batcher._watchdog_stop.set()
+        batcher._watchdog.join(timeout=5.0)
+        assert not batcher._watchdog.is_alive()
+
+        def lethal_forward(model, live):
+            raise SystemExit("injected worker death")
+
+        batcher._forward = lethal_forward
+        pending = batcher.submit("micro", [1, 2, 3])
+        assert pending.started.wait(5.0)
+        batcher._worker.join(5.0)
+        assert not batcher._worker.is_alive()
+        outcomes = []
+
+        def handler():
+            try:
+                batcher.wait(pending)
+            except BatchWorkerError as exc:
+                outcomes.append((exc, time.perf_counter()))
+
+        waiting = threading.Thread(target=handler)
+        waiting.start()
+        batcher.close()
+        waiting.join(timeout=5.0)
+        assert not waiting.is_alive()
+        [(error, at)] = outcomes
+        assert "died" in str(error)
+        assert pending.deadline - at > 5.0
         assert batcher.admission.depth == 0
 
     def test_close_join_timeout_raises_and_fails_queue(self, registry):

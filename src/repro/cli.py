@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quantize.add_argument(
         "--workers", type=int, default=None,
-        help="engine workers: N, 0 for all cores; default REPRO_WORKERS or 1",
+        help="engine workers: N, 0 for one per CPU this process may use; "
+        "default REPRO_WORKERS or 1",
     )
     quantize.add_argument(
         "--report", action="store_true", help="print the per-layer timing report"

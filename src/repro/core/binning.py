@@ -5,6 +5,13 @@ into ``2^bits`` bins of equal population; each bin's mean is its initial
 centroid.  Dense regions of the distribution therefore receive more
 centroids — the property that makes the subsequent L1 iteration converge in a
 handful of steps.
+
+:func:`assign_to_centroids` is a layer's final O(n) assignment: the index of
+a value is the number of midpoints between adjacent centroids that it lies
+above, counted with one vectorized comparison per midpoint over
+cache-sized blocks.  On a large layer that is several times faster than a
+``searchsorted`` of every value at 1-6 bits and no slower at 8; it gives
+the same index for every value, NaN included.
 """
 
 from __future__ import annotations
@@ -72,6 +79,12 @@ def linear_centroids(values: np.ndarray, num_bins: int) -> np.ndarray:
     return lo + step * (np.arange(num_bins) + 0.5)
 
 
+#: Values per block of the O(n) passes that run block by block (the count
+#: here, the prefix build's error pass in :mod:`repro.core.clustering`): a
+#: block and its scratch arrays stay in cache across the pass's operations.
+CACHE_BLOCK = 1 << 15
+
+
 def assign_to_centroids(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the nearest centroid for each value.
 
@@ -79,6 +92,14 @@ def assign_to_centroids(values: np.ndarray, centroids: np.ndarray) -> np.ndarray
     centroid under L1 and L2 coincide, so the assignment step is shared by
     GOBO's L1 iteration and the K-Means baseline; the two differ in their
     stopping rule (see :mod:`repro.core.clustering`).
+
+    A value's index is the number of midpoints between adjacent centroids
+    that it lies above, so a value on a midpoint takes the lower centroid,
+    as ``np.searchsorted(midpoints, values, side="left")`` gives.  It is
+    counted block by block, as the number of midpoints minus those a value
+    is at or below: NaN is at or below none, so it lands above them all,
+    where ``searchsorted`` sorts it.  The counters are ``uint8`` up to 256
+    centroids (8 bits); the cost grows with the number of centroids.
     """
     flat = np.asarray(values, dtype=np.float64).ravel()
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -87,4 +108,16 @@ def assign_to_centroids(values: np.ndarray, centroids: np.ndarray) -> np.ndarray
     if centroids.size == 1:
         return np.zeros(flat.size, dtype=np.int64)
     midpoints = (centroids[:-1] + centroids[1:]) / 2.0
-    return np.searchsorted(midpoints, flat, side="left").astype(np.int64)
+    top = midpoints.size
+    codes = np.empty(flat.size, dtype=np.int64)
+    at_or_below = np.empty(min(flat.size, CACHE_BLOCK), dtype=np.bool_)
+    above = np.empty(at_or_below.size, dtype=np.min_scalar_type(top))
+    for start in range(0, flat.size, CACHE_BLOCK):
+        block = flat[start : start + CACHE_BLOCK]
+        mask, count = at_or_below[: block.size], above[: block.size]
+        count.fill(top)
+        for midpoint in midpoints.tolist():
+            np.less_equal(block, midpoint, out=mask)
+            np.subtract(count, mask.view(np.uint8), out=count)
+        codes[start : start + block.size] = count
+    return codes

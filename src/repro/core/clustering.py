@@ -25,7 +25,9 @@ stop-at-the-L1-minimum test and the K-Means fixpoint test ("boundaries
 unchanged") each cost O(k log n), not O(n).  The O(n) work of a call is the
 sort, the prefix sums, the equal-population init read off the same sorted
 copy, and one :func:`~repro.core.binning.assign_to_centroids` for the
-returned centroids.
+returned centroids.  The prefix sums are two flat arrays written with
+``out=`` and their error pass runs block by block, so the sorted copy and
+the two prefix arrays are a call's only allocations of size n.
 
 *Numerics.*  The prefix sums carry the running sum of their own rounding
 errors, so a run's sum is as accurate as a compensated sum, and float64
@@ -49,7 +51,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.binning import assign_to_centroids, equal_population_centroids_sorted
+from repro.core.binning import (
+    CACHE_BLOCK,
+    assign_to_centroids,
+    equal_population_centroids_sorted,
+)
 from repro.errors import QuantizationError
 from repro.jobs.watchdog import checkpoint
 from repro.obs import recorder as obs
@@ -136,30 +142,45 @@ class _Runs(NamedTuple):
 class _SortedValues:
     """The values sorted once, with compensated prefix sums and their sum of squares.
 
-    :meth:`runs` costs O(k log n): two ``searchsorted`` calls of ``k`` or
-    ``k-1`` keys, and arithmetic on ``k``-element arrays.
+    ``total`` is the running sum of the sorted values and ``carry`` the
+    running sum of its exact per-step rounding errors (Knuth's TwoSum), both
+    ``n + 1`` long with a leading zero.  The sum of ``ordered[j:i]`` is
+    ``(total[i] - total[j]) + (carry[i] - carry[j])``, as accurate as a
+    compensated sum however far the running sum has grown from the run's own
+    values.  :meth:`runs` costs O(k log n): two ``searchsorted`` calls of
+    ``k`` or ``k-1`` keys, and arithmetic on ``k``-element arrays.
     """
 
     def __init__(self, flat: np.ndarray) -> None:
+        n = flat.size
         self.ordered = np.sort(flat)
         # -0.0 becomes 0.0: the two compare equal, so their sorted order
         # follows the input's, and a sum over zeros could take either sign.
         self.ordered += 0.0
-        # Column 0 is the running sum; column 1 the running sum of its exact
-        # per-step rounding errors (Knuth's TwoSum).  A row difference,
-        # folded over its two columns, is the sum of ordered[j:i] as
-        # accurate as a compensated sum, however far the running sum has
-        # grown from the run's own values.
-        running = np.cumsum(self.ordered)
-        step = running[1:] - running[:-1]
-        error = running[:-1] - (running[1:] - step)
-        np.subtract(self.ordered[1:], step, out=step)
-        error += step
-        self.prefix = np.zeros((flat.size + 1, 2), dtype=np.float64)
-        self.prefix[1:, 0] = running
-        np.cumsum(error, out=self.prefix[2:, 1])
-        self.sum_sq = float(np.square(self.ordered).sum())
-        self._ends = (np.zeros(1, dtype=np.int64), np.full(1, flat.size, dtype=np.int64))
+        self.total = np.empty(n + 1, dtype=np.float64)
+        self.carry = np.empty(n + 1, dtype=np.float64)
+        # carry[1:] is the scratch for the squares until the carries fill it.
+        self.sum_sq = float(np.square(self.ordered, out=self.carry[1:]).sum())
+        self.total[0] = self.carry[0] = self.carry[1] = 0.0
+        running = self.total[1:]
+        np.cumsum(self.ordered, out=running)
+        # TwoSum of each step running[i] = running[i-1] + ordered[i]:
+        # step = running[i] - running[i-1], and its rounding error is
+        # (running[i-1] - (running[i] - step)) + (ordered[i] - step).  Blocks
+        # keep the operands in cache and reuse one small scratch array.
+        errors = self.carry[2:]
+        step = np.empty(min(n - 1, CACHE_BLOCK), dtype=np.float64)
+        for lo in range(0, n - 1, CACHE_BLOCK):
+            hi = min(lo + CACHE_BLOCK, n - 1)
+            before, after = running[lo:hi], running[lo + 1 : hi + 1]
+            error, block_step = errors[lo:hi], step[: hi - lo]
+            np.subtract(after, before, out=block_step)
+            np.subtract(after, block_step, out=error)
+            np.subtract(before, error, out=error)
+            np.subtract(self.ordered[lo + 1 : hi + 1], block_step, out=block_step)
+            error += block_step
+        np.cumsum(errors, out=errors)
+        self._ends = (np.zeros(1, dtype=np.int64), np.full(1, n, dtype=np.int64))
 
     def runs(self, centroids: np.ndarray) -> _Runs:
         """The runs of the nearest-centroid clusters of sorted ``centroids``."""
@@ -171,25 +192,20 @@ class _SortedValues:
             (first, self.ordered.searchsorted(midpoints, side="right"), last)
         )
         counts = bounds[1:] - bounds[:-1]
-        at_bounds = self.prefix[bounds]
-        sums = _fold(at_bounds[1:] - at_bounds[:-1])
+        total, carry = self.total[bounds], self.carry[bounds]
+        sums = (total[1:] - total[:-1]) + (carry[1:] - carry[:-1])
         # Split each run at its centroid: a value x below centroid c adds
         # c - x to the L1 norm, a value above it x - c.  A rounded midpoint
         # lies between its two centroids, so the split falls inside the run.
         split = self.ordered.searchsorted(centroids, side="right")
         below = split - bounds[:-1]
-        sum_below = _fold(self.prefix[split] - at_bounds[:-1])
+        sum_below = (self.total[split] - total[:-1]) + (self.carry[split] - carry[:-1])
         l1 = float((centroids * (2 * below - counts) + (sums - 2.0 * sum_below)).sum())
         # Per run, sum (x - c)^2 = sum x^2 - 2c sum x + n c^2, and the sum x^2
         # terms of all runs add up to sum_sq.
         l2 = self.sum_sq + float((centroids * (centroids * counts - 2.0 * sums)).sum())
         # Both norms are >= 0; rounding can leave a tiny negative at zero.
         return _Runs(bounds, counts, sums, max(l1, 0.0), max(l2, 0.0))
-
-
-def _fold(pairs: np.ndarray) -> np.ndarray:
-    """Differences of :attr:`_SortedValues.prefix` rows as plain sums."""
-    return pairs[:, 0] + pairs[:, 1]
 
 
 def _prepare(

@@ -171,7 +171,7 @@ def quantize_state_dict(
     quantize only embeddings by passing an empty ``fc_names``).
 
     ``workers`` fans the per-layer jobs out over the engine in
-    :mod:`repro.core.parallel` (1 = serial, 0 = all cores, None = the
+    :mod:`repro.core.parallel` (1 = serial, 0 = one per usable CPU, None = the
     ``REPRO_WORKERS`` environment default).  The output is bit-for-bit
     identical for every worker count; the engine's per-layer timings are
     attached as ``QuantizedModel.report``.

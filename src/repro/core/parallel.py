@@ -13,13 +13,17 @@ All timings come from :mod:`repro.obs` spans (``engine.run``, one
 even when no trace sink is installed; span context is propagated into the
 pool workers so traces nest identically at any worker count (DESIGN.md §5c).
 
-Threads, not processes: a layer's O(n) work (the sort of its G group, the
-outlier split, one nearest-centroid assignment, bit packing) is numpy calls
-that release the GIL, while each clustering iteration costs only
-O(k log n) (:mod:`repro.core.clustering`).  A thread pool shares the weight
-arrays with zero copies, and ``workers=1`` runs the plain serial loop with
-no executor at all, preserving the historical path exactly.  A crash of
-the process is recovered by the durable journal (``job=``,
+Threads, not processes: a layer's O(n) work (validation, the outlier
+split, the sort and prefix sums of its G group, one nearest-centroid
+assignment, bit packing) is numpy calls that release the GIL, while each
+clustering iteration costs only O(k log n) (:mod:`repro.core.clustering`).
+A thread pool shares the weight arrays with zero copies, and ``workers=1``
+runs the plain serial loop with no executor at all, preserving the
+historical path exactly.  The pool takes the jobs largest first (by element
+count, ties in job order), so a big embedding table never starts last while
+the other workers idle, and collects them in job order, so a failing run
+raises the first failing job's error at any worker count.  A crash of the
+process is recovered by the durable journal (``job=``,
 :mod:`repro.jobs.runner`): ``--resume`` redoes only the layers that were in
 flight.
 
@@ -30,7 +34,8 @@ in one :class:`JobRunner`.
 Worker resolution:
 
 * ``workers=N`` (N >= 1) uses exactly N threads,
-* ``workers=0`` uses ``os.cpu_count()``,
+* ``workers=0`` uses one thread per CPU this process may run on (its
+  affinity mask where the platform has one, else ``os.cpu_count()``),
 * ``workers=None`` defers to the ``REPRO_WORKERS`` environment variable
   (default 1) so experiment pipelines can be parallelized without threading
   a parameter through every call site.
@@ -293,7 +298,8 @@ class QuantizationReport:
 
 #: Every engine setting: name -> (environment variable, default, accepted
 #: values).  Accepted values are a tuple of choices, ``int`` (a count >= 0;
-#: for ``workers``, 0 means every core) or ``float`` (seconds > 0).
+#: for ``workers``, 0 means every CPU this process may use) or ``float``
+#: (seconds > 0).
 SETTINGS = {
     "workers": (WORKERS_ENV, 1, int),
     "on_error": (ON_ERROR_ENV, "fail", ON_ERROR_POLICIES),
@@ -335,6 +341,10 @@ def resolve(name: str, value=None):
         if value < 0:
             raise QuantizationError(f"{where} must be >= 0, got {value}")
         if name == "workers" and value == 0:
+            # Every CPU this process may run on: its affinity mask (taskset,
+            # a cpuset) where the platform has one, not the machine's count.
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -638,8 +648,18 @@ def quantize_layers(
             if workers == 1 or len(indexed) <= 1:
                 outcomes = [run_in_context(item) for item in indexed]
             else:
+                # Submitted largest first, so no big layer starts last while
+                # the other workers idle; collected in job order, so a run
+                # that fails raises the first failing job's error, as the
+                # serial loop does.
+                largest_first = sorted(
+                    indexed, key=lambda item: np.size(state[item[1].name]), reverse=True
+                )
                 with ThreadPoolExecutor(max_workers=min(workers, len(indexed))) as pool:
-                    outcomes = list(pool.map(run_in_context, indexed))
+                    futures = {
+                        item[0]: pool.submit(run_in_context, item) for item in largest_first
+                    }
+                    outcomes = [futures[index].result() for index, _ in indexed]
 
         report = QuantizationReport(
             workers=workers,

@@ -97,8 +97,8 @@ def diagnose_tensor(weights: np.ndarray) -> TensorDiagnosis:
     if flat.size == 0:
         return TensorDiagnosis(total=0, non_finite=0, zero_variance=False)
     finite = np.isfinite(flat)
-    non_finite = int(flat.size - finite.sum())
-    finite_values = flat[finite]
+    non_finite = int(flat.size - np.count_nonzero(finite))
+    finite_values = flat[finite] if non_finite else flat
     # A tensor whose finite values are all identical (including the
     # single-element case) has std == 0: the Gaussian fit is degenerate.
     zero_variance = (

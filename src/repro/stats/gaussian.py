@@ -62,9 +62,16 @@ class GaussianFit:
         x = np.asarray(values, dtype=np.float64)
         if self.std == 0.0:
             return np.where(x == self.mean, np.inf, -np.inf)
+        # -0.5 * (z * z + log 2pi) - log std, with z = (x - mean) / std: the
+        # same operations in the same order, in place on one array.
         with np.errstate(over="ignore"):
-            z = (x - self.mean) / self.std
-            return -0.5 * (z * z + _LOG_2PI) - math.log(self.std)
+            out = np.subtract(x, self.mean, out=np.empty_like(x))
+            out /= self.std
+            np.multiply(out, out, out=out)
+            out += _LOG_2PI
+            out *= -0.5
+            out -= math.log(self.std)
+        return out
 
     def score_samples(self, values: np.ndarray) -> np.ndarray:
         """Alias for :meth:`log_pdf`, matching the scikit-learn name."""

@@ -15,7 +15,10 @@ Two implementations share that layout:
   word (1-8, 10, 12, 14 and 16 — in particular the 2/3/4/8-bit widths the
   quantizer actually emits): ``lcm(bits, 8) / bits`` values are packed into
   ``lcm(bits, 8) / 8`` bytes with vectorized shifts, so the working set
-  stays proportional to the payload;
+  stays proportional to the payload.  Packing shifts each column of the
+  ``(groups, values per group)`` view straight into a ``uint32`` word
+  (``uint64`` where a group needs more than 32 bits) and ORs it in, so the
+  codes are never copied into a wider type first;
 * a **bit-matrix fallback** for the remaining widths (9, 11, 13, 15),
   which expands each value into its bits before calling ``np.packbits`` —
   correct but ~``bits``x the payload in temporaries.
@@ -81,10 +84,9 @@ def pack_bits(values: np.ndarray, bits: int) -> bytes:
         high = int(flat.max())
         if high >= (1 << bits):
             raise ValueError(f"value {high} does not fit in {bits} bits")
-    flat = np.ascontiguousarray(flat, dtype=np.uint64)
     geometry = _group_geometry(bits)
     if geometry is None:
-        return _pack_bits_bitmatrix(flat, bits)
+        return _pack_bits_bitmatrix(np.ascontiguousarray(flat, dtype=np.uint64), bits)
     return _pack_bits_grouped(flat, bits, *geometry)
 
 
@@ -107,17 +109,26 @@ def unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
 def _pack_bits_grouped(
     flat: np.ndarray, bits: int, values_per_group: int, bytes_per_group: int
 ) -> bytes:
+    """Column ``j`` of the ``(groups, values_per_group)`` view is cast and
+    shifted by ``j * bits`` inside one ufunc call, then ORed into the group
+    words; a last, partial group is assembled in Python."""
     if flat.size == 0:
         return b""
-    groups = -(-flat.size // values_per_group)
-    padded = np.zeros(groups * values_per_group, dtype=np.uint64)
-    padded[: flat.size] = flat
-    shifts = (np.arange(values_per_group, dtype=np.uint64) * np.uint64(bits))
-    words = np.bitwise_or.reduce(
-        padded.reshape(groups, values_per_group) << shifts, axis=1
-    )
+    word = np.uint32 if bits * values_per_group <= 32 else np.uint64
+    whole, rest = divmod(flat.size, values_per_group)
+    words = np.zeros(whole + (rest > 0), dtype=word)
+    body, column = words[:whole], np.empty(whole, dtype=word)
+    columns = flat[: whole * values_per_group].reshape(whole, values_per_group)
+    for j in range(values_per_group):
+        np.left_shift(columns[:, j], j * bits, out=column, dtype=word, casting="unsafe")
+        body |= column
+    if rest:
+        tail = flat[whole * values_per_group :].tolist()
+        words[whole] = sum(int(value) << (j * bits) for j, value in enumerate(tail))
     group_bytes = (
-        words.astype("<u8", copy=False).view(np.uint8).reshape(groups, 8)[:, :bytes_per_group]
+        words.astype(words.dtype.newbyteorder("<"), copy=False)
+        .view(np.uint8)
+        .reshape(words.size, words.itemsize)[:, :bytes_per_group]
     )
     stream = np.ascontiguousarray(group_bytes).tobytes()
     return stream[: packed_nbytes(flat.size, bits)]

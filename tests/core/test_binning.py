@@ -1,11 +1,14 @@
 """Tests for centroid initialization and assignment."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.binning import (
+    CACHE_BLOCK,
     assign_to_centroids,
     equal_population_centroids,
     linear_centroids,
@@ -139,3 +142,120 @@ class TestAssignToCentroids:
         assignment = assign_to_centroids(values, centroids)
         l2 = np.argmin((values[:, None] - centroids[None, :]) ** 2, axis=1)
         np.testing.assert_array_equal(assignment, l2)
+
+
+def searchsorted_reference(values, centroids):
+    """The assignment every table width must reproduce: the count of
+    midpoints strictly below each value, NaN above them all."""
+    centroids = np.asarray(centroids, dtype=np.float64)
+    midpoints = (centroids[:-1] + centroids[1:]) / 2.0
+    return np.searchsorted(midpoints, np.asarray(values, dtype=np.float64).ravel(), side="left")
+
+
+class TestAssignmentEqualsSearchsorted:
+    """Counting midpoints gives the index ``searchsorted`` gives, for every
+    value and every table width."""
+
+    SIZES = (0, 1, 32, CACHE_BLOCK - 1, CACHE_BLOCK, CACHE_BLOCK + 1)
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    @pytest.mark.parametrize("size", SIZES)
+    def test_every_width_and_block_edge(self, bits, size):
+        gen = np.random.default_rng(bits * 1000 + size)
+        centroids = np.sort(gen.normal(size=1 << bits))
+        values = gen.normal(scale=1.5, size=size)
+        got = assign_to_centroids(values, centroids)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, searchsorted_reference(values, centroids))
+
+    @pytest.mark.parametrize("bits", range(1, 9))
+    def test_special_values(self, bits):
+        """Values on a midpoint go to the lower centroid; ±0.0, ±inf and NaN
+        land where ``searchsorted`` puts them, in every block position."""
+        gen = np.random.default_rng(bits)
+        centroids = np.sort(gen.normal(size=1 << bits))
+        centroids[0], centroids[-1] = -0.0, max(centroids[-1], 0.0)
+        centroids.sort()
+        midpoints = (centroids[:-1] + centroids[1:]) / 2.0
+        special = np.concatenate(
+            [midpoints, centroids, [0.0, -0.0, np.inf, -np.inf, np.nan, np.nan]]
+        )
+        values = gen.normal(size=CACHE_BLOCK + 7)
+        values[: special.size] = special
+        values[-special.size :] = special
+        got = assign_to_centroids(values, centroids)
+        np.testing.assert_array_equal(got, searchsorted_reference(values, centroids))
+        assert got[np.isnan(values)].tolist() == [centroids.size - 1] * 4
+
+    @pytest.mark.parametrize("bits", [2, 3, 6, 8])
+    def test_tied_and_duplicate_centroids(self, bits):
+        gen = np.random.default_rng(bits + 40)
+        centroids = np.sort(np.round(gen.normal(size=1 << bits), 1))
+        centroids[1] = centroids[0]
+        centroids[-3:] = centroids[-3]
+        centroids.sort()
+        values = np.concatenate([centroids, np.round(gen.normal(size=5000), 2)])
+        np.testing.assert_array_equal(
+            assign_to_centroids(values, centroids), searchsorted_reference(values, centroids)
+        )
+
+    @pytest.mark.parametrize("num_centroids", [255, 256, 257, 1024])
+    def test_tables_around_the_uint8_counter(self, num_centroids):
+        """Tables wider than 8 bits take wider counters and still count
+        every midpoint."""
+        gen = np.random.default_rng(num_centroids)
+        centroids = np.sort(gen.normal(size=num_centroids))
+        values = np.concatenate([gen.normal(scale=4.0, size=3000), [np.nan, np.inf]])
+        got = assign_to_centroids(values, centroids)
+        np.testing.assert_array_equal(got, searchsorted_reference(values, centroids))
+        assert got.max() == num_centroids - 1
+
+    def test_all_centroids_equal(self):
+        centroids = np.full(8, 0.25)
+        values = np.array([-1.0, 0.25, 0.25 + 1e-17, 1.0, np.nan])
+        np.testing.assert_array_equal(
+            assign_to_centroids(values, centroids), searchsorted_reference(values, centroids)
+        )
+
+    @given(
+        bits=st.integers(1, 8),
+        centroids=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False, width=64), min_size=2, max_size=256
+        ),
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, width=64),
+                st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+            ),
+            max_size=300,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property(self, bits, centroids, values):
+        table = np.sort(np.resize(np.asarray(centroids, dtype=np.float64), 1 << bits))
+        flat = np.asarray(values, dtype=np.float64)
+        # Put some values exactly on the midpoints.
+        midpoints = (table[:-1] + table[1:]) / 2.0
+        flat = np.concatenate([flat, midpoints[: len(values) % 7]])
+        np.testing.assert_array_equal(
+            assign_to_centroids(flat, table), searchsorted_reference(flat, table)
+        )
+
+    def test_costs_at_most_half_a_searchsorted_at_3_bits(self):
+        """The cost guard: on 1M N(0, 1) values and 8 centroids the count
+        takes ≤ 0.5x one ``searchsorted`` of the same midpoints (min of 20
+        interleaved timings each; ~0.15x measured, 1.0x with ``searchsorted``
+        itself)."""
+        gen = np.random.default_rng(2024)
+        values = gen.normal(size=1 << 20)
+        centroids = equal_population_centroids(values, 8)
+        midpoints = (centroids[:-1] + centroids[1:]) / 2.0
+        assign_s, search_s = [], []
+        for _ in range(20):
+            start = time.perf_counter()
+            assign_to_centroids(values, centroids)
+            middle = time.perf_counter()
+            np.searchsorted(midpoints, values, side="left")
+            assign_s.append(middle - start)
+            search_s.append(time.perf_counter() - middle)
+        assert min(assign_s) <= 0.5 * min(search_s)

@@ -18,6 +18,8 @@ value and recomputes the means with ``bincount``, so each step costs O(n).
 * Tiny and heavily tied inputs stay out of the oracle: near L1 = 0 the two
   summation orders can disagree on a stop.  They keep the invariants of
   ``test_clustering_invariants.py``.
+* The compensated prefix sums are the floats of the interleaved
+  ``(n + 1, 2)`` array they were once built in, bit for bit.
 """
 
 import numpy as np
@@ -25,10 +27,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.binning import assign_to_centroids, equal_population_centroids
+from repro.core.binning import CACHE_BLOCK, assign_to_centroids, equal_population_centroids
 from repro.core.clustering import (
     ClusteringResult,
     ConvergenceTrace,
+    _SortedValues,
     gobo_cluster,
     kmeans_cluster,
 )
@@ -195,3 +198,54 @@ def test_shuffled_input_permutes_only_the_assignment(method, values, bits, seed)
     assert shuffled.iterations == plain.iterations
     assert shuffled.converged == plain.converged
     np.testing.assert_array_equal(shuffled.assignment, plain.assignment[order])
+
+
+# ------------------------------------------------- the prefix sums, bit for bit
+
+
+def interleaved_prefix(values):
+    """The prefix build ``_SortedValues`` replaced: column 0 of one
+    ``(n + 1, 2)`` array is the running sum, column 1 the running sum of its
+    TwoSum errors, built from whole-array temporaries."""
+    ordered = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    ordered += 0.0
+    running = np.cumsum(ordered)
+    step = running[1:] - running[:-1]
+    error = running[:-1] - (running[1:] - step)
+    np.subtract(ordered[1:], step, out=step)
+    error += step
+    prefix = np.zeros((ordered.size + 1, 2), dtype=np.float64)
+    prefix[1:, 0] = running
+    np.cumsum(error, out=prefix[2:, 1])
+    return ordered, prefix, float(np.square(ordered).sum())
+
+
+def assert_prefix_matches_interleaved(values, bits):
+    ordered, prefix, sum_sq = interleaved_prefix(values)
+    got = _SortedValues(np.asarray(values, dtype=np.float64).ravel())
+    assert got.ordered.tobytes() == ordered.tobytes()
+    assert got.total.tobytes() == np.ascontiguousarray(prefix[:, 0]).tobytes()
+    assert got.carry.tobytes() == np.ascontiguousarray(prefix[:, 1]).tobytes()
+    assert got.sum_sq == sum_sq
+    # A run's sum is the two column differences, added.
+    centroids = equal_population_centroids(values, 1 << bits)
+    runs = got.runs(centroids)
+    at_bounds = prefix[runs.bounds]
+    pairs = at_bounds[1:] - at_bounds[:-1]
+    assert runs.sums.tobytes() == (pairs[:, 0] + pairs[:, 1]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "size",
+    [1, 2, 3, CACHE_BLOCK - 1, CACHE_BLOCK, CACHE_BLOCK + 1, CACHE_BLOCK + 2, 2 * CACHE_BLOCK + 3],
+)
+def test_prefix_equals_interleaved_build_at_block_edges(size):
+    values = _values(size, "student-t3", size)
+    assert_prefix_matches_interleaved(values, 3)
+
+
+@given(values=continuous | tied, bits=st.integers(1, 8), scale=st.integers(-6, 6))
+@example(values=np.array([-0.0, 0.0, -0.0]), bits=1, scale=0)
+@settings(max_examples=60, deadline=None)
+def test_prefix_equals_interleaved_build(values, bits, scale):
+    assert_prefix_matches_interleaved(values * 10.0**scale, bits)

@@ -1,10 +1,12 @@
 """Tests for the layer-parallel quantization engine."""
 
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from repro.core import parallel
 from repro.core.model_quantizer import quantize_model, quantize_state_dict, select_parameters
 from repro.core.parallel import (
     LayerJob,
@@ -15,6 +17,7 @@ from repro.core.parallel import (
 )
 from repro.errors import QuantizationError
 from repro.models.heads import BertForSequenceClassification
+from repro.testing.faults import Fault, InjectedFault, compose_injectors
 from tests.conftest import MICRO_CONFIG
 
 
@@ -35,8 +38,23 @@ class TestWorkerResolution:
     def test_one_is_serial(self):
         assert resolve("workers", 1) == 1
 
-    def test_zero_means_all_cores(self):
-        assert resolve("workers", 0) == (os.cpu_count() or 1)
+    def test_zero_means_the_cpus_this_process_may_use(self, monkeypatch):
+        """A process pinned to one CPU (``taskset -c 0``) gets one worker,
+        however many the machine has, from the argument or the variable."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve("workers", 0) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 6}, raising=False)
+        assert resolve("workers", 0) == 3
+        monkeypatch.setenv(WORKERS_ENV, "0")
+        assert resolve("workers") == 3
+
+    def test_zero_without_affinity_counts_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve("workers", 0) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve("workers", 0) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(QuantizationError):
@@ -65,16 +83,66 @@ class TestQuantizeLayers:
     def test_parallel_bit_identical_to_serial(self, state_and_selection):
         state, selection = state_and_selection
         jobs = [LayerJob(name, 3) for name in selection.fc_names]
+        # The pool takes the largest layer first, so it runs out of job order.
+        assert state[jobs[0].name].size < max(state[job.name].size for job in jobs)
         serial, serial_iters, _ = quantize_layers(state, jobs, workers=1)
-        parallel, parallel_iters, _ = quantize_layers(state, jobs, workers=3)
-        assert serial_iters == parallel_iters
-        assert list(serial) == list(parallel)  # job order preserved
-        for name in serial:
-            assert serial[name].packed_codes == parallel[name].packed_codes
-            np.testing.assert_array_equal(serial[name].centroids, parallel[name].centroids)
-            np.testing.assert_array_equal(
-                serial[name].outlier_values, parallel[name].outlier_values
-            )
+        for workers in (2, 3, 4):
+            parallel, parallel_iters, report = quantize_layers(state, jobs, workers=workers)
+            assert serial_iters == parallel_iters
+            assert list(serial) == list(parallel)  # job order preserved
+            assert [record.name for record in report.layers] == list(serial)
+            for name in serial:
+                assert serial[name].packed_codes == parallel[name].packed_codes
+                np.testing.assert_array_equal(serial[name].centroids, parallel[name].centroids)
+                np.testing.assert_array_equal(
+                    serial[name].outlier_values, parallel[name].outlier_values
+                )
+
+    def test_pool_takes_the_largest_layers_first(self, monkeypatch):
+        """Jobs reach the pool by descending element count; equal sizes keep
+        job order, and the serial loop keeps job order."""
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, item):
+                seen.append(item[1].name)
+                future = Future()
+                future.set_result(fn(item))
+                return future
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+        gen = np.random.default_rng(3)
+        sizes = {"a": (4, 4), "b": (9, 8), "c": (6, 6), "d": (8, 9), "e": (12, 12)}
+        state = {name: gen.normal(0, 0.05, size) for name, size in sizes.items()}
+        jobs = [LayerJob(name, 2) for name in sizes]
+        quantized, _, _ = quantize_layers(state, jobs, workers=2)
+        assert seen == ["e", "b", "d", "c", "a"]
+        assert list(quantized) == ["a", "b", "c", "d", "e"]
+        seen.clear()
+        quantize_layers(state, jobs, workers=1)
+        assert seen == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_two_failures_raise_the_first_in_job_order(self, workers):
+        """With two failing layers, every worker count raises the error of
+        the first one in job order, not of the largest one the pool takes
+        first."""
+        gen = np.random.default_rng(5)
+        sizes = {"a": (4, 4), "b": (9, 8), "c": (6, 6), "e": (12, 12)}
+        state = {name: gen.normal(0, 0.05, size) for name, size in sizes.items()}
+        jobs = [LayerJob(name, 2) for name in sizes]
+        faults = compose_injectors(Fault("raise", target="a"), Fault("raise", target="e"))
+        with pytest.raises(InjectedFault, match="'a'"):
+            quantize_layers(state, jobs, workers=workers, fault_injector=faults)
 
     def test_missing_tensor_rejected(self, state_and_selection):
         state, _ = state_and_selection

@@ -95,15 +95,19 @@ class TestLogPdf:
         assert densities[1] == 0.0
 
     def test_near_degenerate_std_overflow_is_silent(self):
-        """A tiny-but-nonzero std can overflow z*z; the score saturates to
-        -inf without a RuntimeWarning."""
+        """A tiny-but-nonzero std can overflow z*z, and a value far from a
+        far mean can overflow x - mean; either score saturates to -inf
+        without a RuntimeWarning."""
         fit = GaussianFit(mean=0.0, std=5e-324)
+        far = GaussianFit(mean=-1e308, std=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             scores = fit.log_pdf(np.array([0.0, 1.0]))
             densities = fit.pdf(np.array([1.0]))
+            far_scores = far.log_pdf(np.array([1e308]))
         assert scores[1] == -np.inf
         assert densities[0] == 0.0
+        assert far_scores[0] == -np.inf
 
     def test_score_samples_alias(self):
         fit = GaussianFit(mean=0.0, std=1.0)

@@ -1,5 +1,7 @@
 """Tests for dense bit packing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,14 +167,26 @@ class TestFastPathEquivalence:
 
     @pytest.mark.parametrize("bits", range(1, 17))
     def test_pack_matches_reference(self, bits):
+        """Every length around a group (``per_group`` values) and every
+        integer dtype the codes can arrive in: the packer casts and shifts
+        inside one ufunc call, so no dtype may overflow before its shift."""
         rng = derive_rng(20260807, "bitpack-fast-pack", bits)
-        for count in (0, 1, 2, 7, 8, 9, 63, 64, 65, 1000):
+        per_group = 8 // math.gcd(bits, 8)
+        counts = {0, 1, 2, 7, 8, 9, 63, 64, 65, 1000}
+        counts |= {per_group - 1, per_group, per_group + 1, 4099 * per_group + 3}
+        dtypes = [np.int64, np.uint64, np.int32, np.uint16]
+        dtypes += [np.uint8] if bits <= 8 else []
+        dtypes += [np.bool_] if bits == 1 else []
+        for count in sorted(counts):
             values = rng.integers(0, 1 << bits, size=count)
-            packed = pack_bits(values, bits)
+            values[: min(count, 3)] = (1 << bits) - 1  # every bit of a group set
             reference = _pack_bits_bitmatrix(
                 np.ascontiguousarray(values, dtype=np.uint64), bits
             )
-            assert packed == reference, f"bits={bits} count={count}"
+            for dtype in dtypes:
+                packed = pack_bits(values.astype(dtype), bits)
+                assert packed == reference, f"bits={bits} count={count} dtype={dtype}"
+            np.testing.assert_array_equal(unpack_bits(reference, bits, count), values)
 
     @pytest.mark.parametrize("bits", range(1, 17))
     def test_unpack_matches_reference(self, bits):

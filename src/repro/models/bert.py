@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.models.config import BertConfig
 from repro.models.embeddings import BertEmbeddings
+from repro.nn.attention import TokenLayout
 from repro.nn.layers import Linear
 from repro.nn.module import Module, ModuleList
 from repro.nn.tensor import Tensor
@@ -50,20 +51,35 @@ class BertModel(Module):
         input_ids: np.ndarray,
         attention_mask: np.ndarray | None = None,
         token_type_ids: np.ndarray | None = None,
-    ) -> tuple[Tensor, Tensor]:
+        pooled_only: bool = False,
+    ) -> tuple[Tensor | None, Tensor]:
         """Encode token ids.
+
+        ``pooled_only=True`` computes only what the pooled output needs:
+        every layer runs on the packed rows of the real tokens (mask not 0)
+        and each row's [CLS] cell, and the last layer's query, attention
+        output, FFN and LayerNorms run on the [CLS] rows alone (see
+        :class:`~repro.nn.attention.TokenLayout`).  The pooled output then
+        differs from the dense forward's only by BLAS summation order over
+        the other row counts.  A row with no unmasked position raises
+        :class:`~repro.errors.ShapeError`.
 
         Returns
         -------
         (sequence_output, pooled_output):
-            ``(batch, seq, hidden)`` final hidden states, and the pooled
-            ``(batch, hidden)`` representation of the first ([CLS]) token.
+            ``(batch, seq, hidden)`` final hidden states (None under
+            ``pooled_only``), and the pooled ``(batch, hidden)``
+            representation of the first ([CLS]) token.
         """
-        hidden = self.embeddings(input_ids, token_type_ids)
-        for layer in self.encoder:
-            hidden = layer(hidden, attention_mask)
-        pooled = self.pooler(hidden[:, 0, :]).tanh()
-        return hidden, pooled
+        layout = TokenLayout(np.shape(input_ids), attention_mask if pooled_only else None)
+        hidden = self.embeddings(input_ids, token_type_ids, layout)
+        for depth, layer in enumerate(self.encoder, 1):
+            if pooled_only and depth == len(self.encoder):
+                layout = layout.cls_queries()
+            hidden = layer(hidden, attention_mask, layout)
+        if pooled_only:
+            return None, self.pooler(hidden).tanh()
+        return hidden, self.pooler(hidden[:, 0, :]).tanh()
 
     # ----------------------------------------------------------- introspection
     def fc_parameter_names(self) -> list[str]:

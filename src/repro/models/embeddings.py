@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.models.config import BertConfig
+from repro.nn.attention import TokenLayout
 from repro.nn.layers import Dropout, Embedding, LayerNorm
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
@@ -52,7 +53,10 @@ class BertEmbeddings(Module):
         self,
         input_ids: np.ndarray,
         token_type_ids: np.ndarray | None = None,
+        layout: TokenLayout | None = None,
     ) -> Tensor:
+        """``(batch, seq, hidden)`` embeddings; under ``layout`` only the
+        cells it computes, each at its column's position."""
         input_ids = np.asarray(input_ids)
         if input_ids.ndim != 2:
             raise ShapeError(f"input_ids must be (batch, seq), got {input_ids.shape}")
@@ -64,6 +68,9 @@ class BertEmbeddings(Module):
         if token_type_ids is None:
             token_type_ids = np.zeros_like(input_ids)
         positions = np.broadcast_to(np.arange(seq), (batch, seq))
+        if layout is not None:
+            input_ids, token_type_ids, positions = (
+                layout.pack(grid) for grid in (input_ids, token_type_ids, positions))
         embedded = (
             self.word_embeddings(input_ids)
             + self.position_embeddings(positions)

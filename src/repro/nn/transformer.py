@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.attention import MultiHeadSelfAttention
+from repro.nn.attention import MultiHeadSelfAttention, TokenLayout
 from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
@@ -47,10 +47,20 @@ class BertEncoderLayer(Module):
         self.output_norm = LayerNorm(hidden_size)
         self.dropout = Dropout(dropout_rate, rng=derive_rng(rng, "dropout"))
 
-    def forward(self, hidden: Tensor, attention_mask: np.ndarray | None = None) -> Tensor:
-        attended = self.attention(hidden, attention_mask)
+    def forward(
+        self,
+        hidden: Tensor,
+        attention_mask: np.ndarray | None = None,
+        layout: TokenLayout | None = None,
+    ) -> Tensor:
+        """``(batch, seq, hidden)`` states in and out by default; under
+        ``layout`` its states in and its query rows out (see
+        :class:`~repro.nn.attention.TokenLayout`)."""
+        if layout is None:
+            layout = TokenLayout.grid(hidden)
+        attended = self.attention(hidden, attention_mask, layout)
         attended = self.dropout(attended)
-        hidden = self.attention_norm(hidden + attended)
+        hidden = self.attention_norm(layout.queries(hidden) + attended)
 
         transformed = self.output(F.gelu(self.intermediate(hidden)))
         transformed = self.dropout(transformed)

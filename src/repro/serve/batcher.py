@@ -3,6 +3,9 @@
 Decoding a band of weights costs the same for 1 row as for 16, so requests
 that queue up behind a forward share the next one, padded into one
 ``(batch, seq)`` tensor with an attention mask: one forward per model.
+That forward computes only the pooled output it returns
+(``pooled_only=True``): the padding is never computed, and the last layer
+runs on the [CLS] rows alone.
 
 The policy is :class:`BatchCore`, with no threads and no clock: each method
 takes ``now`` and returns an action (forward this :class:`Batch`,
@@ -29,7 +32,8 @@ deadline, so completing a batch and reaping it are one claim.
   dead worker's batch itself.
 * Spans: :meth:`wait` nests ``serve.queue_wait`` (admission → batch start)
   in the handler's ``serve.request`` span; ``serve.batch`` runs under the
-  context of the batch's first request.
+  context of the batch's first request, and is recorded before the batch's
+  handlers wake.
 """
 
 from __future__ import annotations
@@ -364,23 +368,31 @@ class MicroBatcher:
         model, live = batch.model, batch.requests
         for pending in live:
             pending.started.set()
+        finished = None
         # A batch has many parent requests but the schema allows one: the
         # first member's, a deterministic choice that beats no parent.
-        with obs.use_context(live[0].context):
-            with obs.span("serve.batch", model=model, batch_size=len(live)):
-                try:
-                    result_rows, error = self._forward(model, live), None
-                except Exception as exc:  # noqa: BLE001 — fan the error out
-                    result_rows, error = None, exc
-                with self._cond:
-                    finished = self._core.complete(batch, result_rows, error)
-                if finished is None:
-                    return  # claimed: the watchdog or close() failed this batch
-                if self.health is not None and error is None:
-                    self.health.report_success(model)
-                elif self.health is not None:
-                    self.health.report_failure(model, error)
+        try:
+            with obs.use_context(live[0].context):
+                with obs.span("serve.batch", model=model, batch_size=len(live)):
+                    try:
+                        result_rows, error = self._forward(model, live), None
+                    except Exception as exc:  # noqa: BLE001 — fan the error out
+                        result_rows, error = None, exc
+                    with self._cond:
+                        finished = self._core.complete(batch, result_rows, error)
+                    if finished is not None and self.health is not None:
+                        if error is None:
+                            self.health.report_success(model)
+                        else:
+                            self.health.report_failure(model, error)
+        finally:
+            # Past the span's exit, so a handler that returns finds its
+            # batch's span recorded; in a finally, so a sink that raises
+            # there strands no request.
+            if finished:
                 self._release(finished)
+        if finished is None:
+            return  # claimed: the watchdog or close() failed this batch
         obs.counter("serve.batches", model=model)
         obs.histogram("serve.batch_size", len(live), model=model)
 
@@ -397,7 +409,8 @@ class MicroBatcher:
             if pending.token_type_ids is not None:
                 token_type_ids[row, :size] = pending.token_type_ids
         with self.registry.lease(model) as entry:
-            _, pooled = entry.model(input_ids, attention_mask, token_type_ids)
+            _, pooled = entry.model(input_ids, attention_mask, token_type_ids,
+                                    pooled_only=True)
             version = entry.version
         pooled_rows = np.asarray(pooled.data, dtype=np.float64)
         now = time.perf_counter()

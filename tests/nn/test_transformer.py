@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ShapeError
 from repro.nn.tensor import Tensor
 from repro.nn.transformer import BertEncoderLayer
 
@@ -38,6 +39,10 @@ class TestForward:
         out = layer(Tensor(rng.normal(size=(2, 9, 16)))).data
         # Post-LN layout: means ~0 modulo the learned (initially 0) bias.
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros((2, 9)), atol=1e-9)
+
+    def test_wrong_rank_rejected(self, layer, rng):
+        with pytest.raises(ShapeError):
+            layer(Tensor(rng.normal(size=(9, 16))))
 
     def test_mask_accepted(self, layer, rng):
         mask = np.ones((2, 9))

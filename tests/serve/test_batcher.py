@@ -75,8 +75,10 @@ class TestFusion:
             batcher.close()
 
     def test_batched_result_matches_solo_forward(self, registry):
-        """Fusion must not change the numbers: padding + attention mask make
-        a batched row bit-identical to running the request alone."""
+        """Fusion must not change the numbers beyond summation order: a
+        fused row agrees with the request run alone to 1e-12, not bit for
+        bit, because its kernels and BLAS calls sum over other row counts
+        (the batch packs the real tokens of every request)."""
         batcher = make_batcher(registry, window=0.05, max_batch=8)
         try:
             sequences = [[1, 2, 3, 4, 5, 6, 7], [8, 9], [10, 11, 12]]
@@ -248,5 +250,39 @@ class TestObservability:
             assert by_name["serve.queue_wait"]["parent"] == "serve.request"
             assert by_name["serve.batch"]["parent"] == "serve.request"
             assert by_name["serve.batch"]["attrs"]["batch_size"] == 1
+        finally:
+            batcher.close()
+
+    def test_batch_span_is_recorded_before_its_handlers_wake(self, registry):
+        """A sink that stalls on ``serve.batch`` holds the span's exit; the
+        handler's ``wait`` must not return before that span is recorded."""
+        handler_waiting, handler_returned = threading.Event(), threading.Event()
+
+        class StallingSink(obs.MemorySink):
+            def emit(self, event):
+                if event["event"] == "span" and event["name"] == "serve.batch":
+                    # Cut short only by a handler that returned first.
+                    handler_returned.wait(0.3)
+                super().emit(event)
+                if event["name"] == "serve.queue_wait":
+                    handler_waiting.set()
+
+        batcher = make_batcher(registry, window=0.01)
+        original_forward = batcher._forward
+
+        def forward_after_queue_wait(model, live):
+            # The handler's last event is recorded: from here it waits on
+            # the batch alone, not on the recorder lock the stall holds.
+            assert handler_waiting.wait(10.0)
+            return original_forward(model, live)
+
+        batcher._forward = forward_after_queue_wait
+        try:
+            with obs.recording(StallingSink()) as sink:
+                batcher.wait(batcher.submit("micro", [1, 2, 3]))
+                recorded = [event["name"] for event in sink.events
+                            if event["event"] == "span"]
+                handler_returned.set()
+            assert "serve.batch" in recorded
         finally:
             batcher.close()

@@ -223,36 +223,37 @@ class LookupKernel:
                 f"LookupKernel expected last dim {self.in_features}, "
                 f"got input shape {x.shape}"
             )
-        dtype = _compute_dtype(x)
+        in_f, out_f, stride, g = self.in_features, self.out_features, self._stride, self.group
+        table, values = self._table, self._outlier_values
+        if x.dtype == np.float32:  # the paper's decode target stays float32
+            table, values = table.astype(np.float32), values.astype(np.float32)
         lead = x.shape[:-1]
         rows = math.prod(lead)
-        x2 = np.ascontiguousarray(x.reshape(rows, self.in_features), dtype=dtype)
-        y = np.empty((rows, self.out_features), dtype=dtype)
+        x2 = np.ascontiguousarray(x.reshape(rows, in_f), dtype=table.dtype)
+        y = np.empty((rows, out_f), dtype=table.dtype)
 
-        in_f, stride, g = self.in_features, self._stride, self.group
         # BLAS repacks x on every call, so a band never has fewer rows than
         # x: a narrower one would spend more time packing than multiplying.
-        band = max(1, _TILE_BYTES // max(1, stride * dtype.itemsize), rows)
-        table = self._table.astype(dtype, copy=False)
+        band = max(1, _TILE_BYTES // max(1, stride * table.itemsize), rows)
         positions = self._outlier_positions
-        values = self._outlier_values.astype(dtype, copy=False)
-        tile = np.empty((min(band, self.out_features), stride), dtype=dtype)
-        for start in range(0, self.out_features, band):
-            stop = min(start + band, self.out_features)
-            decoded = tile[: stop - start]
+        tile = np.empty((min(band, out_f), stride // g, g), dtype=table.dtype)
+        for start in range(0, out_f, band):
+            index = self._index[start : start + band]
+            decoded = tile[: index.shape[0]]
             # Indexes were range-checked at prepare, so "clip" never clips;
             # it only skips the bounds-checking buffer of the default mode.
-            np.take(
-                table, self._index[start:stop], axis=0, mode="clip",
-                out=decoded.reshape(stop - start, stride // g, g),
-            )
-            lo, hi = np.searchsorted(positions, (start * stride, stop * stride))
-            decoded.reshape(-1)[positions[lo:hi] - start * stride] = values[lo:hi]
-            np.matmul(x2, decoded[:, :in_f].T, out=y[:, start:stop])
+            table.take(index, 0, decoded, "clip")
+            if band >= out_f:  # one band: every outlier is in it
+                decoded.put(positions, values)
+            else:
+                lo, hi = positions.searchsorted((start * stride, (start + band) * stride))
+                decoded.put(positions[lo:hi] - start * stride, values[lo:hi])
+            np.matmul(x2, decoded.reshape(index.shape[0], stride)[:, :in_f].T,
+                      out=y[:, start : start + band])
 
         obs.counter("kernels.lookup_matmul_calls")
         obs.counter("kernels.lookup_matmul_rows", rows)
-        return y.reshape(*lead, self.out_features)
+        return y.reshape(*lead, out_f)
 
     __call__ = matmul
 
@@ -268,29 +269,31 @@ class LookupKernel:
         ``IndexError`` (a negative id does not wrap).
         """
         ids = np.asarray(ids)
-        if not np.issubdtype(ids.dtype, np.integer):
+        if ids.dtype.kind not in "iu":
             raise TypeError(f"embedding ids must be integers, got {ids.dtype}")
         flat = ids.reshape(-1)
-        if flat.size and (flat.min() < 0 or flat.max() >= self.out_features):
-            raise IndexError(
-                f"embedding ids out of range [0, {self.out_features}): "
-                f"min={flat.min()}, max={flat.max()}"
-            )
+        if flat.size:
+            low, high = np.minimum.reduce(flat), np.maximum.reduce(flat)
+            if low < 0 or high >= self.out_features:
+                raise IndexError(
+                    f"embedding ids out of range [0, {self.out_features}): "
+                    f"min={low}, max={high}"
+                )
         flat = flat.astype(np.int64, copy=False)
         n, stride = flat.size, self._stride
         # Indexes were range-checked at prepare, so "clip" never clips.
-        rows = np.take(self._table, self._index[flat], axis=0, mode="clip").reshape(n, stride)
+        rows = self._table.take(self._index[flat], 0, None, "clip").reshape(n, stride)
         positions = self._outlier_positions
         if positions.size:
             # Outliers of table row r sit in [r * stride, (r + 1) * stride)
             # of the padded grid: write each gathered row's run of them.
             starts = flat * stride
-            lo, hi = np.searchsorted(positions, (starts, starts + stride))
+            lo, hi = positions.searchsorted((starts, starts + stride))
             counts = hi - lo
-            run = np.repeat(np.arange(n), counts)  # the gathered row of each outlier
-            k = np.arange(run.size) + (lo - np.cumsum(counts) + counts)[run]
-            shift = (np.arange(n) * stride - starts)[run]
-            rows.reshape(-1)[positions[k] + shift] = self._outlier_values[k]
+            each = np.arange(n)
+            run = each.repeat(counts)  # the gathered row of each outlier
+            k = np.arange(run.size) + (lo - counts.cumsum() + counts)[run]
+            rows.put(positions[k] + (each * stride - starts)[run], self._outlier_values[k])
 
         obs.counter("kernels.lookup_gather_calls")
         obs.counter("kernels.lookup_gather_rows", n)

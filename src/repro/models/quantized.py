@@ -59,8 +59,9 @@ def attach_quantized_linears(model: Module, qmodel: QuantizedModel) -> Module:
        Parameter, so no quantized tensor is expected, and none is decoded.
 
     A layer that fell back to FP32 has its weight in ``qmodel.fp32`` and
-    keeps its ``Linear``.  Returns ``model`` in eval mode (both compressed
-    modules are inference-only).
+    keeps its ``Linear``.  Returns ``model`` in eval mode with every
+    parameter frozen (``requires_grad`` False): both compressed modules are
+    inference-only, so no forward of it records an autograd graph.
     """
     for name in qmodel.quantized:
         if not name.endswith(".weight"):
@@ -79,6 +80,8 @@ def attach_quantized_linears(model: Module, qmodel: QuantizedModel) -> Module:
                 f"{type(module).__name__}"
             )
     model.load_state_dict(qmodel.fp32)
+    for param in model.parameters():
+        param.requires_grad = False
     return model.eval()
 
 

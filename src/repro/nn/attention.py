@@ -178,13 +178,13 @@ class MultiHeadSelfAttention(Module):
 
         scores = q.matmul(k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.head_dim))
         if attention_mask is not None:
-            mask = np.asarray(attention_mask)
-            if mask.shape != layout.shape:
+            blocked = np.asarray(attention_mask) == 0
+            if blocked.shape != layout.shape:
                 raise ShapeError(
-                    f"attention_mask shape {mask.shape} does not match batch/seq {layout.shape}"
+                    f"attention_mask shape {blocked.shape} does not match batch/seq {layout.shape}"
                 )
-            blocked = (mask == 0)[:, None, None, :]
-            scores = F.masked_fill(scores, np.broadcast_to(blocked, scores.shape), -1e9)
+            if blocked.any():  # with no key masked (every lone request) there is nothing to fill
+                scores = F.masked_fill(scores, blocked[:, None, None, :], -1e9)
         probs = F.softmax(scores, axis=-1)
         probs = self.dropout(probs)
         context = layout.from_grid(self._merge_heads(probs.matmul(v)))

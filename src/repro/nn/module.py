@@ -17,7 +17,8 @@ from repro.nn.tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor (always requires grad)."""
+    """A trainable tensor: it requires grad until frozen, as
+    :func:`~repro.models.attach_quantized_linears` freezes a served model's."""
 
     def __init__(self, data: np.ndarray, name: str = "") -> None:
         super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True, name=name)

@@ -87,11 +87,11 @@ class QuantizedLinear(Module):
                 "models); call model.eval() before the forward pass"
             )
         data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        # The kernel's output is fresh (and float64 unless x was float32), so
-        # the bias goes in place.
-        y = self.kernel.matmul(data).astype(np.float64, copy=False)
-        y += self.bias.data
-        return Tensor(y)
+        # The kernel's output is fresh and float64 (a float32 one becomes a
+        # float64 copy in the Tensor), so the bias goes in place.
+        y = Tensor(self.kernel.matmul(data))
+        y.data += self.bias.data
+        return y
 
     def compression_ratio(self) -> float:
         return self.tensor.compression_ratio()

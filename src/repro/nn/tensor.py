@@ -95,11 +95,24 @@ class Tensor:
         self.grad = None
 
     # --------------------------------------------------------------- graph ops
-    def _make_child(self, data: Array, parents: Iterable["Tensor"]) -> "Tensor":
+    def _make_child(
+        self, data: Array, parents: Iterable["Tensor"], backward: Callable[[], None]
+    ) -> "Tensor":
+        """The tensor holding an op's result ``data``.
+
+        It goes on the tape, with its ``parents`` and ``backward``, only
+        when some parent requires grad.  ``backward`` reads the child's
+        gradient through the op's ``out`` variable, so keeping it on a child
+        off the tape would make a reference cycle per op: an inference
+        forward would leave every intermediate array to the cyclic garbage
+        collector instead of freeing it when dropped.
+        """
         parents = tuple(parents)
-        child = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-        if child.requires_grad:
-            child._parents = parents
+        child = Tensor(data)
+        for parent in parents:  # a loop, not any(genexpr): a forward makes ~100 children
+            if parent.requires_grad:
+                child.requires_grad, child._parents, child._backward = True, parents, backward
+                break
         return child
 
     def _accumulate(self, grad: Array) -> None:
@@ -141,7 +154,6 @@ class Tensor:
     # ------------------------------------------------------------- arithmetic
     def __add__(self, other: "Tensor | float") -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data + other.data, (self, other))
 
         def backward() -> None:
             if self.requires_grad:
@@ -149,19 +161,17 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(out.grad, other.shape))
 
-        out._backward = backward
+        out = self._make_child(self.data + other.data, (self, other), backward)
         return out
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = self._make_child(-self.data, (self,))
-
         def backward() -> None:
             if self.requires_grad:
                 self._accumulate(-out.grad)
 
-        out._backward = backward
+        out = self._make_child(-self.data, (self,), backward)
         return out
 
     def __sub__(self, other: "Tensor | float") -> "Tensor":
@@ -172,7 +182,6 @@ class Tensor:
 
     def __mul__(self, other: "Tensor | float") -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data * other.data, (self, other))
 
         def backward() -> None:
             if self.requires_grad:
@@ -180,14 +189,13 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
 
-        out._backward = backward
+        out = self._make_child(self.data * other.data, (self, other), backward)
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Tensor | float") -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data / other.data, (self, other))
 
         def backward() -> None:
             if self.requires_grad:
@@ -197,7 +205,7 @@ class Tensor:
                     _unbroadcast(-out.grad * self.data / (other.data**2), other.shape)
                 )
 
-        out._backward = backward
+        out = self._make_child(self.data / other.data, (self, other), backward)
         return out
 
     def __rtruediv__(self, other: "Tensor | float") -> "Tensor":
@@ -206,19 +214,17 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        out = self._make_child(self.data**exponent, (self,))
 
         def backward() -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
 
-        out._backward = backward
+        out = self._make_child(self.data**exponent, (self,), backward)
         return out
 
     # ------------------------------------------------------------ linear algebra
     def matmul(self, other: "Tensor") -> "Tensor":
         other = as_tensor(other)
-        out = self._make_child(self.data @ other.data, (self, other))
 
         def backward() -> None:
             if self.requires_grad:
@@ -228,15 +234,13 @@ class Tensor:
                 grad = np.swapaxes(self.data, -1, -2) @ out.grad
                 other._accumulate(_unbroadcast(grad, other.shape))
 
-        out._backward = backward
+        out = self._make_child(self.data @ other.data, (self, other), backward)
         return out
 
     __matmul__ = matmul
 
     # -------------------------------------------------------------- reductions
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
         def backward() -> None:
             if not self.requires_grad:
                 return
@@ -247,7 +251,7 @@ class Tensor:
                     grad = np.expand_dims(grad, ax)
             self._accumulate(np.broadcast_to(grad, self.data.shape))
 
-        out._backward = backward
+        out = self._make_child(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
         return out
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
@@ -260,7 +264,6 @@ class Tensor:
 
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=True)
-        out = self._make_child(data if keepdims else np.squeeze(data, axis=axis), (self,))
 
         def backward() -> None:
             if not self.requires_grad:
@@ -271,86 +274,73 @@ class Tensor:
             counts = mask.sum(axis=axis, keepdims=True)
             self._accumulate(mask * grad / counts)
 
-        out._backward = backward
+        out = self._make_child(data if keepdims else np.squeeze(data, axis=axis), (self,), backward)
         return out
 
     # ----------------------------------------------------------- shape plumbing
     def reshape(self, *shape: int) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make_child(self.data.reshape(shape), (self,))
 
         def backward() -> None:
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.data.shape))
 
-        out._backward = backward
+        out = self._make_child(self.data.reshape(shape), (self,), backward)
         return out
 
     def transpose(self, *axes: int) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
-        out = self._make_child(self.data.transpose(axes), (self,))
-        inverse = tuple(np.argsort(axes))
 
         def backward() -> None:
             if self.requires_grad:
-                self._accumulate(out.grad.transpose(inverse))
+                self._accumulate(out.grad.transpose(np.argsort(axes)))
 
-        out._backward = backward
+        out = self._make_child(self.data.transpose(axes), (self,), backward)
         return out
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
-        out = self._make_child(np.swapaxes(self.data, a, b), (self,))
-
         def backward() -> None:
             if self.requires_grad:
-                self._accumulate(np.swapaxes(out.grad, a, b))
+                self._accumulate(out.grad.swapaxes(a, b))
 
-        out._backward = backward
+        out = self._make_child(self.data.swapaxes(a, b), (self,), backward)
         return out
 
     def __getitem__(self, index) -> "Tensor":
-        out = self._make_child(self.data[index], (self,))
-
         def backward() -> None:
             if self.requires_grad:
                 grad = np.zeros_like(self.data)
                 np.add.at(grad, index, out.grad)
                 self._accumulate(grad)
 
-        out._backward = backward
+        out = self._make_child(self.data[index], (self,), backward)
         return out
 
     # ---------------------------------------------------------- element-wise ops
     def exp(self) -> "Tensor":
-        out = self._make_child(np.exp(self.data), (self,))
-
         def backward() -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * out.data)
 
-        out._backward = backward
+        out = self._make_child(np.exp(self.data), (self,), backward)
         return out
 
     def log(self) -> "Tensor":
-        out = self._make_child(np.log(self.data), (self,))
-
         def backward() -> None:
             if self.requires_grad:
                 self._accumulate(out.grad / self.data)
 
-        out._backward = backward
+        out = self._make_child(np.log(self.data), (self,), backward)
         return out
 
     def tanh(self) -> "Tensor":
-        out = self._make_child(np.tanh(self.data), (self,))
-
         def backward() -> None:
             if self.requires_grad:
                 self._accumulate(out.grad * (1.0 - out.data**2))
 
-        out._backward = backward
+        out = self._make_child(np.tanh(self.data), (self,), backward)
         return out
 
     def sqrt(self) -> "Tensor":
@@ -369,7 +359,6 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("stack requires at least one tensor")
     data = np.stack([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make_child(data, tensors)
 
     def backward() -> None:
         grads = np.split(out.grad, len(tensors), axis=axis)
@@ -377,5 +366,5 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
             if tensor.requires_grad:
                 tensor._accumulate(np.squeeze(grad, axis=axis))
 
-    out._backward = backward
+    out = tensors[0]._make_child(data, tensors, backward)
     return out

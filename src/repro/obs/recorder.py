@@ -165,7 +165,7 @@ def _event(kind: str, name: str, attrs: dict, **payload) -> dict:
 
 def counter(name: str, value: float = 1.0, **attrs) -> None:
     """Record a monotonic increment of ``value`` on counter ``name``."""
-    if not recording_active():
+    if not (_sinks or _scopes):  # recording_active(), inlined: kernels count every call
         return
     _record(_event("counter", name, attrs, value=float(value)))
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.errors import (BatchWorkerError, ForwardTimeoutError,
+from repro.errors import (BatchWorkerError, ForwardTimeoutError, ReproError,
                           RequestTimeoutError, ServeError)
 from repro.obs import recorder as obs
 from repro.serve.admission import AdmissionController
@@ -74,6 +74,14 @@ class PendingRequest:
         self.started, self.done = threading.Event(), threading.Event()
         self.result: dict | None = None
         self.error: Exception | None = None
+
+
+def _check_ids(field: str, ids: np.ndarray, size: int, model: str) -> None:
+    """``ValueError`` unless ``ids`` are integers in ``[0, size)``."""
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"{field} must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= size:
+        raise ValueError(f"{field} must be in [0, {size}) for model {model!r}")
 
 
 class Batch:
@@ -298,18 +306,19 @@ class MicroBatcher:
         if ids.ndim != 1 or ids.size == 0:
             raise ValueError(f"input_ids must be a non-empty 1-D token sequence, "
                              f"got shape {ids.shape}")
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise ValueError(f"input_ids must be integers, got dtype {ids.dtype}")
         if ids.size > entry.max_position:
             raise ValueError(f"sequence length {ids.size} exceeds model {model!r} "
                              f"max_position {entry.max_position}")
-        if ids.min() < 0 or ids.max() >= entry.vocab_size:
-            raise ValueError(
-                f"token ids must be in [0, {entry.vocab_size}) for model {model!r}")
+        _check_ids("input_ids", ids, entry.vocab_size, model)
         types = None if token_type_ids is None else np.asarray(token_type_ids)
-        if types is not None and types.shape != ids.shape:
-            raise ValueError(f"token_type_ids shape {types.shape} must match "
-                             f"input_ids shape {ids.shape}")
+        if types is not None:
+            if types.shape != ids.shape:
+                raise ValueError(f"token_type_ids shape {types.shape} must match "
+                                 f"input_ids shape {ids.shape}")
+            # An id the embedding table lacks would fail the whole fused
+            # forward, and with it every request in the batch.
+            _check_ids("token_type_ids", types, entry.type_vocab_size, model)
+            types = types.astype(np.int64)
         self.admission.admit()
         pending = PendingRequest(model, ids.astype(np.int64), types, deadline=(
             time.perf_counter() + self.admission.request_timeout))
@@ -376,8 +385,15 @@ class MicroBatcher:
                 with obs.span("serve.batch", model=model, batch_size=len(live)):
                     try:
                         result_rows, error = self._forward(model, live), None
-                    except Exception as exc:  # noqa: BLE001 — fan the error out
+                    except ReproError as exc:
                         result_rows, error = None, exc
+                    except Exception as exc:  # noqa: BLE001 — fan the error out
+                        # Typed, so every handler answers it (500) and keeps
+                        # its connection; the cause stays chained.
+                        result_rows, error = None, ServeError(
+                            f"forward for model {model!r} failed: "
+                            f"{type(exc).__name__}: {exc}")
+                        error.__cause__ = exc
                     with self._cond:
                         finished = self._core.complete(batch, result_rows, error)
                     if finished is not None and self.health is not None:

@@ -73,6 +73,10 @@ class ModelEntry:
     def vocab_size(self) -> int:
         return self.config.vocab_size
 
+    @property
+    def type_vocab_size(self) -> int:
+        return self.config.type_vocab_size
+
     def _acquire(self) -> None:
         with self._lock:
             if self._retired:

@@ -59,6 +59,19 @@ class TestAttach:
         _, _, compressed = quantized_setup
         assert all(not m.training for _, m in compressed.named_modules())
 
+    def test_forward_records_no_graph(self, quantized_setup):
+        """Every parameter is frozen, so no output of a forward is on the
+        autograd tape: each intermediate is freed when dropped, not left to
+        the cyclic garbage collector."""
+        _, _, compressed = quantized_setup
+        assert not any(param.requires_grad for param in compressed.parameters())
+        mask = np.ones((2, 9), dtype=np.int64)
+        mask[1, 5:] = 0
+        for pooled_only in (False, True):
+            hidden, pooled = compressed(micro_inputs(), mask, pooled_only=pooled_only)
+            assert not pooled.requires_grad and not pooled._parents
+            assert hidden is None or not hidden.requires_grad
+
     def test_forward_matches_dequantize_path(self, quantized_setup):
         _, reference, compressed = quantized_setup
         input_ids = micro_inputs()

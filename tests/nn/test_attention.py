@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, ShapeError
 from repro.nn.attention import MultiHeadSelfAttention
@@ -61,6 +63,16 @@ class TestForward:
         out_perm = attention(Tensor(x[:, perm])).data
         np.testing.assert_allclose(out[:, perm], out_perm, atol=1e-10)
 
+    @given(batch=st.integers(1, 3), seq=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_all_ones_mask_equals_no_mask_exactly(self, batch, seq, seed):
+        """With no key masked the -1e9 fill is skipped: a lone request's
+        output is the unmasked forward's bit for bit."""
+        attention = MultiHeadSelfAttention(hidden_size=16, num_heads=4, rng=seed)
+        hidden = Tensor(np.random.default_rng(seed).normal(size=(batch, seq, 16)))
+        masked = attention(hidden, attention_mask=np.ones((batch, seq), dtype=np.int64))
+        assert np.array_equal(masked.data, attention(hidden).data)
+
     def test_gradients_reach_all_projections(self, attention, rng):
         attention(Tensor(rng.normal(size=(1, 4, 16)))).sum().backward()
         for name, param in attention.named_parameters():
@@ -72,3 +84,16 @@ class TestHeadPlumbing:
         x = Tensor(rng.normal(size=(2, 5, 16)))
         round_tripped = attention._merge_heads(attention._split_heads(x))
         np.testing.assert_allclose(round_tripped.data, x.data)
+
+    @given(axes=st.permutations(range(4)), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_transpose_gradient_is_the_inverse_permutation(self, axes, seed):
+        """Heads are split and merged by transposes, whose backward now
+        inverts the permutation only when it runs."""
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        out = x.transpose(*axes)
+        upstream = rng.normal(size=out.shape)
+        out.backward(upstream)
+        assert np.array_equal(out.data, x.data.transpose(axes))
+        assert np.array_equal(x.grad, upstream.transpose(np.argsort(axes)))

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.nn import functional as F
@@ -12,7 +14,50 @@ from repro.nn.tensor import Tensor
 from tests.conftest import assert_autograd_matches
 
 
+# Reference forms: the plain out-of-place expressions, with numpy's
+# wrapped reductions.  The in-place forwards must give these numbers bit
+# for bit.
+def _reference_gelu(x):
+    inner = math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x))
+    return 0.5 * x * (1.0 + np.tanh(inner))
+
+
+def _reference_softmax(x, axis):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def _reference_layer_norm(x, weight, bias, eps=1e-12):
+    x_hat = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(x_hat).mean(axis=-1, keepdims=True)
+    return x_hat * (1.0 / np.sqrt(var + eps)) * weight + bias
+
+
+#: 2-D to 4-D shapes, the last axis up to BERT-base's head and hidden widths.
+_SHAPES = st.tuples(
+    st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(1, 70)
+).map(lambda dims: (*dims[0], dims[1]))
+
+
 class TestGelu:
+    @given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_out_of_place_form_exactly(self, shape, seed):
+        """(0.5 * x) * (1 + t) into one buffer is the same arithmetic as the
+        out-of-place expression, and so is the gradient's (1 + t)."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=shape)
+        t = Tensor(x, requires_grad=True)
+        out = F.gelu(t)
+        assert np.array_equal(out.data, _reference_gelu(x))
+        upstream = rng.normal(size=shape)
+        out.backward(upstream)
+        tanh = np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * (x * x * x)))
+        d_inner = math.sqrt(2.0 / math.pi) * (1.0 + 3 * 0.044715 * x**2)
+        grad = 0.5 * (1.0 + tanh) + 0.5 * x * (1.0 - tanh**2) * d_inner
+        assert np.array_equal(t.grad, upstream * grad)
+
     def test_matches_reference_points(self):
         out = F.gelu(Tensor(np.array([0.0, 1.0, -1.0])))
         np.testing.assert_allclose(out.data, [0.0, 0.8412, -0.1588], atol=1e-3)
@@ -54,6 +99,21 @@ class TestGelu:
 
 
 class TestSoftmax:
+    @given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1), masked=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_wrapped_reductions_exactly(self, shape, seed, masked):
+        """ufunc reductions with the exp and the divide in place give the
+        ndarray.max/sum form bit for bit, along any axis, on attention
+        scores whose masked keys hold -1e9."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=shape)
+        if masked:
+            x[rng.random(shape) < 0.3] = -1e9
+        axis = int(rng.integers(-len(shape), len(shape)))
+        for along in (-1, axis):
+            assert np.array_equal(F.softmax(Tensor(x), axis=along).data,
+                                  _reference_softmax(x, along))
+
     def test_rows_sum_to_one(self, rng):
         out = F.softmax(Tensor(rng.normal(size=(4, 7))))
         np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4))
@@ -117,6 +177,18 @@ class TestLayerNorm:
         x = Tensor(rng.normal(size=(2, 6)))
         with pytest.raises(ShapeError):
             F.layer_norm(x, Tensor(np.ones(5)), Tensor(np.zeros(6)))
+
+    @given(shape=_SHAPES, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_np_mean_form_exactly(self, shape, seed):
+        """``add.reduce / n`` and the in-place tail give np.mean's and the
+        out-of-place expression's numbers bit for bit on 2-D to 4-D inputs."""
+        rng = np.random.default_rng(seed)
+        n = shape[-1]
+        x = rng.normal(rng.normal(scale=100.0), 10.0 ** rng.uniform(-3, 3), shape)
+        weight, bias = rng.normal(1.0, 0.1, n), rng.normal(size=n)
+        out = F.layer_norm(Tensor(x), Tensor(weight), Tensor(bias))
+        assert np.array_equal(out.data, _reference_layer_norm(x, weight, bias))
 
     def test_equals_the_two_pass_var_form_exactly(self, rng):
         """Centring once gives np.var's numbers bit for bit: the output and

@@ -22,6 +22,7 @@ from repro.errors import (
     ServeError,
 )
 from repro.serve import AdmissionController, MicroBatcher, ModelRegistry
+from repro.serve.health import HEALTHY, HealthMonitor, HealthPolicy
 from tests.conftest import MICRO_CONFIG
 
 
@@ -145,6 +146,44 @@ class TestValidation:
         finally:
             batcher.close()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[0, 7, 0], [0, -1, 0], [0.7, 0.2, 1.9], ["a", "b", "c"], [True, False, True]],
+        ids=["oov", "negative", "float", "str", "bool"],
+    )
+    def test_malformed_token_type_ids(self, registry, bad):
+        """Type ids are checked as the token ids are: integers inside the
+        model's type vocabulary, else ValueError before admission."""
+        batcher = make_batcher(registry)
+        try:
+            with pytest.raises(ValueError, match="token_type_ids"):
+                batcher.submit("micro", [1, 2, 3], token_type_ids=bad)
+            assert batcher.admission.depth == 0
+        finally:
+            batcher.close()
+
+    def test_bad_token_types_never_reach_the_forward(self, registry):
+        """An out-of-vocabulary type id once failed its whole fused batch in
+        the embedding gather, and six of them tripped the breaker.  Refused
+        at submit, they leave the model healthy and its next request
+        served."""
+        health = HealthMonitor(registry, policy=HealthPolicy(breaker_threshold=3))
+        batcher = MicroBatcher(
+            registry, AdmissionController(max_pending=16, request_timeout=10.0),
+            batch_window=0.0, health=health,
+        )
+        try:
+            for _ in range(6):
+                with pytest.raises(ValueError, match="token_type_ids"):
+                    batcher.submit("micro", [1, 2, 3], token_type_ids=[0, 9, 0])
+            result = batcher.wait(
+                batcher.submit("micro", [1, 2, 3], token_type_ids=[0, 1, 1]))
+            assert len(result["pooled"]) == MICRO_CONFIG.hidden_size
+            assert health.model("micro").state == HEALTHY
+        finally:
+            batcher.close()
+            health.close()
+
     def test_queue_full_propagates(self, registry, monkeypatch):
         batcher = make_batcher(registry, max_pending=1)
         try:
@@ -217,6 +256,26 @@ class TestDeadlines:
             assert len(expired) == 1
         finally:
             stall.set()
+            batcher.close()
+
+
+class TestForwardErrors:
+    def test_untyped_forward_error_is_a_chained_serve_error(self, registry, monkeypatch):
+        """A forward that raises something other than a ReproError reaches
+        the handler as a ServeError (which the server answers 500) with the
+        original error as its cause."""
+        batcher = make_batcher(registry)
+
+        def broken_forward(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(registry.get("micro").model, "forward", broken_forward)
+        try:
+            with pytest.raises(ServeError, match="RuntimeError: boom") as excinfo:
+                batcher.wait(batcher.submit("micro", [1, 2, 3]))
+            assert isinstance(excinfo.value.__cause__, RuntimeError)
+            assert batcher.admission.depth == 0
+        finally:
             batcher.close()
 
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ChecksumMismatchError, ModelQuarantinedError
+from repro.errors import ChecksumMismatchError, ModelQuarantinedError, ServeError
 from repro.serve import AdmissionController, MicroBatcher, ModelRegistry
 from repro.serve.health import QUARANTINED, HealthMonitor, HealthPolicy
 from repro.testing.faults import (
@@ -124,8 +124,9 @@ def registry(micro_archive):
 class TestFaultsDriveTheBreaker:
     def test_fail_forward_trips_quarantine(self, registry):
         """Persistent forward failures walk the model through the breaker:
-        requests 1..threshold get 500-shaped errors, request threshold+1
-        is refused at admission with 503-shaped ModelQuarantinedError."""
+        requests 1..threshold get 500-shaped errors (a ServeError chained to
+        the injected fault), request threshold+1 is refused at admission
+        with 503-shaped ModelQuarantinedError."""
         policy = HealthPolicy(breaker_window=30.0, breaker_threshold=3,
                               cooldown=60.0)
         health = HealthMonitor(registry, policy=policy)
@@ -135,8 +136,9 @@ class TestFaultsDriveTheBreaker:
         )
         try:
             for _ in range(policy.breaker_threshold):
-                with pytest.raises(InjectedFault):
+                with pytest.raises(ServeError, match="InjectedFault") as excinfo:
                     batcher.wait(batcher.submit("micro", [1, 2, 3]))
+                assert isinstance(excinfo.value.__cause__, InjectedFault)
             assert health.model("micro").state == QUARANTINED
             with pytest.raises(ModelQuarantinedError):
                 batcher.submit("micro", [1, 2, 3])

@@ -189,6 +189,68 @@ class TestRequestPath:
         assert http_json(f"{base}/nope")[0] == 404
 
 
+class TestBadRequestsAndFailedForwards:
+    @pytest.mark.parametrize(
+        "types", [[0, 7, 0], [0, -1, 0], [0.7, 0.2, 1.9]],
+        ids=["oov", "negative", "float"],
+    )
+    def test_bad_token_type_ids_answered_400(self, server, types):
+        """Bad type ids once went unchecked into the forward: an id outside
+        the table dropped the connection, failed every request fused with
+        it and tripped the breaker; a float was silently truncated.  Each is
+        now a 400, while a concurrent valid request is served and the model
+        stays healthy."""
+        url = f"{base_url(server)}/models/micro/predict"
+        valid = []
+        concurrent = threading.Thread(target=lambda: valid.extend(
+            http_json(url, {"input_ids": [1, 2, 3], "token_type_ids": [0, 1, 0]})
+            for _ in range(6)))
+        concurrent.start()
+        statuses = [
+            http_json(url, {"input_ids": [1, 2, 3], "token_type_ids": types})[0]
+            for _ in range(6)
+        ]
+        concurrent.join(timeout=60)
+        assert not concurrent.is_alive()
+        assert statuses == [400] * 6
+        assert [status for status, _ in valid] == [200] * 6
+        status, health = http_json(f"{base_url(server)}/healthz")
+        assert status == 200 and health["status"] == "ok"
+        assert health["models"]["micro"]["health"]["state"] == "healthy"
+
+    def test_untyped_forward_error_answered_500_on_a_kept_connection(
+        self, server, monkeypatch
+    ):
+        """A forward that raises a plain RuntimeError once escaped the
+        handler and dropped the connection with no response.  It is a 500
+        with a JSON error, and the keep-alive connection serves the next
+        request."""
+        model = server.registry.get("micro").model
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return type(model).forward(model, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", fails_once)
+        body = json.dumps({"input_ids": [1, 2, 3]})
+        connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            replies = []
+            for _ in range(2):
+                connection.request("POST", "/models/micro/predict", body=body,
+                                   headers={"Content-Type": "application/json"})
+                response = connection.getresponse()
+                replies.append((response.status, json.loads(response.read())))
+        finally:
+            connection.close()
+        (status, failed), (next_status, served) = replies
+        assert status == 500 and "RuntimeError: boom" in failed["error"]
+        assert next_status == 200 and "pooled" in served
+
+
 class TestTransport:
     def test_keep_alive_round_trips_skip_the_delayed_ack(self, server):
         """A response goes out as two writes (headers, then body).  With
@@ -233,42 +295,58 @@ class TestTransport:
 
 class TestAdmission:
     def test_overload_rejected_with_retry_after(self, micro_archive):
-        """With a tiny queue bound and a slow batch cadence, a burst must
-        produce at least one 429 carrying Retry-After."""
+        """With the worker held in a forward, a burst overflows the 2-deep
+        queue bound: every request past it is answered 429 with Retry-After
+        at once, and the two admitted ones are served when the worker goes
+        on.  (A timed burst relied on requests arriving faster than a
+        forward completes, which a fast forward loses now and then.)"""
         registry = ModelRegistry()
         registry.register("micro", micro_archive, config=MICRO_CONFIG)
         count = 10
-        # Once requests queue behind the first one's forward, max_batch above
-        # the burst size keeps each batch open for the whole 50 ms window, so
-        # the admitted requests stay pending while the rest of the burst
-        # arrives, however fast the forward itself is.
         server = QuantServer(
             registry, port=0, batch_window=0.05, max_batch=count,
             max_pending=2, request_timeout=30.0,
         )
+        entered, release = threading.Event(), threading.Event()
+        forward = server.batcher._forward
+
+        def held_forward(model, live):
+            entered.set()
+            release.wait(30.0)
+            return forward(model, live)
+
+        server.batcher._forward = held_forward
         server.serve_in_background()
         try:
             url = f"{base_url(server)}/models/micro/predict"
             results = [None] * count
-            barrier = threading.Barrier(count)
+            answered = threading.Semaphore(0)
 
             def call(index):
-                barrier.wait()
                 results[index] = http_json(url, {"input_ids": [1, 2, 3]})
+                answered.release()
 
             threads = [
                 threading.Thread(target=call, args=(i,)) for i in range(count)
             ]
-            for thread in threads:
+            threads[0].start()
+            assert entered.wait(30.0), "the first request never reached a forward"
+            for thread in threads[1:]:
                 thread.start()
+            # One request is in the held forward and one is queued; the
+            # other eight are refused without waiting for the worker.
+            for _ in range(count - 2):
+                assert answered.acquire(timeout=30.0)
+            release.set()
             for thread in threads:
-                thread.join()
-            statuses = [status for status, _ in results]
-            assert 429 in statuses, statuses
-            assert all(status in (200, 429) for status in statuses)
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            statuses = sorted(status for status, _ in results)
+            assert statuses == [200] * 2 + [429] * (count - 2), statuses
             rejected = next(body for status, body in results if status == 429)
             assert rejected["retry_after"] >= 1
         finally:
+            release.set()
             server.shutdown()
 
 

@@ -28,14 +28,14 @@ in-flight requests and exits 75.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
-from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
-from repro.experiments.report import render_payload
-
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.experiments.registry import EXPERIMENTS, list_experiments
+
     for identifier in list_experiments():
         experiment = EXPERIMENTS[identifier]
         marker = "*" if experiment.needs_training else " "
@@ -45,6 +45,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import get_experiment, list_experiments
+    from repro.experiments.report import render_payload
+
     identifiers = list_experiments() if args.target == "all" else [args.target]
     for identifier in identifiers:
         try:
@@ -230,6 +233,30 @@ def _parse_model_spec(spec: str) -> tuple[str, str, str | None]:
     if sep and config and "/" not in config and not config.endswith(".npz"):
         return name, path, config
     return name, rest, None
+
+
+def _bounded(kind: type, low: float, high: float = math.inf, *, above: bool = False):
+    """An argparse ``type``: a finite ``kind`` value in ``[low, high]``,
+    or in ``(low, high]`` when ``above``.
+
+    Out-of-range serve flags are refused while the command line is parsed,
+    so they exit 2 with one usage error before any archive is opened; the
+    constructors behind them keep their own checks for library callers.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if value < low or value > high or (above and value == low):
+            bound = f"> {low:g}" if above else f">= {low:g}"
+            if high != math.inf:
+                bound = f"in [{low:g}, {high:g}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -443,24 +470,27 @@ def build_parser() -> argparse.ArgumentParser:
              "from the archive's FC census when omitted (repeatable)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument("--port", type=int, default=8080, help="bind port (0 = ephemeral)")
     serve.add_argument(
-        "--batch-window", type=float, default=5.0, metavar="MS",
+        "--port", type=_bounded(int, 0, 65535), default=8080,
+        help="bind port (0 = ephemeral)",
+    )
+    serve.add_argument(
+        "--batch-window", type=_bounded(float, 0), default=5.0, metavar="MS",
         help="how long a batch that already has company waits for more "
              "requests, in milliseconds; a lone request goes at once "
              "(default 5)",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=8,
+        "--max-batch", type=_bounded(int, 1), default=8,
         help="max requests fused into one kernel forward (default 8)",
     )
     serve.add_argument(
-        "--max-pending", type=int, default=64,
+        "--max-pending", type=_bounded(int, 1), default=64,
         help="admission bound on queued requests; beyond it requests get "
              "429 + Retry-After (default 64)",
     )
     serve.add_argument(
-        "--request-timeout", type=float, default=10.0, metavar="S",
+        "--request-timeout", type=_bounded(float, 0, above=True), default=10.0, metavar="S",
         help="per-request deadline in seconds; expiry returns 504 (default 10)",
     )
     serve.add_argument(
@@ -470,23 +500,23 @@ def build_parser() -> argparse.ArgumentParser:
              "or none",
     )
     serve.add_argument(
-        "--forward-timeout", type=float, default=30.0, metavar="S",
+        "--forward-timeout", type=_bounded(float, 0), default=30.0, metavar="S",
         help="watchdog deadline for one batch forward in seconds; a wedged "
              "worker is replaced and its batch failed as transient "
              "(0 disables; default 30)",
     )
     serve.add_argument(
-        "--breaker-window", type=float, default=30.0, metavar="S",
+        "--breaker-window", type=_bounded(float, 0, above=True), default=30.0, metavar="S",
         help="sliding window for the per-model circuit breaker in seconds "
              "(default 30)",
     )
     serve.add_argument(
-        "--breaker-threshold", type=int, default=5,
+        "--breaker-threshold", type=_bounded(int, 1), default=5,
         help="transient failures inside --breaker-window that trip a model "
              "into quarantine (default 5)",
     )
     serve.add_argument(
-        "--quarantine-reloads", type=int, default=5,
+        "--quarantine-reloads", type=_bounded(int, 0), default=5,
         help="automatic reload-from-disk attempts for an integrity-"
              "quarantined model before giving up until a manual reload "
              "(default 5)",

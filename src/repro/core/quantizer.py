@@ -94,7 +94,12 @@ class GoboQuantizedTensor:
 
     # ------------------------------------------------------------ reconstruction
     def codes(self) -> np.ndarray:
-        """Unpacked G-group centroid indexes (flat, outliers skipped)."""
+        """Unpacked G-group centroid indexes (flat, outliers skipped).
+
+        Narrow and unsigned, as :func:`~repro.utils.bitpack.unpack_bits`
+        returns them (``uint8`` up to 8 bits, ``uint16`` above): fine as
+        indexes, but widen them before doing arithmetic on them.
+        """
         return unpack_bits(self.packed_codes, self.bits, self.gaussian_count)
 
     def dequantize(self, dtype: np.dtype | type = np.float32) -> np.ndarray:

@@ -46,6 +46,7 @@ Guarantees:
 from __future__ import annotations
 
 import hashlib
+import stat
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from pathlib import Path
@@ -348,13 +349,23 @@ def verify_archive(path: str | Path) -> ArchiveCheck:
     the file is absent, the container is truncated or not a zip at all, the
     contents fail verification (bit flips in data or directory), or the
     format version is newer than this reader.  ``ok`` holds exactly when
-    :func:`load_quantized_model` would return the model.
+    :func:`load_quantized_model` would return the model.  Anything that is
+    not a readable regular file (a directory, a FIFO, a file this process
+    may not read) is ``"missing"`` with the reason as its detail: this
+    function classifies, it never raises.
     """
     path = Path(path)
-    if not path.exists():
-        return ArchiveCheck(path, "missing", None, "file does not exist")
+    try:
+        mode = path.stat().st_mode
+    except OSError as exc:
+        return ArchiveCheck(path, "missing", None, str(exc))
+    if not stat.S_ISREG(mode):
+        # Decided before any open(): opening a FIFO would block.
+        return ArchiveCheck(path, "missing", None, "not a regular file")
     try:
         model, version = _load(path, lazy=False, verify="full")
+    except OSError as exc:
+        return ArchiveCheck(path, "missing", None, str(exc))
     except TruncatedArchiveError as exc:
         return ArchiveCheck(path, "truncated", None, str(exc))
     except FormatVersionError as exc:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.errors import ShapeError
 
@@ -25,6 +24,8 @@ def spearman(predictions: np.ndarray, labels: np.ndarray) -> float:
     Returns 0.0 when either input is constant (correlation undefined),
     which is the conservative convention for a degenerate model.
     """
+    from scipy import stats as sp_stats  # here, not at the top: only STS-B needs it
+
     predictions = np.asarray(predictions, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if predictions.shape != labels.shape:

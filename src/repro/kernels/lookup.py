@@ -155,10 +155,7 @@ class LookupKernel:
             g = self.group
             #: Row stride of the index grid and of the decoded tile.
             self._stride = -(-self.in_features // g) * g
-            dense = np.zeros(
-                (self.out_features, self._stride),
-                dtype=np.uint8 if self.bits <= 8 else np.uint16,
-            )
+            dense = np.zeros((self.out_features, self._stride), dtype=codes.dtype)
             gaussian = np.ones(total, dtype=bool)
             gaussian[positions] = False
             # Outlier slots and the padding columns hold code 0.

@@ -2,6 +2,9 @@
 
 Used by the Figure 1 reproduction to show that per-layer transformer weights
 closely follow a Gaussian distribution with a small heavy-tail fringe.
+scipy is imported inside the functions that call it: importing
+``scipy.stats`` costs most of a second, and quantizing or serving a model
+never needs it.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.errors import ShapeError
 
@@ -36,6 +38,8 @@ class WeightSummary:
 
 def summarize_weights(values: np.ndarray) -> WeightSummary:
     """Compute :class:`WeightSummary` for ``values`` (any shape)."""
+    from scipy import stats as sp_stats
+
     flat = np.asarray(values, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ShapeError("cannot summarize an empty array")
@@ -62,6 +66,8 @@ def gaussian_overlap(values: np.ndarray, bins: int = 64) -> float:
     "weights closely follow a Gaussian distribution" observation made
     quantitative.
     """
+    from scipy import stats as sp_stats
+
     flat = np.asarray(values, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ShapeError("cannot compare an empty array")

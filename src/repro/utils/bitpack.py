@@ -18,7 +18,9 @@ Two implementations share that layout:
   stays proportional to the payload.  Packing shifts each column of the
   ``(groups, values per group)`` view straight into a ``uint32`` word
   (``uint64`` where a group needs more than 32 bits) and ORs it in, so the
-  codes are never copied into a wider type first;
+  codes are never copied into a wider type first.  Unpacking is the mirror
+  image: each group's bytes are read as one word, and each column is
+  shifted, masked and written straight into the narrow result;
 * a **bit-matrix fallback** for the remaining widths (9, 11, 13, 15),
   which expands each value into its bits before calling ``np.packbits`` —
   correct but ~``bits``x the payload in temporaries.
@@ -27,6 +29,11 @@ The fast path matters: the lookup kernels in :mod:`repro.kernels` unpack
 codes on the serving path, where the fallback's ``count x bits`` uint64
 bit matrix (~24x the payload for 3-bit codes on a 768x768 layer) would
 dominate the latency the kernel is meant to remove.
+
+Both paths return codes in the narrowest unsigned dtype of the width
+(``uint8`` up to 8 bits, ``uint16`` up to 16): the kernels keep codes
+that narrow, so a wider result would be narrowed again at once, and the
+codes are the bulk of a served archive.
 """
 
 from __future__ import annotations
@@ -91,7 +98,14 @@ def pack_bits(values: np.ndarray, bits: int) -> bytes:
 
 
 def unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: recover ``count`` values from ``data``."""
+    """Inverse of :func:`pack_bits`: recover ``count`` values from ``data``.
+
+    The values come back in the narrowest unsigned dtype of the width
+    (``uint8`` up to 8 bits, ``uint16`` up to 16), so a decoded code costs
+    one or two bytes, not eight.  They are unsigned and narrow: a caller that does arithmetic on
+    them (sums, differences, offsets into a larger table) must widen them
+    first, or the result wraps.
+    """
     _check_bits(bits)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -137,18 +151,31 @@ def _pack_bits_grouped(
 def _unpack_bits_grouped(
     raw: np.ndarray, bits: int, count: int, values_per_group: int, bytes_per_group: int
 ) -> np.ndarray:
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
+    """Each group is read as one little-endian word of the smallest width
+    that holds its bytes; column ``j`` of the ``(groups, values_per_group)``
+    result is that word shifted right by ``j * bits`` and masked, cast to
+    the narrow code dtype inside the masking ufunc call."""
     groups = -(-count // values_per_group)
-    padded = np.zeros(groups * bytes_per_group, dtype=np.uint8)
-    padded[: raw.size] = raw
-    buffer = np.zeros((groups, 8), dtype=np.uint8)
-    buffer[:, :bytes_per_group] = padded.reshape(groups, bytes_per_group)
-    words = buffer.view("<u8").astype(np.uint64, copy=False).reshape(groups)
-    shifts = np.arange(values_per_group, dtype=np.uint64) * np.uint64(bits)
-    mask = np.uint64((1 << bits) - 1)
-    values = (words[:, None] >> shifts) & mask
-    return values.reshape(-1)[:count].astype(np.int64)
+    codes = np.empty((groups, values_per_group), dtype=_code_dtype(bits))
+    word_bytes = 1 << (bytes_per_group - 1).bit_length()
+    word = np.dtype(f"<u{word_bytes}")
+    if word_bytes == bytes_per_group:
+        words = raw[: groups * bytes_per_group].view(word)
+    else:
+        buffer = np.zeros((groups, word_bytes), dtype=np.uint8)
+        whole = raw.size // bytes_per_group
+        buffer[:whole, :bytes_per_group] = raw[: whole * bytes_per_group].reshape(
+            whole, bytes_per_group
+        )
+        tail = raw[whole * bytes_per_group :]
+        buffer[whole:, : tail.size] = tail
+        words = buffer.view(word).reshape(groups)
+    mask = word.type((1 << bits) - 1)
+    shifted = np.empty(groups, dtype=word)
+    for j in range(values_per_group):
+        np.right_shift(words, word.type(j * bits), out=shifted)
+        np.bitwise_and(shifted, mask, out=codes[:, j], casting="unsafe")
+    return codes.reshape(-1)[:count]
 
 
 # ---------------------------------------------------------------- fallback
@@ -163,7 +190,11 @@ def _unpack_bits_bitmatrix(raw: np.ndarray, bits: int, count: int) -> np.ndarray
     bit_stream = np.unpackbits(raw, bitorder="little")[: count * bits]
     bit_matrix = bit_stream.reshape(count, bits).astype(np.uint64)
     weights = np.uint64(1) << np.arange(bits, dtype=np.uint64)
-    return (bit_matrix * weights).sum(axis=1).astype(np.int64)
+    return (bit_matrix * weights).sum(axis=1).astype(_code_dtype(bits))
+
+
+def _code_dtype(bits: int) -> np.dtype:
+    return np.dtype(np.uint8 if bits <= 8 else np.uint16)
 
 
 def _check_bits(bits: int) -> None:

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -101,6 +102,37 @@ class TestVerifyArchive:
     def test_missing(self, tmp_path):
         check = verify_archive(tmp_path / "absent.npz")
         assert not check.ok and check.status == "missing"
+
+    def test_directory_is_missing(self, tmp_path):
+        """A directory used to reach ``open()`` and raise IsADirectoryError."""
+        check = verify_archive(tmp_path)
+        assert not check.ok and check.status == "missing"
+        assert check.detail == "not a regular file"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_is_missing_without_opening_it(self, tmp_path):
+        """Opening a FIFO with no writer blocks, so the check runs on a
+        thread that must finish."""
+        fifo = tmp_path / "model.npz"
+        os.mkfifo(fifo)
+        checks = []
+        worker = threading.Thread(
+            target=lambda: checks.append(verify_archive(fifo)), daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "verify_archive blocked opening a FIFO"
+        assert checks[0].status == "missing" and checks[0].detail == "not a regular file"
+
+    def test_unreadable_file_is_missing_with_the_os_error(self, archive, monkeypatch):
+        from repro.core import serialization
+
+        def denied(path, lazy, verify):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(serialization, "_load", denied)
+        check = verify_archive(archive)
+        assert not check.ok and check.status == "missing"
+        assert "Permission denied" in check.detail
 
     def test_truncated(self, archive):
         truncate_file(archive, 0.6)

@@ -36,6 +36,11 @@ class TestSpearman:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert spearman(np.exp(x), x) == pytest.approx(1.0)
 
+    def test_ties_take_average_ranks(self):
+        """Pearson correlation of the ranks [1, 2.5, 2.5, 4, 5] and [2, 1, 4, 3, 5]."""
+        rho = spearman(np.array([1.0, 2.0, 2.0, 3.0, 5.0]), np.array([2.0, 1.0, 4.0, 3.0, 5.0]))
+        assert rho == pytest.approx(0.6668859288553503, rel=1e-12)
+
     def test_constant_predictions_score_zero(self):
         assert spearman(np.ones(5), np.arange(5.0)) == 0.0
 

@@ -25,6 +25,12 @@ class TestSummarizeWeights:
         data[:100] *= 20  # inject a fringe
         assert summarize_weights(data).excess_kurtosis > 1.0
 
+    def test_moments_pinned(self):
+        """Population (biased) moments: m3 / m2**1.5 and m4 / m2**2 - 3."""
+        summary = summarize_weights(np.array([0.0, 1.0, 2.0, 3.0, 10.0]))
+        assert summary.skewness == pytest.approx(1.2099004414720482, rel=1e-12)
+        assert summary.excess_kurtosis == pytest.approx(-0.12400097367033158, rel=1e-12)
+
     def test_range_in_sigmas(self):
         summary = summarize_weights(np.array([-1.0, 0.0, 1.0]))
         assert summary.range_in_sigmas == pytest.approx(2.0 / summary.std)
@@ -53,6 +59,10 @@ class TestGaussianOverlap:
 
     def test_constant_is_perfect(self):
         assert gaussian_overlap(np.full(100, 2.0)) == 1.0
+
+    def test_pinned_value(self):
+        overlap = gaussian_overlap(np.linspace(-1.0, 1.0, 101), bins=8)
+        assert overlap == pytest.approx(0.9216524939098812, rel=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):

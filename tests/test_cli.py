@@ -79,6 +79,45 @@ class TestParser:
             build_parser().parse_args(["profile"])
 
 
+class TestServeFlags:
+    """Out-of-range serve flags are usage errors: exit 2 from the parser,
+    before any archive is opened (they used to surface as a ValueError or
+    OverflowError traceback after every archive had loaded)."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-window", "-1"),
+        ("--max-batch", "0"),
+        ("--max-pending", "0"),
+        ("--request-timeout", "0"),
+        ("--request-timeout", "-5"),
+        ("--forward-timeout", "-1"),
+        ("--breaker-threshold", "0"),
+        ("--breaker-window", "-1"),
+        ("--quarantine-reloads", "-1"),
+        ("--port", "-1"),
+        ("--port", "70000"),
+        ("--request-timeout", "nan"),
+        ("--batch-window", "inf"),
+    ])
+    def test_rejected_before_the_archive_is_opened(self, flag, value, tmp_path, capsys):
+        absent = tmp_path / "absent.npz"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--model", f"m={absent}", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"repro serve: error: argument {flag}: must be")
+        assert str(absent) not in err
+
+    def test_boundary_values_parse(self):
+        args = build_parser().parse_args([
+            "serve", "--model", "m=a.npz", "--port", "65535", "--batch-window", "0",
+            "--max-batch", "1", "--forward-timeout", "0", "--quarantine-reloads", "0",
+        ])
+        assert (args.port, args.batch_window, args.max_batch) == (65535, 0.0, 1)
+        assert args.forward_timeout == 0.0  # 0 keeps meaning "no watchdog"
+        assert args.quarantine_reloads == 0
+
+
 class TestCommands:
     def test_list_prints_all_targets(self, capsys):
         assert main(["list"]) == 0
@@ -396,6 +435,15 @@ class TestVerifyArchiveMultiple:
         out = capsys.readouterr().out
         assert "ok" in out and "truncated" in out and "missing" in out
         assert "1/3 archive(s) ok" in out
+
+    def test_a_directory_gets_a_verdict_not_a_traceback(
+        self, archives, tmp_path, capsys
+    ):
+        assert main(["verify-archive", str(archives[0]), str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"{archives[0]}: ok" in out
+        assert f"{tmp_path}: missing" in out
+        assert "1/2 archive(s) ok" in out
 
     def test_quiet_suppresses_ok_but_reports_failures(
         self, archives, tmp_path, capsys

@@ -58,7 +58,7 @@ class TestRoundTrip:
         assert packed == b""
         recovered = unpack_bits(packed, bits, 0)
         assert recovered.size == 0
-        assert recovered.dtype == np.int64
+        assert recovered.dtype == np.uint8
 
     @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_single_value_all_widths(self, bits):
@@ -198,4 +198,4 @@ class TestFastPathEquivalence:
             recovered = unpack_bits(packed, bits, count)
             reference = _unpack_bits_bitmatrix(raw, bits, count)
             np.testing.assert_array_equal(recovered, reference)
-            assert recovered.dtype == np.int64
+            assert recovered.dtype == reference.dtype == (np.uint8 if bits <= 8 else np.uint16)
